@@ -203,14 +203,20 @@ def _cmd_jets(args) -> int:
                                time_dependent=bool(fspec.get(
                                    "time_dependent", False)))
         datum = _jet_cfg(cfg["datum"], "datum")
-        n_max = int(cfg.get("n_max", 8))
     except KeyError as e:
         raise ConfigError(f"jets config is missing {e}")
     except CarlemanError as e:
         raise ConfigError(f"bad field spec: {e}")
+    try:
+        n_max = int(cfg.get("n_max", 8))
+        n_res = int(cfg.get("residual_n", min(6, n_max - 1)))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"n_max and residual_n must be integers: {e}")
+    if n_res >= n_max:
+        raise ConfigError(
+            f"residual_n={n_res} needs u_{n_res + 1}, beyond n_max={n_max}")
 
     series = formal_solution(field, datum, n_max)
-    n_res = int(cfg.get("residual_n", min(6, n_max - 1)))
     rows = [(n, float(residual_check(series, n))) for n in range(n_res + 1)]
     _write(args, "jets.csv", _csv_text(["n", "residual"], rows))
 
@@ -258,6 +264,11 @@ def _cmd_extend(args) -> int:
              "hi": 0.99 * sol.delta if t_hi is None else float(t_hi),
              "n": int(tspec.get("n", 24)), "spacing": "log"}
     t = _grid1d(tspec, "t")
+    # the centered time difference needs 0 < |t| < delta at every sample
+    if not np.all((np.abs(t) > 0.0) & (np.abs(t) < sol.delta)):
+        raise ConfigError(
+            f"t grid must lie in 0 < |t| < delta = {sol.delta:.6g}, the "
+            f"validity radius; it spans [{np.min(t):.6g}, {np.max(t):.6g}]")
     fit = measure_flatness(sol, x, t)
 
     hq = assoc(sol.seq, "h", fit.Q * np.abs(t))
@@ -395,6 +406,7 @@ def _wf_fixture_pieces(name: str):
 
 
 def _cmd_wf_experiment(args) -> int:
+    from .fbi import GRID_N
     from .pde import RhsModel, SolutionSamples, wf_inclusion_experiment
     if args.fixture is not None:
         cfg = {"solution": {"fixture": args.fixture}}
@@ -410,7 +422,7 @@ def _cmd_wf_experiment(args) -> int:
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
     base = [float(v) for v in cfg.get("base", [0.0, 0.0])]
     radius = float(cfg.get("radius", 1.0))
-    n = int(cfg.get("n", 2752))
+    n = int(cfg.get("n", GRID_N))
     samples = SolutionSamples.from_function(fn, base[0] - radius,
                                             base[0] + radius, 41,
                                             base[1] - radius,

@@ -23,9 +23,9 @@ from scipy.special import roots_legendre
 
 from .errors import (ArityMismatch, FitFailed, GuardExceeded,
                      QuadratureTooCoarse)
-from .jets import (EvalBox, FormalSeries, VectorFieldJet, _snap_up,
-                   formal_solution, growth_fit, jet_constant, jet_eval)
-from .weights import WeightSequence, assoc, bigN_capped
+from .jets import (EvalBox, FormalSeries, VectorFieldJet, formal_solution,
+                   growth_fit, jet_constant, jet_eval)
+from .weights import WeightSequence, assoc, bigN_capped, snap_up
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence, q_grid=None,
         with np.errstate(invalid="ignore", divide="ignore"):
             ratios = np.where(sup > 0.0, sup / hv, 0.0)
         a_raw = float(np.max(ratios))
-        A = 0.0 if a_raw == 0.0 else _snap_up(a_raw)
+        A = 0.0 if a_raw == 0.0 else snap_up(a_raw)
         if A > a_cap:
             skipped.append(float(Q))
             continue

@@ -18,6 +18,9 @@ from .errors import NoCone, Undersampled
 from .weights import WeightSequence, fbi_envelope
 
 _BOUNDARY_TOL = 1e-12
+# default samples per axis of the two-dimensional scan grids: the conormal
+# and holomorphic fixtures and the wave front experiment
+GRID_N = 2752
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import dawsn
 
-from .fbi import GridFunction
+from .fbi import GRID_N, GridFunction
 
 
 def smooth_step(s):
@@ -72,7 +72,7 @@ def pole_grid(n: int = 2048, half_width: float = 8.0,
 # ---------------------------------------------------------------------------
 # two-dimensional scan fixtures
 
-def conormal_grid(n: int = 2752) -> GridFunction:
+def conormal_grid(n: int = GRID_N) -> GridFunction:
     """|y1 - y2|^3 times a radial cutoff: smooth off the diagonal, C^2 but
     no better across it; wave front conormal to {y1 = y2}."""
     def fn(y1, y2):
@@ -80,7 +80,7 @@ def conormal_grid(n: int = 2752) -> GridFunction:
     return GridFunction.from_function(fn, [-1.0, -1.0], [1.0, 1.0], n)
 
 
-def holomorphic_grid(n: int = 2752) -> GridFunction:
+def holomorphic_grid(n: int = GRID_N) -> GridFunction:
     """e^{y1 + i y2} times the same cutoff: entire amplitude, empty wave
     front over the inner half of the box."""
     def fn(y1, y2):

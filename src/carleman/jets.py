@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArityMismatch, BudgetExhausted, FitFailed
-from .weights import WeightSequence
+from .weights import WeightSequence, snap_up
 
 PRUNE = 1e-30
 
@@ -400,13 +400,6 @@ def _grid_sup(jet: Jet, xs, zs) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def _snap_up(value: float, step_log2: float = 0.25, floor: float = 1.0) -> float:
-    if value <= floor:
-        return floor
-    j = int(np.ceil(np.log2(value) / step_log2 - 1e-9))
-    return 2.0 ** (j * step_log2)
-
-
 def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
                deriv_order: int = 0, c_cap: float = 2.0 ** 16) -> GrowthEstimate:
     """Fit C in sup |d^alpha u_k| <= C^{1+|alpha|+k} M_{|alpha|+k}/k! over the
@@ -443,7 +436,7 @@ def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
             log_c_need = max(log_c_need,
                              (np.log(s) - bound_log) / (1.0 + a_len + k))
 
-    C_fit = 1.0 if log_c_need == -np.inf else _snap_up(float(np.exp(log_c_need)))
+    C_fit = 1.0 if log_c_need == -np.inf else snap_up(float(np.exp(log_c_need)))
     if C_fit > c_cap:
         raise FitFailed(f"growth fit needs C ~ {np.exp(log_c_need):.3g} > cap {c_cap:.3g}")
 
@@ -453,7 +446,7 @@ def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
         if s <= 0.0:
             continue
         log_b_need = max(log_b_need, (np.log(s) - seq.log_m[n]) / (n + 1.0))
-    B_fit = 1.0 if log_b_need == -np.inf else _snap_up(float(np.exp(log_b_need)))
+    B_fit = 1.0 if log_b_need == -np.inf else snap_up(float(np.exp(log_b_need)))
 
     return GrowthEstimate(C_fit, B_fit, series.n_max, box, sups)
 

@@ -21,7 +21,7 @@ from scipy.linalg import null_space
 
 from .errors import (ArityMismatch, CharacteristicDirection, SingularJacobian,
                      TrustBoxExceeded)
-from .fbi import GridFunction, ScanConfig, ScanReport, wavefront_scan
+from .fbi import GRID_N, GridFunction, ScanConfig, ScanReport, wavefront_scan
 from .fixtures import radial_cutoff
 from .jets import Jet, VectorFieldJet, _apply_coeffs, jet_add, jet_diff, \
     jet_eval, jet_mul, jet_scale, jet_variable
@@ -325,7 +325,7 @@ class WfInclusionReport:
 
 def wf_inclusion_experiment(model: RhsModel, samples: SolutionSamples,
                             seq: WeightSequence, base=(0.0, 0.0),
-                            radius: float = 1.0, n: int = 2752,
+                            radius: float = 1.0, n: int = GRID_N,
                             config: ScanConfig | None = None,
                             convention: str = "split") -> WfInclusionReport:
     """Scan the solution as a function of spacetime around a base point and

@@ -11,10 +11,13 @@ space over a materialized table k = 0..K_max and are *certified*: when the
 minimizer lands on the table boundary with the terms still decreasing, the
 operation raises GuardExceeded instead of returning a wrong value.
 
-Tables can be large (10^6 entries for Gevrey exponents close to 1), so the
-minimizers use the log-convexity of the terms: the increments of
-log(m_k) + k*log(r) are nondecreasing in k, hence the argmin is the first
-index where the increment turns nonnegative, found by binary search.
+Tables can be large (10^6 entries for Gevrey exponents close to 1).  All
+infima go through one certified argmin, _argmin: a binary search over the
+nondecreasing increments of a log-convex table, a direct scan of any other
+table.  It also reports when the minimizer sits on the table boundary with
+the terms still decreasing, and each caller sets its policy for that case:
+h, h1 and N raise, bigN_capped caps (and raises on non-log-convex tables),
+and fbi_envelope raises unless certified=False asks for the upper bound.
 """
 
 from __future__ import annotations
@@ -47,15 +50,21 @@ class WeightSequence:
     lfact: np.ndarray
     values: np.ndarray | None = None     # table kind only: the raw M_k
     log_convex: bool = field(init=False, default=False)
+    _increments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lr = np.diff(self.log_m)
-        self.log_convex = bool(self.K_max < 2 or np.all(np.diff(lr) >= -_CONVEX_TOL))
+        self._increments = np.diff(self.log_m)
+        self.log_convex = bool(
+            self.K_max < 2 or np.all(np.diff(self._increments) >= -_CONVEX_TOL))
+        # increments are cached from log_m; read-only arrays keep the
+        # cache from going stale
+        for arr in (self.m, self.log_m, self.lfact, self._increments):
+            arr.flags.writeable = False
 
     @property
     def increments(self) -> np.ndarray:
         """lr[k] = log(m_{k+1}) - log(m_k), nondecreasing iff log-convex."""
-        return np.diff(self.log_m)
+        return self._increments
 
     @property
     def c_bound(self) -> float:
@@ -140,7 +149,7 @@ def check_regularity(seq: WeightSequence, d_threshold: float = 4.0,
             failures.append(("a", idx))
             break
 
-    lr = np.diff(log_m)
+    lr = seq.increments
     d2 = np.diff(lr)                       # d2[i] vs center index i+1
     bad = np.nonzero(d2 < -tol)[0]
     if bad.size:
@@ -176,65 +185,73 @@ def require_regular(seq: WeightSequence, **kwargs) -> None:
 # ---------------------------------------------------------------------------
 # associated functions
 
-def _argmin_from(seq: WeightSequence, t: np.ndarray, k0: int) -> np.ndarray:
-    """Least argmin over k >= k0 of g(k) = log_m[k] + (k - k0)*t, certified.
+def _elementwise(x, name: str, fn):
+    """fn over x as a 1-d array with positive entries; scalar in, scalar out."""
+    xx = np.asarray(x, dtype=float)
+    if np.any(xx <= 0.0):
+        raise ValueError(f"{name} must be positive")
+    out = fn(np.atleast_1d(xx))
+    return out[0].item() if xx.ndim == 0 else out
 
-    For log-convex tables the increments g(k+1) - g(k) = lr[k] + t are
-    nondecreasing, so the least argmin is the first k with lr[k] + t >= 0:
-    a searchsorted.  Ties (increment exactly 0) keep the lower index, so N
-    always reports the least minimizer.  An argmin of K_max is
-    only trusted when the last increment is nonnegative; otherwise the true
-    infimum may lie beyond the table and we raise.
+
+def _argmin(seq: WeightSequence, log_a: np.ndarray, incs: np.ndarray,
+            c: np.ndarray, k0: int = 0, shift_ties: bool = True):
+    """Least argmin over k >= k0 of g(k) = log_a[k] - (k - k0)*c, per entry
+    of c, with incs = np.diff(log_a).  Returns (idx, hit); hit marks an
+    argmin on K_max with the terms still decreasing, where the infimum over
+    the whole sequence may lie beyond the table.
+
+    On a log-convex table g(k+1) - g(k) = incs[k] - c is nondecreasing, so
+    the least argmin is the first k with incs[k] >= c, a searchsorted.  At a
+    breakpoint float rounding can tip that equality either way; shift_ties
+    lowers the target by 1e-12*(1 + |c|) so the least index wins.
     """
-    lr = seq.increments
     if seq.log_convex:
-        # Tie tolerance: at an exact breakpoint r = m_k/m_{k+1} the increment
-        # comparison lr[k] >= -t is an equality that float rounding can tip
-        # either way; shifting the target keeps the least-index convention.
-        target = -t - 1e-12 * (1.0 + np.abs(t))
-        idx = k0 + np.searchsorted(lr[k0:], target, side="left")
-        # idx == K_max means every materialized increment was negative:
-        # the terms decrease through the table boundary, value uncertified.
-        bad = idx == seq.K_max
-    else:
-        if seq.K_max > _BRUTE_MAX:
-            raise ValueError(
-                "table is not log-convex and too large for a direct argmin scan")
-        terms = seq.log_m[None, k0:] + np.arange(seq.K_max + 1 - k0)[None, :] * t[:, None]
-        idx = k0 + np.argmin(terms, axis=1)
-        bad = (idx == seq.K_max) & (lr[-1] + t < 0)
-    if np.any(bad):
-        r_bad = float(np.exp(t[bad][0]))
+        target = c - 1e-12 * (1.0 + np.abs(c)) if shift_ties else c
+        idx = k0 + np.searchsorted(incs[k0:], target, side="left")
+        return idx, idx == seq.K_max
+    if seq.K_max > _BRUTE_MAX:
+        raise ValueError(
+            "table is not log-convex and too large for a direct argmin scan")
+    terms = log_a[None, k0:] - np.arange(seq.K_max + 1 - k0)[None, :] * c[:, None]
+    idx = k0 + np.argmin(terms, axis=1)
+    return idx, (idx == seq.K_max) & (incs[-1] < c)
+
+
+def _guard(seq: WeightSequence, t: np.ndarray, hit: np.ndarray) -> None:
+    if np.any(hit):
         raise GuardExceeded(
             f"argmin hit K_max={seq.K_max} with terms still decreasing "
-            f"(r = {r_bad:.6g}); enlarge K_max")
+            f"(r = {float(np.exp(t[hit][0])):.6g}); enlarge K_max")
+
+
+def _bigN(seq: WeightSequence, t: np.ndarray, guard: bool) -> np.ndarray:
+    """N at log r = t: 0 for r >= 1, where the k = 0 term's clamp
+    min(1, 1/r) wins, else the least k >= 1 minimizing m_k r^(k-1)."""
+    idx = np.zeros(t.shape, dtype=int)
+    small = t < 0.0
+    if np.any(small):
+        idx[small], hit = _argmin(seq, seq.log_m, seq.increments, -t[small],
+                                  k0=1)
+        if guard:
+            _guard(seq, t[small], hit)
     return idx
 
 
 def _log_assoc(seq: WeightSequence, variant: str, r) -> np.ndarray | float:
     """log of assoc(seq, variant, r); vectorized over r."""
-    rr = np.asarray(r, dtype=float)
-    scalar = rr.ndim == 0
-    rr = np.atleast_1d(rr)
-    if np.any(rr <= 0.0):
-        raise ValueError("r must be positive")
-    t = np.log(rr)
-    out = np.empty_like(t)
-
-    if variant == "h":
-        idx = _argmin_from(seq, t, 0)
-        out = seq.log_m[idx] + idx * t
-    elif variant == "h1":
-        big = rr >= 1.0
-        # m_1 r^0 = 1 minimizes for r >= 1 (the Remark's h1 = 1 plateau),
-        # and log_m[1] = 0 exactly, so these values are exact.
-        out[big] = 0.0
-        if np.any(~big):
-            idx = _argmin_from(seq, t[~big], 1)
-            out[~big] = seq.log_m[idx] + (idx - 1) * t[~big]
-    else:
+    def log_h(rr):
+        t = np.log(rr)
+        if variant == "h":
+            idx, hit = _argmin(seq, seq.log_m, seq.increments, -t)
+            _guard(seq, t, hit)
+            return seq.log_m[idx] + idx * t
+        if variant == "h1":
+            idx = _bigN(seq, t, guard=True)
+            # m_1 r^0 = 1 minimizes for r >= 1 (the Remark's h1 = 1 plateau)
+            return np.where(idx == 0, 0.0, seq.log_m[idx] + (idx - 1) * t)
         raise ValueError(f"unknown variant {variant!r}")
-    return float(out[0]) if scalar else out
+    return _elementwise(r, "r", log_h)
 
 
 def assoc(seq: WeightSequence, variant: str, r):
@@ -254,16 +271,7 @@ def bigN(seq: WeightSequence, r):
     The k = 0 term participates through its clamp min(1, 1/r), which makes
     N(r) = 0 for every r >= 1 and leaves r < 1 to the k >= 1 argmin.
     """
-    rr = np.asarray(r, dtype=float)
-    scalar = rr.ndim == 0
-    rr = np.atleast_1d(rr)
-    if np.any(rr <= 0.0):
-        raise ValueError("r must be positive")
-    out = np.zeros(rr.shape, dtype=int)
-    small = rr < 1.0
-    if np.any(small):
-        out[small] = _argmin_from(seq, np.log(rr[small]), 1)
-    return int(out[0]) if scalar else out
+    return _elementwise(r, "r", lambda rr: _bigN(seq, np.log(rr), guard=True))
 
 
 def bigN_capped(seq: WeightSequence, r, cap: int):
@@ -276,23 +284,8 @@ def bigN_capped(seq: WeightSequence, r, cap: int):
     cap = int(cap)
     if cap > seq.K_max:
         raise ValueError(f"cap={cap} exceeds table K_max={seq.K_max}")
-    rr = np.asarray(r, dtype=float)
-    scalar = rr.ndim == 0
-    rr = np.atleast_1d(rr)
-    if np.any(rr <= 0.0):
-        raise ValueError("r must be positive")
-    out = np.zeros(rr.shape, dtype=int)
-    small = rr < 1.0
-    if np.any(small):
-        t = np.log(rr[small])
-        if seq.log_convex:
-            # same comparison as _argmin_from(k0=1), minus the boundary raise
-            target = -t - 1e-12 * (1.0 + np.abs(t))
-            idx = 1 + np.searchsorted(seq.increments[1:], target, side="left")
-            out[small] = np.minimum(idx, cap)
-        else:
-            out[small] = np.minimum(_argmin_from(seq, t, 1), cap)
-    return int(out[0]) if scalar else out
+    return _elementwise(r, "r", lambda rr: np.minimum(
+        _bigN(seq, np.log(rr), guard=not seq.log_convex), cap))
 
 
 def fbi_envelope(seq: WeightSequence, A: float, lam, certified: bool = True):
@@ -306,38 +299,34 @@ def fbi_envelope(seq: WeightSequence, A: float, lam, certified: bool = True):
     A = float(A)
     if A <= 0.0:
         raise ValueError("A must be positive")
-    ll = np.asarray(lam, dtype=float)
-    scalar = ll.ndim == 0
-    ll = np.atleast_1d(ll)
-    if np.any(ll <= 0.0):
-        raise ValueError("lambda must be positive")
 
-    log_M = seq.log_M
-    linc = np.diff(log_M)
-    target = np.log(ll) - np.log(A)
-    if seq.log_convex:                     # linc nondecreasing, binary search
-        idx = np.searchsorted(linc, target, side="left")
-        at_end = idx == seq.K_max
-    else:
-        if seq.K_max > _BRUTE_MAX:
-            raise ValueError(
-                "table is not log-convex and too large for a direct argmin scan")
-        ks = np.arange(seq.K_max + 1)
-        terms = log_M[None, :] - ks[None, :] * target[:, None]
-        idx = np.argmin(terms, axis=1)
-        at_end = (idx == seq.K_max) & (linc[-1] < target)
-    if np.any(at_end) and certified:
-        raise GuardExceeded(
-            f"envelope minimizer hit K_max={seq.K_max} at lambda="
-            f"{ll[at_end][0]:.6g}; enlarge K_max or pass certified=False")
-    vals = (idx + 1) * np.log(A) + log_M[idx] - idx * np.log(ll)
-    with np.errstate(under="ignore"):
-        out = np.exp(vals)
-    return float(out[0]) if scalar else out
+    def envelope(ll):
+        log_M = seq.log_M
+        # no tie shift: at lam/A = M_{k+1}/M_k either index attains E, and
+        # moving to the lower one would change E in its last bits
+        idx, hit = _argmin(seq, log_M, np.diff(log_M),
+                           np.log(ll) - np.log(A), shift_ties=False)
+        if np.any(hit) and certified:
+            raise GuardExceeded(
+                f"envelope minimizer hit K_max={seq.K_max} at lambda="
+                f"{ll[hit][0]:.6g}; enlarge K_max or pass certified=False")
+        vals = (idx + 1) * np.log(A) + log_M[idx] - idx * np.log(ll)
+        with np.errstate(under="ignore"):
+            return np.exp(vals)
+    return _elementwise(lam, "lambda", envelope)
 
 
 # ---------------------------------------------------------------------------
-# absorption of powers of 1/r into a dilation of h
+# fitted constants: snapping and absorption
+
+def snap_up(value: float) -> float:
+    """value rounded up to the grid {2^(j/4) : j >= 0} on which fitted
+    constants are reported; the 1e-9 slack absorbs rounding."""
+    if value <= 1.0:
+        return 1.0
+    j = int(np.ceil(np.log2(value) / 0.25 - 1e-9))
+    return 2.0 ** (j * 0.25)
+
 
 @dataclass
 class AbsorptionFit:
@@ -367,8 +356,7 @@ def absorption_fit(seq: WeightSequence, n: int, r_values,
         if best is None or need < best[1]:
             best = (float(Q), float(need))
     Q, log_c = best
-    j = max(0, int(np.ceil(log_c / (0.25 * np.log(2.0)) - 1e-9)))
-    C = 2.0 ** (j / 4.0)
+    C = snap_up(np.exp(log_c))
     if C > c_cap:
         raise FitFailed(
             f"absorption with n={n} needs C ~ {np.exp(log_c):.3g} > cap {c_cap:.3g}")

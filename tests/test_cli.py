@@ -134,6 +134,15 @@ def test_jets_missing_datum_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("counts", [{"n_max": "abc"}, {"residual_n": "x"},
+                                    {"residual_n": 6}])
+def test_jets_bad_counts_are_config_errors(tmp_path, capsys, counts):
+    rc, _ = run(tmp_path, ["jets"], dict(JETS_CFG, **counts))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # extend
 
@@ -165,6 +174,23 @@ def test_extend_flatness_report(tmp_path):
         assert ratio <= 1.0 + 1e-12
         if h > 0.0:
             assert ratio == pytest.approx(sup / (res["A"] * h), rel=1e-12)
+
+
+def test_extend_t_grid_beyond_delta_is_config_error(tmp_path, capsys):
+    # criterion-4 datum sum (-c)^j x^(2j) at c = 2: the growth fit gives
+    # delta ~ 1.5e-4, below the default t floor of 1e-3
+    D = 24
+    cfg = {"datum": {"n_x": 1, "n_zeta": 0, "D": D,
+                     "coeffs": [[[2 * j], (-2.0) ** j, 0.0]
+                                for j in range(D // 2 + 1)]},
+           "seq": {"kind": "gevrey", "s": 2.0, "K_max": 4096},
+           "n_max": 12}
+    rc, out = run(tmp_path, ["extend"], cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "delta = 0.000153" in err
+    assert not (out / "extend.csv").exists()
 
 
 # ---------------------------------------------------------------------------

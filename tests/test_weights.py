@@ -58,6 +58,14 @@ def test_construction_validation():
         make_sequence("nope")
 
 
+def test_tables_are_read_only(g2):
+    assert np.array_equal(g2.increments, np.diff(g2.log_m))
+    assert g2.increments is g2.increments       # stored, not recomputed
+    for arr in (g2.m, g2.log_m, g2.lfact, g2.increments):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
 def test_c_bound_gevrey2(g2):
     # sup (m_{k+1}/m_k)^{1/k} = (k+1)^{1/k}, maximized at k = 1
     assert g2.c_bound == pytest.approx(2.0, rel=1e-12)
@@ -142,14 +150,18 @@ def test_table_tie_guard():
     assert bigN(seq, 0.5) == 1
 
 
-def test_nonconvex_table_brute_path():
-    # a locally non-convex but increasing table exercises the direct scan
+def _bumpy_table():
+    """A locally non-convex but increasing table: the direct-scan branch."""
     K = 16
     log_m = np.zeros(K + 1)
     log_m[2:] = np.cumsum(np.array([0.3, 0.8, 0.5, 0.9, 1.1, 1.0, 1.3, 1.2,
                                     1.5, 1.4, 1.7, 1.6, 1.9, 1.8, 2.1]))
     lfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, K + 1)))])
-    seq = make_sequence("table", K_max=K, values=np.exp(log_m + lfact))
+    return make_sequence("table", K_max=K, values=np.exp(log_m + lfact))
+
+
+def test_nonconvex_table_brute_path():
+    seq = _bumpy_table()
     assert not seq.log_convex
     rng = np.random.default_rng(3)
     for r in np.exp(rng.uniform(np.log(0.2), np.log(2.0), 50)):
@@ -378,3 +390,131 @@ def test_bigN_matches_brute_on_random_tables(seq, u):
     got = bigN(seq, r)
     # both must attain the same minimum value (ties may differ in index)
     assert terms[got - 1] == pytest.approx(terms[want - 1], abs=1e-9)
+
+
+# ------------------------------------------------- mpmath brute-force oracle
+#
+# Every infimum recomputed at 50 digits straight from the sequence's
+# definition, over the whole table, with no use of the package's log tables.
+# The package's float log tables carry an error of at most about
+# K_max * eps * max|log M_k| (2e-11 for Gevrey 1.5 at K_max = 128), hence
+# ORACLE_RTOL.  Indices are compared exactly: the oracle takes the least
+# index whose log term is within ORACLE_TIE of the minimum, which resolves
+# a breakpoint r = m_k/m_{k+1} rounded to a float to k.
+
+ORACLE_RTOL = 1e-10
+ORACLE_TIE = 1e-13
+
+
+ORACLE_TABLES = {
+    "gevrey1.5": lambda: make_sequence("gevrey", s=1.5, K_max=128),
+    "gevrey2": lambda: make_sequence("gevrey", s=2.0, K_max=64),
+    "bumpy": _bumpy_table,
+}
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath
+
+
+def mp_log_M(mp, seq):
+    """log M_k, k = 0..K_max, at working precision."""
+    ks = range(seq.K_max + 1)
+    if seq.kind == "gevrey":
+        return [mp.mpf(seq.s) * mp.loggamma(k + 1) for k in ks]
+    return [mp.log(mp.mpf(float(v))) for v in seq.values]
+
+
+def mp_argmin(terms, k0=0):
+    """(least near-minimizing index, minimum, certified) over terms[k0:];
+    uncertified when the minimum sits on K_max with the terms decreasing."""
+    low = min(terms[k0:])
+    k = next(j for j in range(k0, len(terms)) if terms[j] <= low + ORACLE_TIE)
+    K = len(terms) - 1
+    return k, low, not (k == K and terms[K] < terms[K - 1])
+
+
+def oracle_rs(mp, seq, log_m):
+    """Random r over the certified range, every breakpoint m_k/m_{k+1} for a
+    log-convex table, and r on both sides of the last breakpoint."""
+    K = seq.K_max
+    floor = float(mp.exp(log_m[K - 1] - log_m[K]))
+    rng = np.random.default_rng(13)
+    rs = list(np.exp(rng.uniform(np.log(floor * 1.01), np.log(3.0), 25)))
+    breaks = []
+    if seq.log_convex:
+        breaks = [float(mp.exp(log_m[k] - log_m[k + 1])) for k in range(K)]
+    return rs + breaks + [floor * (1 + 1e-9), floor * (1 - 1e-9)], breaks
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+def test_h_h1_N_match_mpmath(mp, name):
+    seq = ORACLE_TABLES[name]()
+    log_M = mp_log_M(mp, seq)
+    log_m = [lM - mp.loggamma(k + 1) for k, lM in enumerate(log_M)]
+    rs, breaks = oracle_rs(mp, seq, log_m)
+    raised = 0
+    for r in rs:
+        t = mp.log(mp.mpf(r))
+        _, low, ok = mp_argmin([lm + k * t for k, lm in enumerate(log_m)])
+        if ok:
+            assert assoc(seq, "h", r) == pytest.approx(float(mp.exp(low)),
+                                                       rel=ORACLE_RTOL)
+        else:
+            raised += 1
+            with pytest.raises(GuardExceeded):
+                assoc(seq, "h", r)
+        if r >= 1.0:
+            assert bigN(seq, r) == 0 and assoc(seq, "h1", r) == 1.0
+            continue
+        n, low, ok = mp_argmin([lm + (k - 1) * t
+                                for k, lm in enumerate(log_m)], k0=1)
+        if ok:
+            assert bigN(seq, r) == n
+            assert bigN_capped(seq, r, 5) == min(n, 5)
+            assert assoc(seq, "h1", r) == pytest.approx(float(mp.exp(low)),
+                                                        rel=ORACLE_RTOL)
+        else:
+            with pytest.raises(GuardExceeded):
+                bigN(seq, r)
+            with pytest.raises(GuardExceeded):
+                assoc(seq, "h1", r)
+    assert raised >= 1          # r below the last breakpoint
+    # at a breakpoint N is the least of the two minimizers
+    for k, r in enumerate(breaks):
+        if 1 <= k and r < 1.0:
+            assert bigN(seq, r) == k
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+def test_envelope_matches_mpmath(mp, name):
+    seq = ORACLE_TABLES[name]()
+    log_M = mp_log_M(mp, seq)
+    K = seq.K_max
+    raised = 0
+    for A in (0.25, 1.0, 2.0 ** 1.5):
+        log_A = mp.log(mp.mpf(A))
+        # ties lam/A = M_{k+1}/M_k, then both sides of the last one
+        ties = [float(mp.exp(log_A + log_M[k + 1] - log_M[k]))
+                for k in range(0, K, max(1, K // 16))]
+        top = float(mp.exp(log_A + log_M[K] - log_M[K - 1]))
+        lams = (list(np.geomspace(4.0, 64.0, 12)) + ties
+                + [top * (1 - 1e-9), top * (1 + 1e-9)])
+        for lam in lams:
+            log_lam = mp.log(mp.mpf(lam))
+            _, low, ok = mp_argmin([(k + 1) * log_A + lM - k * log_lam
+                                    for k, lM in enumerate(log_M)])
+            want = float(mp.exp(low))
+            assert fbi_envelope(seq, A, lam, certified=False) == \
+                pytest.approx(want, rel=ORACLE_RTOL)
+            if ok:
+                assert fbi_envelope(seq, A, lam) == pytest.approx(
+                    want, rel=ORACLE_RTOL)
+            else:
+                raised += 1
+                with pytest.raises(GuardExceeded):
+                    fbi_envelope(seq, A, lam)
+    assert raised >= 3          # lam past the last tie, for every A
