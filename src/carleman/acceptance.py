@@ -20,8 +20,8 @@ from .fbi import decay_classify, fbi_transform, phase_bound_check
 from .jets import EvalBox, VectorFieldJet, formal_solution, growth_fit, \
     jet_constant, jet_eval, jet_max_diff, jet_mul, jet_scale, jet_variable, \
     residual_check
-from .pde import RhsModel, SolutionSamples, chain_identity_check, \
-    hamiltonian_apply, hamiltonian_lift, renormalize, wf_inclusion_experiment
+from .pde import RhsModel, chain_identity_check, hamiltonian_apply, \
+    hamiltonian_lift, renormalize, wf_inclusion_experiment
 from .weights import absorption_fit, assoc, bigN, fbi_envelope, \
     make_sequence
 
@@ -233,9 +233,7 @@ def criterion_7() -> AcceptanceResult:
     step = 2.0 * np.pi / 64.0
 
     model = RhsModel(jet_scale(_z1_jet(), -1.0), fn=lambda x, z0, z1: -z1)
-    samples = SolutionSamples.from_function(
-        lambda x, t: np.abs(x - t) ** 3, -1.0, 1.0, 41, -1.0, 1.0, 41)
-    rep = wf_inclusion_experiment(model, samples, seq)
+    rep = wf_inclusion_experiment(model, lambda x, t: np.abs(x - t) ** 3, seq)
 
     targets = fixtures.conormal_covectors()          # +-(1,-1)/sqrt(2)
     two = list(rep.scan.singular_indices) == [24, 56]
@@ -248,9 +246,7 @@ def criterion_7() -> AcceptanceResult:
                                                       <= step + 1e-12))
 
     holo = RhsModel(jet_scale(_z1_jet(), 1j), fn=lambda x, z0, z1: 1j * z1)
-    hsamples = SolutionSamples.from_function(
-        lambda x, t: np.exp(x + 1j * t), -1.0, 1.0, 41, -1.0, 1.0, 41)
-    hrep = wf_inclusion_experiment(holo, hsamples, seq)
+    hrep = wf_inclusion_experiment(holo, lambda x, t: np.exp(x + 1j * t), seq)
     clean = len(hrep.scan.singular_indices) == 0
 
     passed = two and near and in_char and clean

@@ -199,12 +199,14 @@ def _cmd_jets(args) -> int:
         fspec = cfg["field"]
         a = [_jet_cfg(j, "field coefficient") for j in fspec.get("a", [])]
         b = [_jet_cfg(j, "field coefficient") for j in fspec.get("b", [])]
-        field = VectorFieldJet(a=a, b=b,
-                               time_dependent=bool(fspec.get(
-                                   "time_dependent", False)))
         datum = _jet_cfg(cfg["datum"], "datum")
     except KeyError as e:
         raise ConfigError(f"jets config is missing {e}")
+    if fspec.get("time_dependent", False):
+        raise ConfigError("jets needs a time-independent field: make t one "
+                          "more x variable with coefficient 1")
+    try:
+        field = VectorFieldJet(a=a, b=b)
     except CarlemanError as e:
         raise ConfigError(f"bad field spec: {e}")
     try:
@@ -295,7 +297,7 @@ def _fixture_grid(spec, seed: int):
     if "file" in spec:
         try:
             return GridFunction.load(spec["file"])
-        except OSError as e:
+        except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read grid file {spec['file']}: {e}")
     name = spec.get("fixture")
     if name not in _FIXTURE_GRIDS:
@@ -407,7 +409,7 @@ def _wf_fixture_pieces(name: str):
 
 def _cmd_wf_experiment(args) -> int:
     from .fbi import GRID_N
-    from .pde import RhsModel, SolutionSamples, wf_inclusion_experiment
+    from .pde import RhsModel, wf_inclusion_experiment
     if args.fixture is not None:
         cfg = {"solution": {"fixture": args.fixture}}
     else:
@@ -423,12 +425,8 @@ def _cmd_wf_experiment(args) -> int:
     base = [float(v) for v in cfg.get("base", [0.0, 0.0])]
     radius = float(cfg.get("radius", 1.0))
     n = int(cfg.get("n", GRID_N))
-    samples = SolutionSamples.from_function(fn, base[0] - radius,
-                                            base[0] + radius, 41,
-                                            base[1] - radius,
-                                            base[1] + radius, 41)
     scfg = _scan_cfg(cfg.get("scan", {}))
-    rep = wf_inclusion_experiment(model, samples, seq, base=base,
+    rep = wf_inclusion_experiment(model, fn, seq, base=base,
                                   radius=radius, n=n, config=scfg,
                                   convention=cfg.get("convention", "split"))
 

@@ -9,6 +9,7 @@ behaves like the weight class from directions where it does not.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -99,20 +100,23 @@ class GridFunction:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by save; ValueError when the header or the
+        payload size does not match the format."""
         with open(path, "rb") as fh:
             raw = fh.read()
-        (dim,) = struct.unpack_from("<I", raw, 0)
-        off = 4
-        shape = struct.unpack_from(f"<{dim}I", raw, off)
-        off += 4 * dim
-        lo = np.empty(dim)
-        hi = np.empty(dim)
-        for d in range(dim):
-            lo[d], hi[d] = struct.unpack_from("<2d", raw, off)
-            off += 16
-        count = int(np.prod(shape))
+        dim = struct.unpack_from("<I", raw, 0)[0] if len(raw) >= 4 else 0
+        off = 4 + 20 * dim
+        if dim < 1 or len(raw) < off:
+            raise ValueError(f"grid file of {len(raw)} bytes holds no header "
+                             f"for dim = {dim}")
+        shape = struct.unpack_from(f"<{dim}I", raw, 4)
+        bounds = np.array(struct.unpack_from(f"<{2 * dim}d", raw, 4 + 4 * dim))
+        count = math.prod(shape)
+        if len(raw) != off + 8 * count:
+            raise ValueError(f"grid file holds {len(raw) - off} payload bytes, "
+                             f"shape {list(shape)} needs {8 * count}")
         vals = np.frombuffer(raw, dtype="<c8", count=count, offset=off)
-        return cls(lo, hi, vals.reshape(shape).astype(complex))
+        return cls(bounds[0::2], bounds[1::2], vals.reshape(shape).astype(complex))
 
 
 # ---------------------------------------------------------------------------

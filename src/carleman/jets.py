@@ -1,9 +1,9 @@
 """Exact truncated polynomial algebra at a base point.
 
-A Jet is a sparse multivariate Taylor polynomial in real variables
-x_1..x_{n_x} and complex variables zeta_0..zeta_{n_zeta-1}, truncated at a
-total degree budget D.  Jets carry all symbolic computation in the toolkit:
-the formal solution recursion of a vector field
+A Jet is a multivariate Taylor polynomial in real variables x_1..x_{n_x}
+and complex variables zeta_0..zeta_{n_zeta-1}, truncated at a total degree
+budget D.  Jets carry all symbolic computation in the toolkit: the formal
+solution recursion of a vector field
 
     L = d/dt + sum_i a_i(x, zeta) d/dx_i + sum_j b_j(x, zeta) d/dzeta_j,
 
@@ -11,13 +11,22 @@ its truncation residual identity, derivative growth fitting against a
 weight sequence, and the device that turns a t-dependent field into a
 t-independent one on one more variable.
 
-Multi-indices run over the x slots first, then the zeta slots.  Operations
-never mutate their operands; multiplication drops terms above the budget
-and marks the result lossy.
+Multi-indices run over the x slots first, then the zeta slots.  A jet's
+coefficients are one read-only complex array over the graded basis of the
+exponents with |e| <= D (degree 0, then 1, ..., lexicographic within a
+degree), built once per (nvars, D) with its index maps.  The exponents of
+degree <= D - |e| are a prefix of that basis, so a product adds, for each
+nonzero coefficient of the first factor, a multiple of a prefix of the
+second at a cached shift.  Exponents are checked where terms come in.
+Operations never mutate their operands; multiplication drops terms above
+the budget and marks the result lossy.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,30 +34,110 @@ import numpy as np
 from .errors import ArityMismatch, BudgetExhausted, FitFailed
 from .weights import WeightSequence, snap_up
 
-PRUNE = 1e-30
+
+class _Basis:
+    """Exponents with |e| <= D in graded order and the index maps of the
+    jet operations.  An exponent is found by its code e . radix, which a
+    sum of two exponents of total degree <= D never carries."""
+
+    def __init__(self, nvars: int, degree: int):
+        if (degree + 1) ** nvars >= 2 ** 62:
+            raise ArityMismatch(f"no jet basis for {nvars} variables at D={degree}")
+        exps = sorted(_exponents(nvars, degree), key=lambda e: (sum(e), e))
+        self.nvars, self.degree, self.size = nvars, degree, len(exps)
+        self.exps = np.array(exps, dtype=np.int64).reshape(self.size, nvars)
+        self.deg = self.exps.sum(axis=1)
+        self.radix = (degree + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+        self.codes = self.exps @ self.radix
+        self._order = np.argsort(self.codes)
+        # the slots of degree <= D - |e_i|: a prefix, the order being graded
+        self.fits = np.searchsorted(self.deg, degree - self.deg, side="right")
+        self._shifts = [None] * self.size
+
+    def rank(self, codes) -> np.ndarray:
+        """Slots of the basis exponents with these codes."""
+        return self._order[np.searchsorted(self.codes, codes, sorter=self._order)]
+
+    def shift(self, i: int) -> np.ndarray:
+        """Slots of e_i + e_j for the first fits[i] slots j."""
+        if self._shifts[i] is None:
+            self._shifts[i] = self.rank(self.codes[:self.fits[i]] + self.codes[i])
+        return self._shifts[i]
+
+    @functools.cache
+    def diff_map(self, v: int):
+        """(source slots, target slots, factor) of d/dy_v."""
+        src = np.flatnonzero(self.exps[:, v])
+        return (src, self.rank(self.codes[src] - self.radix[v]),
+                self.exps[src, v].astype(float))
+
+    def array(self, terms) -> np.ndarray:
+        """Coefficients of {exponent: value} terms or (exponent, value)
+        pairs, every exponent checked against the basis."""
+        data = np.zeros(self.size, dtype=complex)
+        seen = set()
+        for idx, c in (terms.items() if isinstance(terms, dict) else terms):
+            e = tuple(idx)
+            if len(e) != self.nvars or not all(
+                    isinstance(p, numbers.Integral) and not isinstance(p, bool)
+                    and p >= 0 for p in e):
+                raise ArityMismatch(f"multi-index {list(e)} is not a list of "
+                                    f"{self.nvars} non-negative integers")
+            if sum(e) > self.degree:
+                raise ArityMismatch(
+                    f"multi-index {list(e)} has degree above D={self.degree}")
+            if e in seen:
+                raise ArityMismatch(f"multi-index {list(e)} given twice")
+            seen.add(e)
+            data[self.rank(np.array(e, dtype=np.int64) @ self.radix)] = complex(c)
+        return data
 
 
-@dataclass(eq=False)
+def _exponents(nvars: int, degree: int) -> list:
+    if nvars == 0:
+        return [()]
+    return [(k,) + rest for k in range(degree + 1)
+            for rest in _exponents(nvars - 1, degree - k)]
+
+
+@functools.cache
+def _basis(nvars: int, degree: int) -> _Basis:
+    return _Basis(nvars, degree)
+
+
 class Jet:
-    n_x: int
-    n_zeta: int
-    degree: int
-    coeffs: dict            # multi-index tuple -> complex
-    base_x: tuple = ()
-    base_zeta: tuple = ()
-    lossy: bool = False
+    """Coefficients `data` over `basis`, the graded basis of (nvars, D).
 
-    def __post_init__(self):
-        if not self.base_x:
-            self.base_x = (0.0,) * self.n_x
-        if not self.base_zeta:
-            self.base_zeta = (0.0 + 0.0j,) * self.n_zeta
-        if len(self.base_x) != self.n_x or len(self.base_zeta) != self.n_zeta:
+    coeffs: {exponent tuple: value} or (exponent, value) pairs; a wrong
+    length, a negative or non-integer entry, a degree above D or a repeat
+    raises ArityMismatch.
+    """
+
+    def __init__(self, n_x: int, n_zeta: int, degree: int, coeffs=(),
+                 base_x=(), base_zeta=(), lossy: bool = False):
+        if not all(isinstance(n, numbers.Integral) and n >= 0
+                   for n in (n_x, n_zeta, degree)):
+            raise ArityMismatch("variable counts and D must be non-negative integers")
+        self.n_x, self.n_zeta, self.degree = n_x, n_zeta, degree
+        self.base_x = tuple(base_x) or (0.0,) * n_x
+        self.base_zeta = tuple(base_zeta) or (0.0 + 0.0j,) * n_zeta
+        if len(self.base_x) != n_x or len(self.base_zeta) != n_zeta:
             raise ArityMismatch("base point length does not match arity")
+        self.basis = _basis(n_x + n_zeta, degree)
+        self.data = self.basis.array(coeffs)
+        self.data.flags.writeable = False
+        self.lossy = bool(lossy)
 
     @property
     def nvars(self) -> int:
         return self.n_x + self.n_zeta
+
+    @property
+    def coeffs(self) -> dict:
+        """A new dict of the nonzero terms, {exponent tuple: complex}."""
+        nz = np.flatnonzero(self.data)
+        return dict(zip(map(tuple, self.basis.exps[nz].tolist()),
+                        self.data[nz].tolist()))
 
     def __add__(self, other):
         return jet_add(self, other)
@@ -58,8 +147,7 @@ class Jet:
             return jet_mul(self, other)
         return jet_scale(self, other)
 
-    def __rmul__(self, other):
-        return jet_scale(self, other)
+    __rmul__ = __mul__
 
     def __sub__(self, other):
         return jet_add(self, jet_scale(other, -1.0))
@@ -68,25 +156,27 @@ class Jet:
         return jet_scale(self, -1.0)
 
 
+def _like(a: Jet, data: np.ndarray, lossy: bool) -> Jet:
+    """A jet over a's variables, base point and basis holding data."""
+    out = object.__new__(Jet)
+    out.__dict__.update(a.__dict__, data=data, lossy=bool(lossy))
+    data.flags.writeable = False
+    return out
+
+
 def jet_constant(value, n_x, n_zeta, degree, base_x=(), base_zeta=()) -> Jet:
-    c = complex(value)
-    coeffs = {} if abs(c) <= PRUNE else {(0,) * (n_x + n_zeta): c}
-    return Jet(n_x, n_zeta, degree, coeffs, base_x, base_zeta)
+    return Jet(n_x, n_zeta, degree, {(0,) * (n_x + n_zeta): value},
+               base_x, base_zeta)
 
 
 def jet_variable(slot: int, n_x, n_zeta, degree, base_x=(), base_zeta=()) -> Jet:
     """The coordinate function of a slot (0..n_x-1 the x's, then the zetas),
     expanded about the base point: constant term plus unit linear term."""
-    j = jet_constant(0.0, n_x, n_zeta, degree, base_x, base_zeta)
-    base = j.base_x[slot] if slot < n_x else j.base_zeta[slot - n_x]
-    coeffs = {}
-    if abs(complex(base)) > PRUNE:
-        coeffs[(0,) * j.nvars] = complex(base)
-    idx = [0] * j.nvars
-    idx[slot] = 1
+    j = Jet(n_x, n_zeta, degree, (), base_x, base_zeta)
+    terms = {(0,) * j.nvars: (j.base_x + j.base_zeta)[slot]}
     if degree >= 1:
-        coeffs[tuple(idx)] = 1.0 + 0.0j
-    return Jet(n_x, n_zeta, degree, coeffs, j.base_x, j.base_zeta)
+        terms[tuple(int(v == slot) for v in range(j.nvars))] = 1.0
+    return Jet(n_x, n_zeta, degree, terms, j.base_x, j.base_zeta)
 
 
 def _check_compat(a: Jet, b: Jet):
@@ -101,8 +191,7 @@ def _check_compat(a: Jet, b: Jet):
 def jet_to_dict(a: Jet) -> dict:
     """JSON-ready form: {base_point, n_x, n_zeta, D, coeffs} with every
     complex number as an [re, im] pair and coefficients sorted by index."""
-    base = [[complex(v).real, complex(v).imag]
-            for v in tuple(a.base_x) + tuple(a.base_zeta)]
+    base = [[complex(v).real, complex(v).imag] for v in a.base_x + a.base_zeta]
     entries = [[list(idx), complex(c).real, complex(c).imag]
                for idx, c in sorted(a.coeffs.items())]
     return {"base_point": base, "n_x": a.n_x, "n_zeta": a.n_zeta,
@@ -110,132 +199,83 @@ def jet_to_dict(a: Jet) -> dict:
 
 
 def jet_from_dict(d: dict) -> Jet:
-    n_x, n_zeta = int(d["n_x"]), int(d["n_zeta"])
-
-    def num(v):
-        if isinstance(v, (list, tuple)):
-            return complex(float(v[0]), float(v[1]))
-        return complex(v)
-
-    base = [num(v) for v in d.get("base_point",
-                                  [0.0] * (n_x + n_zeta))]
-    if len(base) != n_x + n_zeta:
+    shape = Jet(d["n_x"], d["n_zeta"], d["D"])     # checks the counts and D
+    base = [complex(float(v[0]), float(v[1])) if isinstance(v, (list, tuple))
+            else complex(v) for v in d.get("base_point", [0.0] * shape.nvars)]
+    if len(base) != shape.nvars:
         raise ArityMismatch("base point length does not match arity")
-    coeffs = {}
-    for idx, re, im in d["coeffs"]:
-        coeffs[tuple(int(i) for i in idx)] = complex(float(re), float(im))
-    return Jet(n_x, n_zeta, int(d["D"]), coeffs,
-               tuple(v.real for v in base[:n_x]), tuple(base[n_x:]))
+    terms = [(idx, complex(float(re), float(im))) for idx, re, im in d["coeffs"]]
+    return Jet(shape.n_x, shape.n_zeta, shape.degree, terms,
+               tuple(v.real for v in base[:shape.n_x]), tuple(base[shape.n_x:]))
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
     _check_compat(a, b)
-    coeffs = dict(a.coeffs)
-    for idx, c in b.coeffs.items():
-        coeffs[idx] = coeffs.get(idx, 0.0) + c
-    coeffs = {i: c for i, c in coeffs.items() if abs(c) > PRUNE}
-    return Jet(a.n_x, a.n_zeta, a.degree, coeffs, a.base_x, a.base_zeta,
-               a.lossy or b.lossy)
+    return _like(a, a.data + b.data, a.lossy or b.lossy)
 
 
 def jet_scale(a: Jet, s) -> Jet:
-    s = complex(s)
-    coeffs = {i: c * s for i, c in a.coeffs.items() if abs(c * s) > PRUNE}
-    return Jet(a.n_x, a.n_zeta, a.degree, coeffs, a.base_x, a.base_zeta, a.lossy)
+    return _like(a, a.data * complex(s), a.lossy)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     _check_compat(a, b)
-    coeffs = {}
-    dropped = False
-    for i1, c1 in a.coeffs.items():
-        d1 = sum(i1)
-        for i2, c2 in b.coeffs.items():
-            if d1 + sum(i2) > a.degree:
-                dropped = True
-                continue
-            idx = tuple(p + q for p, q in zip(i1, i2))
-            coeffs[idx] = coeffs.get(idx, 0.0) + c1 * c2
-    coeffs = {i: c for i, c in coeffs.items() if abs(c) > PRUNE}
-    return Jet(a.n_x, a.n_zeta, a.degree, coeffs, a.base_x, a.base_zeta,
-               a.lossy or b.lossy or dropped)
+    basis, out = a.basis, np.zeros_like(b.data)
+    nz, nz_b = np.flatnonzero(a.data), np.flatnonzero(b.data)
+    for i in nz:
+        out[basis.shift(i)] += a.data[i] * b.data[:basis.fits[i]]
+    # a term was dropped iff the top degrees (last nonzero slots) exceed D
+    dropped = nz.size and nz_b.size and \
+        basis.deg[nz[-1]] + basis.deg[nz_b[-1]] > a.degree
+    return _like(a, out, a.lossy or b.lossy or dropped)
 
 
 def jet_diff(a: Jet, slot: int) -> Jet:
     """Formal derivative in the given combined slot index."""
     if not 0 <= slot < a.nvars:
         raise ArityMismatch(f"slot {slot} out of range for {a.nvars} variables")
-    coeffs = {}
-    for idx, c in a.coeffs.items():
-        p = idx[slot]
-        if p == 0:
-            continue
-        nidx = list(idx)
-        nidx[slot] = p - 1
-        coeffs[tuple(nidx)] = coeffs.get(tuple(nidx), 0.0) + p * c
-    coeffs = {i: c for i, c in coeffs.items() if abs(c) > PRUNE}
-    return Jet(a.n_x, a.n_zeta, a.degree, coeffs, a.base_x, a.base_zeta, a.lossy)
+    src, dst, factor = a.basis.diff_map(slot)
+    out = np.zeros_like(a.data)
+    out[dst] = factor * a.data[src]
+    return _like(a, out, a.lossy)
+
+
+def _components(v, n: int, name: str) -> list:
+    vs = [v] if n == 1 and not isinstance(v, (list, tuple)) else list(v)
+    if len(vs) != n:
+        raise ArityMismatch(f"need {n} {name} components, got {len(vs)}")
+    return vs
 
 
 def jet_eval(a: Jet, x=None, zeta=None):
     """Evaluate the polynomial.  x: scalar (n_x = 1) or sequence of n_x
-    arrays/scalars; zeta likewise for the complex slots.  Arrays broadcast."""
-    disps = []
-    if a.n_x:
-        if x is None:
-            raise ValueError("jet has x variables, x values required")
-        if a.n_x == 1 and not isinstance(x, (list, tuple)):
-            xs = [x]
-        else:
-            xs = list(x)
-        if len(xs) != a.n_x:
-            raise ArityMismatch(f"need {a.n_x} x components, got {len(xs)}")
-        for i, xi in enumerate(xs):
-            disps.append(np.asarray(xi, dtype=complex) - a.base_x[i])
-    if a.n_zeta:
-        if zeta is None:
-            zeta = a.base_zeta
-        if a.n_zeta == 1 and not isinstance(zeta, (list, tuple)):
-            zs = [zeta]
-        else:
-            zs = list(zeta)
-        if len(zs) != a.n_zeta:
-            raise ArityMismatch(f"need {a.n_zeta} zeta components, got {len(zs)}")
-        for j, zj in enumerate(zs):
-            disps.append(np.asarray(zj, dtype=complex) - a.base_zeta[j])
-
+    arrays/scalars; zeta likewise for the complex slots, the base point
+    by default.  Arrays broadcast."""
+    if a.n_x and x is None:
+        raise ValueError("jet has x variables, x values required")
+    ys = (_components(x, a.n_x, "x") if a.n_x else []) + \
+        (_components(a.base_zeta if zeta is None else zeta, a.n_zeta, "zeta")
+         if a.n_zeta else [])
+    disps = [np.asarray(y, dtype=complex) - b
+             for y, b in zip(ys, a.base_x + a.base_zeta)]
     out = None
-    pow_cache = [dict() for _ in range(a.nvars)]
-
-    def power(v, p):
-        if p == 0:
-            return 1.0
-        got = pow_cache[v].get(p)
-        if got is None:
-            got = disps[v] ** p
-            pow_cache[v][p] = got
-        return got
-
-    for idx, c in a.coeffs.items():
+    nz = np.flatnonzero(a.data)
+    for idx, c in zip(a.basis.exps[nz].tolist(), a.data[nz].tolist()):
         term = np.asarray(c)
         for v, p in enumerate(idx):
             if p:
-                term = term * power(v, p)
+                term = term * disps[v] ** p
         out = term if out is None else out + term
     if out is None:
-        shape = np.broadcast(*disps).shape if disps else ()
-        out = np.zeros(shape, dtype=complex)
+        out = np.zeros(np.broadcast(*disps).shape if disps else (), dtype=complex)
     out = np.asarray(out, dtype=complex)
     return complex(out) if out.ndim == 0 else out
 
 
 def jet_max_diff(a: Jet, b: Jet) -> float:
-    """Largest absolute coefficient difference over the union of indices."""
+    """Largest absolute coefficient difference."""
     _check_compat(a, b)
-    keys = set(a.coeffs) | set(b.coeffs)
-    if not keys:
-        return 0.0
-    return max(abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys)
+    return float(np.max(np.abs(a.data - b.data), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +306,8 @@ class VectorFieldJet:
                 f"expected {n_spatial} x-coefficients, got {len(self.a)}")
         if self.time_dependent and abs(ref.base_x[-1]) > 0:
             raise ArityMismatch("time slot must be expanded about t = 0")
-        self.n_x = ref.n_x
-        self.n_zeta = ref.n_zeta
-        self.degree = ref.degree
-        self.ref = ref
+        self.n_x, self.n_zeta, self.degree, self.ref = \
+            ref.n_x, ref.n_zeta, ref.degree, ref
 
 
 @dataclass(eq=False)
@@ -312,8 +350,7 @@ def formal_solution(L: VectorFieldJet, f: Jet, n_max: int) -> FormalSeries:
     u = [f]
     for k in range(1, n_max + 1):
         u.append(jet_scale(_apply_coeffs(L, u[-1]), -1.0 / k))
-    valid = [f.degree - k for k in range(n_max + 1)]
-    return FormalSeries(L, f, u, n_max, valid)
+    return FormalSeries(L, f, u, n_max, [f.degree - k for k in range(n_max + 1)])
 
 
 def truncate(series: FormalSeries, n: int) -> TimePoly:
@@ -324,14 +361,9 @@ def truncate(series: FormalSeries, n: int) -> TimePoly:
 
 def apply_field(L: VectorFieldJet, p: TimePoly) -> TimePoly:
     """Exact d/dt p + (coefficient part) p, degree by degree in t."""
-    n = len(p.coeffs) - 1
-    out = []
-    for k in range(n + 1):
-        q = _apply_coeffs(L, p.coeffs[k])
-        if k + 1 <= n:
-            q = jet_add(q, jet_scale(p.coeffs[k + 1], k + 1))
-        out.append(q)
-    return TimePoly(out)
+    out = [_apply_coeffs(L, c) for c in p.coeffs]
+    return TimePoly([jet_add(q, jet_scale(c, k + 1)) for k, (q, c)
+                     in enumerate(zip(out, p.coeffs[1:]))] + out[-1:])
 
 
 def residual_check(series: FormalSeries, n: int) -> float:
@@ -344,13 +376,9 @@ def residual_check(series: FormalSeries, n: int) -> float:
     if n + 1 > series.n_max:
         raise ValueError(f"need u_{n + 1}, computed only to n_max={series.n_max}")
     q = apply_field(series.field, truncate(series, n))
-    dev = 0.0
-    for k in range(n):
-        dev = max(dev, max((abs(c) for c in q.coeffs[k].coeffs.values()),
-                           default=0.0))
     want = jet_scale(series.u[n + 1], -(n + 1.0))
-    dev = max(dev, jet_max_diff(q.coeffs[n], want))
-    return dev
+    return max([float(np.max(np.abs(c.data), initial=0.0)) for c in q.coeffs[:n]]
+               + [jet_max_diff(q.coeffs[n], want)])
 
 
 # ---------------------------------------------------------------------------
@@ -379,25 +407,16 @@ class GrowthEstimate:
 def _box_grid(jet: Jet, box: EvalBox):
     if len(box.x_intervals) != jet.n_x or len(box.zeta_radii) != jet.n_zeta:
         raise ArityMismatch("box does not match jet arity")
-    axes = []
-    for (lo, hi) in box.x_intervals:
-        axes.append(np.linspace(lo, hi, box.n_x_samples))
-    for rho, zb in zip(box.zeta_radii, jet.base_zeta):
-        ang = 2 * np.pi * np.arange(box.n_zeta_samples) / box.n_zeta_samples
-        axes.append(zb + rho * np.exp(1j * ang))
-    if not axes:
-        return [], []
-    grids = np.meshgrid(*axes, indexing="ij")
-    xs = [g.ravel() for g in grids[:jet.n_x]]
-    zs = [g.ravel() for g in grids[jet.n_x:]]
-    return xs, zs
+    ang = 2 * np.pi * np.arange(box.n_zeta_samples) / box.n_zeta_samples
+    axes = [np.linspace(lo, hi, box.n_x_samples) for lo, hi in box.x_intervals] \
+        + [zb + rho * np.exp(1j * ang)
+           for rho, zb in zip(box.zeta_radii, jet.base_zeta)]
+    grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")] if axes else []
+    return grids[:jet.n_x], grids[jet.n_x:]
 
 
 def _grid_sup(jet: Jet, xs, zs) -> float:
-    if not xs and not zs:
-        return abs(jet_eval(jet))
-    vals = jet_eval(jet, x=xs if xs else None, zeta=zs if zs else None)
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(jet_eval(jet, x=xs or None, zeta=zs or None))))
 
 
 def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
@@ -415,21 +434,15 @@ def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
 
     sups = [_grid_sup(u, xs, zs) for u in series.u]
 
+    alphas = [alpha for order in range(deriv_order + 1) for alpha in
+              itertools.combinations_with_replacement(range(series.field.n_x),
+                                                      order)]
     log_c_need = -np.inf
     for k, u in enumerate(series.u):
-        alphas = [()]
-        if deriv_order >= 1:
-            todo = [(i,) for i in range(series.field.n_x)]
-            alphas += todo
-            for order in range(2, deriv_order + 1):
-                todo = [t + (i,) for t in todo for i in range(t[-1], series.field.n_x)]
-                alphas += todo
         for alpha in alphas:
             a_len = len(alpha)
-            du = u
-            for slot in alpha:
-                du = jet_diff(du, slot)
-            s = sups[k] if a_len == 0 else _grid_sup(du, xs, zs)
+            s = sups[k] if a_len == 0 else \
+                _grid_sup(functools.reduce(jet_diff, alpha, u), xs, zs)
             if s <= 0.0:
                 continue
             bound_log = seq.log_M[a_len + k] - seq.lfact[k]
@@ -440,12 +453,9 @@ def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
     if C_fit > c_cap:
         raise FitFailed(f"growth fit needs C ~ {np.exp(log_c_need):.3g} > cap {c_cap:.3g}")
 
-    log_b_need = -np.inf
-    for n in range(series.n_max):
-        s = (n + 1) * sups[n + 1]
-        if s <= 0.0:
-            continue
-        log_b_need = max(log_b_need, (np.log(s) - seq.log_m[n]) / (n + 1.0))
+    log_b_need = max([(np.log((n + 1) * sups[n + 1]) - seq.log_m[n]) / (n + 1.0)
+                      for n in range(series.n_max) if sups[n + 1] > 0.0],
+                     default=-np.inf)
     B_fit = 1.0 if log_b_need == -np.inf else snap_up(float(np.exp(log_b_need)))
 
     return GrowthEstimate(C_fit, B_fit, series.n_max, box, sups)
@@ -454,13 +464,15 @@ def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
 # ---------------------------------------------------------------------------
 # time augmentation
 
-def _extend_with_slot(jet: Jet) -> Jet:
-    """Re-embed with one extra x variable (exponent 0 everywhere, base 0)."""
-    coeffs = {}
-    for idx, c in jet.coeffs.items():
-        coeffs[idx[:jet.n_x] + (0,) + idx[jet.n_x:]] = c
-    return Jet(jet.n_x + 1, jet.n_zeta, jet.degree, coeffs,
-               jet.base_x + (0.0,), jet.base_zeta, jet.lossy)
+def augment_datum(jet: Jet) -> Jet:
+    """Embed an initial datum, or any jet, into the augmented variable list:
+    one extra x variable, exponent 0 everywhere, base 0."""
+    out = Jet(jet.n_x + 1, jet.n_zeta, jet.degree, (), jet.base_x + (0.0,),
+              jet.base_zeta)
+    data = np.zeros_like(out.data)
+    exps = np.insert(jet.basis.exps, jet.n_x, 0, axis=1)
+    data[out.basis.rank(exps @ out.basis.radix)] = jet.data
+    return _like(out, data, jet.lossy)
 
 
 def time_augment(L: VectorFieldJet) -> VectorFieldJet:
@@ -472,20 +484,11 @@ def time_augment(L: VectorFieldJet) -> VectorFieldJet:
     the result is a reinterpretation; a time-independent field first gets
     the extra slot spliced into every coefficient jet.
     """
-    if L.time_dependent:
-        a, b, ref = list(L.a), list(L.b), L.ref
-    else:
-        a = [_extend_with_slot(j) for j in L.a]
-        b = [_extend_with_slot(j) for j in L.b]
-        ref = _extend_with_slot(L.ref)
+    ext = (lambda j: j) if L.time_dependent else augment_datum
+    a, b, ref = [ext(j) for j in L.a], [ext(j) for j in L.b], ext(L.ref)
     one = jet_constant(1.0, ref.n_x, ref.n_zeta, ref.degree,
                        ref.base_x, ref.base_zeta)
     return VectorFieldJet(a + [one], b, time_dependent=False)
-
-
-def augment_datum(f: Jet) -> Jet:
-    """Embed an initial datum into the augmented variable list."""
-    return _extend_with_slot(f)
 
 
 def restrict_diagonal(series: FormalSeries) -> list:
@@ -494,22 +497,17 @@ def restrict_diagonal(series: FormalSeries) -> list:
     Returns the t-coefficients as jets over the original (unaugmented)
     variables: coefficient m collects the s^{m-k} part of every u_k.
     """
-    n_x = series.u[0].n_x - 1
+    u0 = series.u[0]
+    n_x = u0.n_x - 1
     if n_x < 0:
         raise ArityMismatch("series has no augmented slot to restrict")
-    base_x = series.u[0].base_x[:-1]
-    D = series.u[0].degree
-    out = {}
-    for k, u in enumerate(series.u):
-        for idx, c in u.coeffs.items():
-            m = k + idx[n_x]
-            ridx = idx[:n_x] + idx[n_x + 1:]
-            d = out.setdefault(m, {})
-            d[ridx] = d.get(ridx, 0.0) + c
-    top = max(out) if out else 0
-    jets = []
-    for m in range(top + 1):
-        coeffs = {i: c for i, c in out.get(m, {}).items() if abs(c) > PRUNE}
-        jets.append(Jet(n_x, series.u[0].n_zeta, D, coeffs, base_x,
-                        series.u[0].base_zeta))
-    return jets
+    small = Jet(n_x, u0.n_zeta, u0.degree, (), u0.base_x[:-1], u0.base_zeta)
+    s_exp = u0.basis.exps[:, n_x]
+    target = small.basis.rank(np.delete(u0.basis.exps, n_x, axis=1)
+                              @ small.basis.radix)
+    nzs = [np.flatnonzero(u.data) for u in series.u]
+    out = np.zeros((max([k + s_exp[nz].max() for k, nz in enumerate(nzs)
+                         if nz.size] + [0]) + 1, small.basis.size), dtype=complex)
+    for k, (u, nz) in enumerate(zip(series.u, nzs)):
+        out[k + s_exp[nz], target[nz]] += u.data[nz]
+    return [_like(small, row, False) for row in out]

@@ -70,8 +70,7 @@ class SolutionSamples:
     """u sampled on a uniform (x, t) product grid, one spatial variable.
 
     Central differences on the interior supply du/dx and du/dt; residual
-    measures how well the samples satisfy the model.  fn is kept so other
-    machinery can resample the same solution at its own resolution.
+    measures how well the samples satisfy the model.
     """
     fn: object
     x: np.ndarray
@@ -323,14 +322,14 @@ class WfInclusionReport:
     included: np.ndarray
 
 
-def wf_inclusion_experiment(model: RhsModel, samples: SolutionSamples,
-                            seq: WeightSequence, base=(0.0, 0.0),
-                            radius: float = 1.0, n: int = GRID_N,
+def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
+                            base=(0.0, 0.0), radius: float = 1.0,
+                            n: int = GRID_N,
                             config: ScanConfig | None = None,
                             convention: str = "split") -> WfInclusionReport:
-    """Scan the solution as a function of spacetime around a base point and
-    test every singular covector against the characteristic set of the
-    linearization there.
+    """Scan the solution u(x, t), a vectorized callable, as a function of
+    spacetime around a base point and test every singular covector against
+    the characteristic set of the linearization there.
 
     The grid axes are (x, t), so a scan direction omega maps to the
     covector (tau, xi) = (omega_2, omega_1).  Inclusion holds when the
@@ -341,7 +340,7 @@ def wf_inclusion_experiment(model: RhsModel, samples: SolutionSamples,
     x0, t0 = float(base[0]), float(base[1])
 
     def windowed(xv, tv):
-        return (np.asarray(samples.fn(xv, tv), dtype=complex)
+        return (np.asarray(u(xv, tv), dtype=complex)
                 * radial_cutoff(xv - x0, tv - t0, radius=radius))
 
     gf = GridFunction.from_function(windowed, [x0 - radius, t0 - radius],
@@ -349,9 +348,9 @@ def wf_inclusion_experiment(model: RhsModel, samples: SolutionSamples,
     scan = wavefront_scan(gf, [x0, t0], seq, config)
 
     h = 1e-5
-    u0 = complex(np.asarray(samples.fn(x0, t0), dtype=complex))
-    ux0 = complex((np.asarray(samples.fn(x0 + h, t0), dtype=complex)
-                   - np.asarray(samples.fn(x0 - h, t0), dtype=complex))
+    u0 = complex(np.asarray(u(x0, t0), dtype=complex))
+    ux0 = complex((np.asarray(u(x0 + h, t0), dtype=complex)
+                   - np.asarray(u(x0 - h, t0), dtype=complex))
                   / (2.0 * h))
     if max(abs(u0), abs(ux0)) > model.trust_radius:
         raise TrustBoxExceeded("base point state beyond the trusted radius")

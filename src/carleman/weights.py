@@ -356,10 +356,11 @@ def absorption_fit(seq: WeightSequence, n: int, r_values,
         if best is None or need < best[1]:
             best = (float(Q), float(need))
     Q, log_c = best
-    C = snap_up(np.exp(log_c))
+    # compared in logs first: exp(log_c) overflows for large n
+    C = snap_up(np.exp(log_c)) if log_c <= np.log(c_cap) else np.inf
     if C > c_cap:
-        raise FitFailed(
-            f"absorption with n={n} needs C ~ {np.exp(log_c):.3g} > cap {c_cap:.3g}")
+        raise FitFailed(f"absorption with n={n} needs C ~ e^{log_c:.4g} > cap "
+                        f"{c_cap:.3g}")
     return AbsorptionFit(int(n), Q, C, True)
 
 

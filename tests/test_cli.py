@@ -143,6 +143,44 @@ def test_jets_bad_counts_are_config_errors(tmp_path, capsys, counts):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows", [
+    [[[1], 1.0, 0.0], [[0, 1], 1.0, 0.0], [[1.5], 2.0, 0.0],
+     [[9], 1.0, 0.0]],                             # every fault at once
+    [[[0, 2], 1.0, 0.0]],                          # wrong length
+    [[[1.5], 1.0, 0.0]],                           # non-integer exponent
+    [[[-1], 1.0, 0.0]],                            # negative exponent
+    [[[9], 1.0, 0.0]],                             # degree above D = 8
+    [[[2], 1.0, 0.0], [[2], 1.0, 0.0]],            # index given twice
+])
+def test_jets_bad_datum_is_config_error(tmp_path, capsys, rows):
+    datum = dict(JETS_CFG["datum"], coeffs=rows)
+    rc, out = run(tmp_path, ["jets"], dict(JETS_CFG, datum=datum))
+    assert rc == 2 and one_line_error(capsys)
+    assert not (out / "jets.json").exists()
+
+
+def test_jets_time_dependent_field_is_config_error(tmp_path, capsys):
+    t_coeff = {"n_x": 2, "n_zeta": 0, "D": 8, "coeffs": [[[0, 1], 1.0, 0.0]]}
+    datum = {"n_x": 2, "n_zeta": 0, "D": 8, "coeffs": [[[1, 0], 1.0, 0.0]]}
+    cfg = {"field": {"a": [t_coeff], "b": [], "time_dependent": True},
+           "datum": datum, "n_max": 4}
+    rc, _ = run(tmp_path, ["jets"], cfg)
+    assert rc == 2 and one_line_error(capsys)
+
+
+def test_weights_absorption_overflow_is_fit_failure(tmp_path, capsys):
+    # n = 300 needs C ~ e^1418, past the largest float
+    cfg = dict(WEIGHTS_CFG, absorption={"n": [300], "r": {
+        "lo": 1e-3, "hi": 1.0, "n": 40, "spacing": "log"}})
+    rc, _ = run(tmp_path, ["weights"], cfg)
+    assert rc == 1 and one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # extend
 
@@ -228,6 +266,28 @@ def test_fbi_missing_grid_file(tmp_path, capsys):
     rc, _ = run(tmp_path, ["fbi"], cfg)
     assert rc == 2
     assert "nope.bin" in capsys.readouterr().err
+
+
+def _mangled(data: bytes, case: str) -> bytes:
+    if case == "truncated":
+        return data[:-8]
+    if case == "trailing bytes":
+        return data + b"\0"
+    if case == "no header":
+        return data[:2]
+    dim = {"dim 0": 0, "dim 3": 3, "dim 2^31": 2 ** 31}[case]
+    return dim.to_bytes(4, "little") + data[4:]
+
+
+@pytest.mark.parametrize("case", ["truncated", "trailing bytes", "no header",
+                                  "dim 0", "dim 3", "dim 2^31"])
+def test_fbi_malformed_grid_file(tmp_path, capsys, case):
+    path = tmp_path / "sign.bin"
+    sign_grid(n=64).save(str(path))
+    path.write_bytes(_mangled(path.read_bytes(), case))
+    cfg = {"grid": {"file": str(path)}, "seq": GEVREY2, "x0": [0.0]}
+    rc, _ = run(tmp_path, ["fbi"], cfg)
+    assert rc == 2 and one_line_error(capsys)
 
 
 def test_fbi_noise_respects_seed(tmp_path):

@@ -15,8 +15,8 @@ from carleman.errors import ArityMismatch, BudgetExhausted, FitFailed
 from carleman.jets import (EvalBox, FormalSeries, Jet, TimePoly,
                            VectorFieldJet, apply_field, augment_datum,
                            formal_solution, growth_fit, jet_add, jet_constant,
-                           jet_diff, jet_eval, jet_max_diff, jet_mul,
-                           jet_scale, jet_variable, residual_check,
+                           jet_diff, jet_eval, jet_from_dict, jet_max_diff,
+                           jet_mul, jet_scale, jet_variable, residual_check,
                            restrict_diagonal, time_augment, truncate)
 from carleman.weights import make_sequence
 
@@ -80,6 +80,41 @@ def test_arity_mismatch_raises():
         jet_mul(x_jet(4), x_jet(5))
     with pytest.raises(ArityMismatch):
         jet_add(x_jet(4), jet_variable(0, 1, 0, 4, base_x=(1.0,)))
+
+
+BAD_TERMS = {
+    "wrong length": [[[1], 1.0, 0.0], [[0, 1], 1.0, 0.0]],
+    "non-integer": [[[1.5], 1.0, 0.0]],
+    "negative": [[[-1], 1.0, 0.0]],
+    "above D": [[[7], 1.0, 0.0]],
+    "given twice": [[[1], 1.0, 0.0], [[1], 2.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TERMS))
+def test_bad_exponents_raise(case):
+    # one variable, D = 4: each set of rows breaks one rule for exponents
+    rows = BAD_TERMS[case]
+    with pytest.raises(ArityMismatch):
+        jet_from_dict({"n_x": 1, "n_zeta": 0, "D": 4, "coeffs": rows})
+    if case != "given twice":
+        with pytest.raises(ArityMismatch):
+            Jet(1, 0, 4, {tuple(idx): re for idx, re, _ in rows})
+
+
+@pytest.mark.parametrize("key, value", [("D", 4.7), ("n_x", 1.5), ("D", -1)])
+def test_bad_counts_raise(key, value):
+    d = {"n_x": 1, "n_zeta": 0, "D": 4, "coeffs": [[[1], 1.0, 0.0]], key: value}
+    with pytest.raises(ArityMismatch):
+        jet_from_dict(d)
+
+
+def test_coefficients_are_read_only():
+    p = jet_mul(x_jet(6), x_jet(6))
+    with pytest.raises(ValueError):
+        p.data[0] = 1.0
+    p.coeffs[(0,)] = 5.0            # a fresh dict: editing it changes no jet
+    assert p.coeffs == {(2,): 1.0}
 
 
 def test_eval_matches_direct_polynomial():

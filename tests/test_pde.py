@@ -282,7 +282,7 @@ def test_wf_inclusion_conormal():
         lambda x, t: np.abs(x - t) ** 3, -1.0, 1.0, 41, -1.0, 1.0, 41)
     assert s.certify(model, tol=1e-10) < 1e-10
     seq = make_sequence("gevrey", s=2.0, K_max=64)
-    rep = wf_inclusion_experiment(model, s, seq)
+    rep = wf_inclusion_experiment(model, s.fn, seq)
     assert list(rep.scan.singular_indices) == [24, 56]
     assert rep.a0[0] == pytest.approx(-1.0)
     assert rep.covectors.shape == (2, 2)
@@ -292,10 +292,8 @@ def test_wf_inclusion_conormal():
 
 def test_wf_inclusion_clean_solution():
     model = RhsModel(jet_scale(_z0(), 1j), fn=lambda x, z0, z1: 1j * z0)
-    s = SolutionSamples.from_function(
-        lambda x, t: np.exp(x + 1j * t), -1.0, 1.0, 41, -1.0, 1.0, 41)
     seq = make_sequence("gevrey", s=2.0, K_max=64)
-    rep = wf_inclusion_experiment(model, s, seq)
+    rep = wf_inclusion_experiment(model, lambda x, t: np.exp(x + 1j * t), seq)
     assert list(rep.scan.singular_indices) == []
     assert rep.covectors.shape == (0, 2)
     assert rep.included.shape == (0,)
@@ -303,8 +301,6 @@ def test_wf_inclusion_clean_solution():
 
 def test_wf_inclusion_multidim_rejected():
     f2 = jet_variable(3, 2, 3, 8)
-    s = SolutionSamples.from_function(lambda x, t: x + t,
-                                     -1.0, 1.0, 11, -1.0, 1.0, 11)
     with pytest.raises(ArityMismatch):
-        wf_inclusion_experiment(RhsModel(f2), s,
+        wf_inclusion_experiment(RhsModel(f2), lambda x, t: x + t,
                                 make_sequence("gevrey", s=2.0, K_max=64))

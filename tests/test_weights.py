@@ -326,6 +326,14 @@ def test_absorption_fit_failure():
         absorption_fit(seq, 40, r, q_grid=[1.0])
 
 
+def test_absorption_fit_overflow_is_fit_failure():
+    # the needed C is about e^1418: past the largest float, so the cap is
+    # compared in logs
+    seq = make_sequence("gevrey", s=2.0, K_max=4096)
+    with pytest.raises(FitFailed, match="e\\^1418"):
+        absorption_fit(seq, 300, np.geomspace(1e-3, 1.0, 40))
+
+
 # ------------------------------------------------------------- serialization
 
 def test_round_trip_json(g2):
