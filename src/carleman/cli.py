@@ -109,11 +109,20 @@ def _load_config(args) -> dict:
         raise ConfigError("this command needs --config <file.json>")
     try:
         with open(args.config) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {args.config}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {args.config} is not valid JSON: {e}")
+    return _section(cfg, f"config {args.config}")
+
+
+def _section(spec, name: str) -> dict:
+    """spec, a config section, checked to be a JSON object."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object, not "
+                          f"{type(spec).__name__}")
+    return spec
 
 
 def _grid1d(d, name: str):
@@ -133,6 +142,7 @@ def _grid1d(d, name: str):
 
 def _seq_cfg(d):
     from .weights import seq_from_dict
+    d = _section(d, "seq")
     try:
         return seq_from_dict(d)
     except (CarlemanError, KeyError, TypeError, ValueError) as e:
@@ -178,7 +188,7 @@ def _cmd_weights(args) -> int:
     results = {"regular": bool(reg.passed), "c_bound": float(seq.c_bound),
                "K_max": int(seq.K_max), "log_convex": bool(seq.log_convex)}
     if "absorption" in cfg:
-        spec = cfg["absorption"]
+        spec = _section(cfg["absorption"], "absorption")
         rr = _grid1d(spec.get("r", {"lo": 1e-3, "hi": 1.0, "n": 40,
                                     "spacing": "log"}), "absorption.r")
         fits = []
@@ -196,7 +206,7 @@ def _cmd_jets(args) -> int:
                        residual_check)
     cfg = _load_config(args)
     try:
-        fspec = cfg["field"]
+        fspec = _section(cfg["field"], "field")
         a = [_jet_cfg(j, "field coefficient") for j in fspec.get("a", [])]
         b = [_jet_cfg(j, "field coefficient") for j in fspec.get("b", [])]
         datum = _jet_cfg(cfg["datum"], "datum")
@@ -243,7 +253,7 @@ def _cmd_extend(args) -> int:
         raise ConfigError(f"extend config is missing {e}")
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0,
                                    "K_max": 4096}))
-    kspec = cfg.get("kernel", {})
+    kspec = _section(cfg.get("kernel", {}), "kernel")
     kernel = make_kernel(epsilon=float(kspec.get("epsilon", 0.5)),
                          n_r=int(kspec.get("n_r", 64)),
                          n_theta=int(kspec.get("n_theta", 64)))
@@ -258,7 +268,7 @@ def _cmd_extend(args) -> int:
         growth_box=None if gbox is None else
         EvalBox([(float(gbox[0]), float(gbox[1]))]))
 
-    tspec = dict(cfg.get("t", {}))
+    tspec = dict(_section(cfg.get("t", {}), "t"))
     t_hi = tspec.get("hi")
     # default top sample 1% inside the validity radius: the centered time
     # difference needs room on both sides
@@ -294,6 +304,7 @@ def _fixture_grid(spec, seed: int):
 
     from . import fixtures
     from .fbi import GridFunction
+    spec = _section(spec, "grid")
     if "file" in spec:
         try:
             return GridFunction.load(spec["file"])
@@ -325,6 +336,7 @@ def _scan_cfg(spec) -> "object":
     import numpy as np
 
     from .fbi import ScanConfig
+    spec = _section(spec, "scan")
     kw = {}
     if "n_directions" in spec:
         kw["n_directions"] = int(spec["n_directions"])
@@ -414,7 +426,7 @@ def _cmd_wf_experiment(args) -> int:
         cfg = {"solution": {"fixture": args.fixture}}
     else:
         cfg = _load_config(args)
-    sol_spec = cfg.get("solution", {})
+    sol_spec = _section(cfg.get("solution", {}), "solution")
     name = sol_spec.get("fixture", "conormal")
     model, fn = _wf_fixture_pieces(name)
     if "model" in cfg:

@@ -10,6 +10,7 @@ behaves like the weight class from directions where it does not.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -22,6 +23,8 @@ _BOUNDARY_TOL = 1e-12
 # default samples per axis of the two-dimensional scan grids: the conormal
 # and holomorphic fixtures and the wave front experiment
 GRID_N = 2752
+# samples per block of leading-axis rows when a grid is built or read
+_BLOCK_ELEMENTS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +81,22 @@ class GridFunction:
 
     @classmethod
     def from_function(cls, fn, lo, hi, n):
+        """Samples of fn at n points per axis (one count or one per axis).
+
+        fn must be pointwise and broadcast over its arguments: it is called
+        on blocks of leading-axis rows of the sparse meshgrid axes."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         nn = np.atleast_1d(np.asarray(n, dtype=int))
         if nn.size == 1 and lo.size > 1:
             nn = np.full(lo.size, nn[0])
         axes = [np.linspace(lo[d], hi[d], nn[d]) for d in range(lo.size)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        vals = np.asarray(fn(*grids), dtype=complex)
-        return cls(lo, hi, vals)
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        gf = cls(lo, hi, np.empty(tuple(nn), dtype=complex))
+        rows = max(1, _BLOCK_ELEMENTS // math.prod(gf.n[1:]))
+        for i in range(0, gf.n[0], rows):
+            gf.values[i:i + rows] = fn(grids[0][i:i + rows], *grids[1:])
+        return gf
 
     def save(self, path):
         """Header: u4 dim, u4 n per axis, f8 lo/hi pairs; payload little
@@ -96,34 +106,37 @@ class GridFunction:
             fh.write(struct.pack(f"<{self.dim}I", *self.values.shape))
             for d in range(self.dim):
                 fh.write(struct.pack("<2d", self.lo[d], self.hi[d]))
-            fh.write(np.ascontiguousarray(self.values).astype("<c8").tobytes())
+            fh.write(np.ascontiguousarray(self.values, dtype="<c8"))
 
     @classmethod
     def load(cls, path):
         """Read a file written by save; ValueError when the header or the
         payload size does not match the format."""
         with open(path, "rb") as fh:
-            raw = fh.read()
-        dim = struct.unpack_from("<I", raw, 0)[0] if len(raw) >= 4 else 0
-        off = 4 + 20 * dim
-        if dim < 1 or len(raw) < off:
-            raise ValueError(f"grid file of {len(raw)} bytes holds no header "
-                             f"for dim = {dim}")
-        shape = struct.unpack_from(f"<{dim}I", raw, 4)
-        bounds = np.array(struct.unpack_from(f"<{2 * dim}d", raw, 4 + 4 * dim))
-        count = math.prod(shape)
-        if len(raw) != off + 8 * count:
-            raise ValueError(f"grid file holds {len(raw) - off} payload bytes, "
-                             f"shape {list(shape)} needs {8 * count}")
-        vals = np.frombuffer(raw, dtype="<c8", count=count, offset=off)
-        return cls(bounds[0::2], bounds[1::2], vals.reshape(shape).astype(complex))
+            size = os.fstat(fh.fileno()).st_size
+            dim = struct.unpack("<I", fh.read(4))[0] if size >= 4 else 0
+            off = 4 + 20 * dim
+            if dim < 1 or size < off:
+                raise ValueError(f"grid file of {size} bytes holds no header "
+                                 f"for dim = {dim}")
+            shape = struct.unpack(f"<{dim}I", fh.read(4 * dim))
+            bounds = struct.unpack(f"<{2 * dim}d", fh.read(16 * dim))
+            count = math.prod(shape)
+            if size != off + 8 * count:
+                raise ValueError(f"grid file holds {size - off} payload bytes, "
+                                 f"shape {list(shape)} needs {8 * count}")
+            vals = np.empty(count, dtype=complex)
+            for i in range(0, count, _BLOCK_ELEMENTS):
+                vals[i:i + _BLOCK_ELEMENTS] = np.frombuffer(
+                    fh.read(8 * _BLOCK_ELEMENTS), dtype="<c8")
+        return cls(bounds[0::2], bounds[1::2], vals.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
 # the transform
 
-def _check_sampling(gf: GridFunction, x, lam: float):
-    """Oscillation and truncation guards for the discretized integral."""
+def _check_sampling(gf: GridFunction, x, lams):
+    """Oscillation and truncation guards at each |xi| in lams, in order."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != gf.dim:
         raise ValueError(f"x has {x.size} components for a {gf.dim}-d grid")
@@ -131,21 +144,23 @@ def _check_sampling(gf: GridFunction, x, lam: float):
         raise Undersampled(f"base point {x} outside the grid box")
     half = 0.5 * (gf.hi - gf.lo)
     steps = gf.steps()
-    for d in range(gf.dim):
-        allowed = np.pi / (4.0 * (lam + np.sqrt(lam) * half[d])) if lam > 0 \
-            else np.inf
-        if steps[d] > allowed:
-            raise Undersampled(
-                f"axis {d} step {steps[d]:.3g} exceeds {allowed:.3g} "
-                f"needed at |xi| = {lam:.3g}")
     scale = max(1.0, float(np.max(np.abs(gf.values))))
+    edge = gf.boundary_max()
     dist = float(np.min(np.minimum(x - gf.lo, gf.hi - x)))
-    with np.errstate(under="ignore"):
-        damping = np.exp(-lam * dist * dist)
-    if gf.boundary_max() * damping > _BOUNDARY_TOL * scale:
-        raise Undersampled(
-            "integrand is not negligible at the box edge; enlarge the box "
-            "or add a cutoff")
+    for lam in lams:
+        for d in range(gf.dim):
+            allowed = np.pi / (4.0 * (lam + np.sqrt(lam) * half[d])) \
+                if lam > 0 else np.inf
+            if steps[d] > allowed:
+                raise Undersampled(
+                    f"axis {d} step {steps[d]:.3g} exceeds {allowed:.3g} "
+                    f"needed at |xi| = {lam:.3g}")
+        with np.errstate(under="ignore"):
+            damping = np.exp(-lam * dist * dist)
+        if edge * damping > _BOUNDARY_TOL * scale:
+            raise Undersampled(
+                "integrand is not negligible at the box edge; enlarge the "
+                "box or add a cutoff")
     return x
 
 
@@ -155,7 +170,7 @@ def fbi_transform(gf: GridFunction, x, xi) -> complex:
     if xi.size != gf.dim:
         raise ValueError(f"xi has {xi.size} components for a {gf.dim}-d grid")
     lam = float(np.linalg.norm(xi))
-    x = _check_sampling(gf, x, lam)
+    x = _check_sampling(gf, x, [lam])
     out = gf.values
     for d in range(gf.dim - 1, -1, -1):
         v = x[d] - gf.axis(d)
@@ -176,9 +191,9 @@ def fbi_direction_scan(gf: GridFunction, x, directions, lambdas) -> np.ndarray:
     if gf.dim not in (1, 2):
         raise NotImplementedError("direction scans cover one and two dimensions")
     out = np.empty((dirs.shape[0], lams.size), dtype=complex)
+    xx = _check_sampling(gf, np.zeros(gf.dim) + np.asarray(x, dtype=float),
+                         lams)
     for li, lam in enumerate(lams):
-        xx = _check_sampling(gf, np.zeros(gf.dim) + np.asarray(x, dtype=float),
-                             float(lam))
         planes = []
         for d in range(gf.dim):
             v = xx[d] - gf.axis(d)

@@ -381,6 +381,33 @@ def test_config_must_parse(tmp_path):
     assert rc == 2
 
 
+_WF_SMALL = {"solution": {"fixture": "conormal"}, "n": 256}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param("weights", [], id="weights"),
+    pytest.param("weights", {"seq": []}, id="weights.seq"),
+    pytest.param("weights", dict(WEIGHTS_CFG, absorption=[1, 2]),
+                 id="weights.absorption"),
+    pytest.param("jets", dict(JETS_CFG, field=[]), id="jets.field"),
+    pytest.param("extend", dict(EXTEND_CFG, seq=[]), id="extend.seq"),
+    pytest.param("extend", dict(EXTEND_CFG, kernel="x"), id="extend.kernel"),
+    pytest.param("extend", dict(EXTEND_CFG, t=[]), id="extend.t"),
+    pytest.param("fbi", {"grid": []}, id="fbi.grid"),
+    pytest.param("fbi", {"grid": {"fixture": "sign"}, "seq": None},
+                 id="fbi.seq"),
+    pytest.param("fbi", {"grid": {"fixture": "sign"}, "scan": []},
+                 id="fbi.scan"),
+    pytest.param("wf-experiment", {"solution": []}, id="wf.solution"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, seq=3), id="wf.seq"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, scan=[]), id="wf.scan"),
+    pytest.param("acceptance", [2, 5], id="acceptance"),
+])
+def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
+    rc, _ = run(tmp_path, [command], cfg)
+    assert rc == 2 and one_line_error(capsys)
+
+
 def test_unwritable_out_is_io_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -1,17 +1,21 @@
 """FBI transform oracles, decay classification, scans, phase bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from carleman.errors import NoCone, Undersampled
-from carleman.fbi import (GridFunction, ScanConfig, decay_classify,
-                          fbi_direction_scan, fbi_transform, phase_bound_check,
-                          wavefront_scan)
+from carleman.fbi import (GridFunction, ScanConfig, _circle_directions,
+                          decay_classify, fbi_direction_scan, fbi_transform,
+                          phase_bound_check, wavefront_scan)
 from carleman.fixtures import (conormal_grid, flat_trace,
                                gaussian_fbi_closed_form, gaussian_grid,
                                holomorphic_grid, lower_trace, pole_grid,
                                sign_fbi_closed_form, sign_grid, smooth_step,
                                upper_trace)
+from carleman.jets import jet_scale, jet_variable
+from carleman.pde import RhsModel, wf_inclusion_experiment
 from carleman.weights import make_sequence
 
 
@@ -54,6 +58,61 @@ def test_grid_function_round_trip(tmp_path):
     assert np.allclose(back.lo, gf.lo) and np.allclose(back.hi, gf.hi)
     # payload is stored in single precision
     assert np.max(np.abs(back.values - gf.values)) < 1e-6
+
+
+def _dense_values(fn, lo, hi, n):
+    """The grid as one whole-array evaluation on dense meshgrid axes."""
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    nn = np.broadcast_to(n, lo.shape)
+    axes = [np.linspace(lo[d], hi[d], nn[d]) for d in range(lo.size)]
+    return np.asarray(fn(*np.meshgrid(*axes, indexing="ij")), dtype=complex)
+
+
+def _wf_windowed_grid():
+    z1 = jet_variable(2, 1, 2, 8)
+    model = RhsModel(jet_scale(z1, -1.0), fn=lambda x, z0, z1: -z1)
+    wf_inclusion_experiment(model, lambda x, t: np.abs(x - t) ** 3,
+                            make_sequence("gevrey", s=2.0, K_max=64),
+                            base=(0.1, -0.2), n=257)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: conormal_grid(257), id="conormal-257"),
+    pytest.param(lambda: holomorphic_grid(257), id="holomorphic-257"),
+    pytest.param(lambda: sign_grid(n=70001), id="sign-1d-70001"),
+    pytest.param(lambda: GridFunction.from_function(
+        lambda y1, y2: np.exp(1j * y1) * y2, [-1.0, -2.0], [1.0, 2.0],
+        [17, 9]), id="17x9"),
+    pytest.param(_wf_windowed_grid, id="wf-windowed-257"),
+])
+def test_blocked_build_matches_dense_evaluation(monkeypatch, build):
+    # row blocks that do not divide the grid evenly must give the same bits
+    # as evaluating fn once on the dense coordinate arrays
+    built = []
+    blocked = GridFunction.from_function.__func__
+
+    def spy(cls, fn, lo, hi, n):
+        gf = blocked(cls, fn, lo, hi, n)
+        built.append((gf.values, _dense_values(fn, lo, hi, n)))
+        return gf
+
+    monkeypatch.setattr(GridFunction, "from_function", classmethod(spy))
+    build()
+    assert len(built) == 1
+    got, want = built[0]
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("build", [conormal_grid, holomorphic_grid])
+def test_grid_build_peak_memory(build):
+    # the build's temporaries stay within a quarter of the grid's bytes
+    tracemalloc.start()
+    try:
+        gf = build(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * gf.values.nbytes
 
 
 def test_smooth_step_profile():
@@ -135,6 +194,39 @@ def test_direction_scan_matches_pointwise(gauss):
         for j, lam in enumerate(lams):
             want = fbi_transform(gauss, 0.0, d * lam)
             assert abs(got[i, j] - want) < 1e-12
+
+
+def test_direction_scan_2d_matches_pointwise():
+    gf = conormal_grid(384)
+    dirs = _circle_directions(64)[::7]
+    lams = np.geomspace(4.0, 64.0, 12)
+    got = fbi_direction_scan(gf, (0.1, 0.1), dirs, lams)
+    want = np.array([[fbi_transform(gf, (0.1, 0.1), lam * om) for lam in lams]
+                     for om in dirs])
+    # relative to the largest |F|: the smallest samples sit near 1e-11
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _uncut_grid(n):
+    return GridFunction.from_function(lambda y1, y2: np.exp(1j * y1) + 0 * y2,
+                                      [-1.0, -1.0], [1.0, 1.0], n)
+
+
+@pytest.mark.parametrize("gf, lams, message", [
+    (conormal_grid(128), np.geomspace(4.0, 64.0, 12),
+     "axis 0 step 0.0157 exceeds 0.0138 needed at |xi| = 49.7"),
+    # a coarse grid without a cutoff trips both guards; the first lambda
+    # of the scan decides which one names the fault
+    (_uncut_grid(64), np.geomspace(4.0, 64.0, 12),
+     "integrand is not negligible at the box edge; enlarge the box or add "
+     "a cutoff"),
+    (_uncut_grid(64), np.geomspace(64.0, 4.0, 12),
+     "axis 0 step 0.0317 exceeds 0.0109 needed at |xi| = 64"),
+], ids=["step", "edge-first", "step-first"])
+def test_direction_scan_2d_guards(gf, lams, message):
+    with pytest.raises(Undersampled) as exc:
+        fbi_direction_scan(gf, (0.1, 0.1), _circle_directions(8), lams)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
