@@ -125,19 +125,46 @@ def _section(spec, name: str) -> dict:
     return spec
 
 
+def _number(v, name: str, kind=float):
+    """v converted by kind (float or int); a config error when it does not
+    convert."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, not {json.dumps(v)}") \
+            from None
+
+
+def _numbers(v, name: str, size: int) -> list:
+    """v as a list of size floats; a config error otherwise."""
+    try:
+        out = [float(c) for c in v]
+    except (TypeError, ValueError):
+        out = None
+    if out is None or len(out) != size:
+        raise ConfigError(f"{name} must be a list of {size} "
+                          f"number{'s' * (size != 1)}, not {json.dumps(v)}")
+    return out
+
+
 def _grid1d(d, name: str):
     import numpy as np
     try:
         if isinstance(d, (list, tuple)):
-            return np.asarray(d, dtype=float)
-        if "values" in d:
-            return np.asarray(d["values"], dtype=float)
-        lo, hi, n = float(d["lo"]), float(d["hi"]), int(d["n"])
-        if d.get("spacing", "linear") == "log":
-            return np.geomspace(lo, hi, n)
-        return np.linspace(lo, hi, n)
+            grid = np.asarray(d, dtype=float)
+        elif "values" in d:
+            grid = np.asarray(d["values"], dtype=float)
+        else:
+            lo, hi, n = float(d["lo"]), float(d["hi"]), int(d["n"])
+            grid = np.geomspace(lo, hi, n) \
+                if d.get("spacing", "linear") == "log" \
+                else np.linspace(lo, hi, n)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad grid spec for {name!r}: {e}")
+    if grid.size == 0:
+        raise ConfigError(f"bad grid spec for {name!r}: it holds no points")
+    return grid
 
 
 def _seq_cfg(d):
@@ -193,8 +220,9 @@ def _cmd_weights(args) -> int:
                                     "spacing": "log"}), "absorption.r")
         fits = []
         for n in spec.get("n", [1, 2, 3]):
-            fit = absorption_fit(seq, int(n), rr)
-            fits.append({"n": int(n), "Q": float(fit.Q), "C": float(fit.C),
+            n = _number(n, "absorption.n", int)
+            fit = absorption_fit(seq, n, rr)
+            fits.append({"n": n, "Q": float(fit.Q), "C": float(fit.C),
                          "passed": bool(fit.passed)})
         results["absorption"] = fits
     _write(args, "weights.json", _json_text(_report(cfg, results)) + "\n")
@@ -219,11 +247,9 @@ def _cmd_jets(args) -> int:
         field = VectorFieldJet(a=a, b=b)
     except CarlemanError as e:
         raise ConfigError(f"bad field spec: {e}")
-    try:
-        n_max = int(cfg.get("n_max", 8))
-        n_res = int(cfg.get("residual_n", min(6, n_max - 1)))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"n_max and residual_n must be integers: {e}")
+    n_max = _number(cfg.get("n_max", 8), "n_max", int)
+    n_res = _number(cfg.get("residual_n", min(6, n_max - 1)), "residual_n",
+                    int)
     if n_res >= n_max:
         raise ConfigError(
             f"residual_n={n_res} needs u_{n_res + 1}, beyond n_max={n_max}")
@@ -254,27 +280,29 @@ def _cmd_extend(args) -> int:
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0,
                                    "K_max": 4096}))
     kspec = _section(cfg.get("kernel", {}), "kernel")
-    kernel = make_kernel(epsilon=float(kspec.get("epsilon", 0.5)),
-                         n_r=int(kspec.get("n_r", 64)),
-                         n_theta=int(kspec.get("n_theta", 64)))
+    kernel = make_kernel(
+        epsilon=_number(kspec.get("epsilon", 0.5), "kernel.epsilon"),
+        n_r=_number(kspec.get("n_r", 64), "kernel.n_r", int),
+        n_theta=_number(kspec.get("n_theta", 64), "kernel.n_theta", int))
     c_star = cfg.get("C_star")
     gbox = cfg.get("growth_box")
     x = _grid1d(cfg.get("x", {"lo": -0.5, "hi": 0.5, "n": 21}), "x")
     # the real-axis trace pins the default growth box to the x range
     _, sol = almost_analytic_extend(
         datum, seq, kernel, x.astype(complex),
-        n_max=int(cfg.get("n_max", 12)),
-        C_star=None if c_star is None else float(c_star),
+        n_max=_number(cfg.get("n_max", 12), "n_max", int),
+        C_star=None if c_star is None else _number(c_star, "C_star"),
         growth_box=None if gbox is None else
-        EvalBox([(float(gbox[0]), float(gbox[1]))]))
+        EvalBox([tuple(_numbers(gbox, "growth_box", 2))]))
 
     tspec = dict(_section(cfg.get("t", {}), "t"))
     t_hi = tspec.get("hi")
     # default top sample 1% inside the validity radius: the centered time
     # difference needs room on both sides
-    tspec = {"lo": float(tspec.get("lo", 1e-3)),
-             "hi": 0.99 * sol.delta if t_hi is None else float(t_hi),
-             "n": int(tspec.get("n", 24)), "spacing": "log"}
+    tspec = {"lo": _number(tspec.get("lo", 1e-3), "t.lo"),
+             "hi": 0.99 * sol.delta if t_hi is None
+             else _number(t_hi, "t.hi"),
+             "n": _number(tspec.get("n", 24), "t.n", int), "spacing": "log"}
     t = _grid1d(tspec, "t")
     # the centered time difference needs 0 < |t| < delta at every sample
     if not np.all((np.abs(t) > 0.0) & (np.abs(t) < sol.delta)):
@@ -316,13 +344,13 @@ def _fixture_grid(spec, seed: int):
             f"grid needs a file or a fixture name from {_FIXTURE_GRIDS}")
     kw = {}
     if "n" in spec:
-        kw["n"] = int(spec["n"])
+        kw["n"] = _number(spec["n"], "grid.n", int)
     if name in ("gaussian", "sign", "pole") and "half_width" in spec:
-        kw["half_width"] = float(spec["half_width"])
+        kw["half_width"] = _number(spec["half_width"], "grid.half_width")
     if name == "pole" and "offset" in spec:
-        kw["offset"] = float(spec["offset"])
+        kw["offset"] = _number(spec["offset"], "grid.offset")
     gf = getattr(fixtures, f"{name}_grid")(**kw)
-    amp = float(spec.get("noise", 0.0))
+    amp = _number(spec.get("noise", 0.0), "grid.noise")
     if amp > 0.0:
         rng = np.random.default_rng(seed)
         scale = amp * float(np.max(np.abs(gf.values)))
@@ -339,15 +367,16 @@ def _scan_cfg(spec) -> "object":
     spec = _section(spec, "scan")
     kw = {}
     if "n_directions" in spec:
-        kw["n_directions"] = int(spec["n_directions"])
+        kw["n_directions"] = _number(spec["n_directions"],
+                                     "scan.n_directions", int)
     if "lambdas" in spec:
         kw["lambdas"] = np.asarray(_grid1d(spec["lambdas"], "lambdas"))
     if "a_threshold" in spec:
-        kw["a_threshold"] = float(spec["a_threshold"])
+        kw["a_threshold"] = _number(spec["a_threshold"], "scan.a_threshold")
     if "floor_rel" in spec:
-        kw["floor_rel"] = float(spec["floor_rel"])
+        kw["floor_rel"] = _number(spec["floor_rel"], "scan.floor_rel")
     if "lambda_min" in spec and spec["lambda_min"] is not None:
-        kw["lambda_min"] = float(spec["lambda_min"])
+        kw["lambda_min"] = _number(spec["lambda_min"], "scan.lambda_min")
     if "certified" in spec:
         kw["certified"] = bool(spec["certified"])
     return ScanConfig(**kw)
@@ -387,7 +416,7 @@ def _cmd_fbi(args) -> int:
     cfg = _load_config(args)
     gf = _fixture_grid(cfg.get("grid", {}), args.seed)
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
-    x0 = [float(v) for v in cfg.get("x0", [0.0] * gf.dim)]
+    x0 = _numbers(cfg.get("x0", [0.0] * gf.dim), "x0", gf.dim)
     scfg = _scan_cfg(cfg.get("scan", {}))
     scan = wavefront_scan(gf, x0, seq, scfg)
 
@@ -431,12 +460,13 @@ def _cmd_wf_experiment(args) -> int:
     model, fn = _wf_fixture_pieces(name)
     if "model" in cfg:
         model = RhsModel(_jet_cfg(cfg["model"], "model"),
-                         trust_radius=float(cfg.get("trust_radius",
-                                                    float("inf"))))
+                         trust_radius=_number(
+                             cfg.get("trust_radius", float("inf")),
+                             "trust_radius"))
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
-    base = [float(v) for v in cfg.get("base", [0.0, 0.0])]
-    radius = float(cfg.get("radius", 1.0))
-    n = int(cfg.get("n", GRID_N))
+    base = _numbers(cfg.get("base", [0.0, 0.0]), "base", 2)
+    radius = _number(cfg.get("radius", 1.0), "radius")
+    n = _number(cfg.get("n", GRID_N), "n", int)
     scfg = _scan_cfg(cfg.get("scan", {}))
     rep = wf_inclusion_experiment(model, fn, seq, base=base,
                                   radius=radius, n=n, config=scfg,
@@ -465,7 +495,8 @@ def _cmd_acceptance(args) -> int:
         numbers = sorted(acceptance.CRITERIA)
     elif args.config is not None:
         cfg = _load_config(args)
-        numbers = [int(n) for n in cfg.get("criteria", [])]
+        numbers = [_number(n, "criteria", int)
+                   for n in cfg.get("criteria", [])]
         if not numbers:
             raise ConfigError("acceptance config selects no criteria")
     else:

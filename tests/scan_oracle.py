@@ -1,0 +1,42 @@
+"""Per-lambda complex-product direction scan: the oracle for
+carleman.fbi.fbi_direction_scan.
+
+The toolkit's first scan, kept as a plain function.  For every lambda it
+builds the complex phase planes g_d(y_d) e^{i lambda v_d omega_d} of every
+direction along each axis and contracts the grid against them: one complex
+matrix product per lambda, with no sharing between directions and no use of
+a real grid.  The sampling guards are the toolkit's own.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from carleman.fbi import GridFunction, _check_sampling
+
+
+def direction_scan(gf: GridFunction, x, directions, lambdas) -> np.ndarray:
+    """F(x, lambda omega); shape (n_directions, n_lambdas)."""
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    if dirs.shape[1] != gf.dim:
+        raise ValueError("direction dimension does not match the grid")
+    if gf.dim not in (1, 2):
+        raise NotImplementedError("direction scans cover one and two dimensions")
+    out = np.empty((dirs.shape[0], lams.size), dtype=complex)
+    xx = _check_sampling(gf, np.zeros(gf.dim) + np.asarray(x, dtype=float),
+                         lams)
+    for li, lam in enumerate(lams):
+        planes = []
+        for d in range(gf.dim):
+            v = xx[d] - gf.axis(d)
+            with np.errstate(under="ignore"):
+                g = gf.trapezoid_weights(d) * np.exp(-lam * v * v)
+                planes.append(g[:, None] *
+                              np.exp(1j * lam * np.outer(v, dirs[:, d])))
+        if gf.dim == 1:
+            out[:, li] = gf.values @ planes[0]
+        else:
+            m = gf.values @ planes[1]
+            out[:, li] = np.einsum("ad,ad->d", planes[0], m)
+    return out

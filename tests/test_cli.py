@@ -408,6 +408,26 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
     assert rc == 2 and one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param("wf-experiment", dict(_WF_SMALL, n="x"), id="wf.n"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, base=[0.0]), id="wf.base"),
+    pytest.param("fbi", {"grid": {"fixture": "sign", "n": "many"}},
+                 id="fbi.grid.n"),
+    pytest.param("fbi", {"grid": {"fixture": "sign"}, "x0": 3}, id="fbi.x0"),
+    pytest.param("fbi", {"grid": {"fixture": "sign"}, "x0": [0.0, 0.0]},
+                 id="fbi.x0-length"),
+    pytest.param("fbi", {"grid": {"fixture": "sign"},
+                         "scan": {"a_threshold": "high"}},
+                 id="fbi.scan.a_threshold"),
+    pytest.param("extend", dict(EXTEND_CFG, x=[]), id="extend.x"),
+    pytest.param("extend", dict(EXTEND_CFG, n_max=[10]), id="extend.n_max"),
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, cfg):
+    rc, out = run(tmp_path, [command], cfg)
+    assert rc == 2 and one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_unwritable_out_is_io_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

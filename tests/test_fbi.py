@@ -2,12 +2,16 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
+import scan_oracle
+from carleman import fbi
 from carleman.errors import NoCone, Undersampled
-from carleman.fbi import (GridFunction, ScanConfig, _circle_directions,
-                          decay_classify, fbi_direction_scan, fbi_transform,
+from carleman.fbi import (GridFunction, ScanConfig, _check_sampling,
+                          _circle_directions, decay_classify,
+                          fbi_direction_scan, fbi_transform,
                           phase_bound_check, wavefront_scan)
 from carleman.fixtures import (conormal_grid, flat_trace,
                                gaussian_fbi_closed_form, gaussian_grid,
@@ -115,6 +119,23 @@ def test_grid_build_peak_memory(build):
     assert peak <= 1.25 * gf.values.nbytes
 
 
+@pytest.mark.parametrize("step", ["check_sampling", "save"])
+def test_grid_passes_stream_in_row_blocks(tmp_path, step):
+    # the guards' max|values| and the complex64 file payload are taken one
+    # row block at a time, not as whole-grid temporaries
+    gf = conormal_grid(1024)
+    run = {"check_sampling": lambda: _check_sampling(
+               gf, [0.0, 0.0], np.geomspace(4.0, 64.0, 12)),
+           "save": lambda: gf.save(tmp_path / "grid.bin")}[step]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * gf.values.nbytes
+
+
 def test_smooth_step_profile():
     s = np.array([0.0, 0.5, 0.6, 0.99, 1.0, 2.0])
     v = smooth_step(s)
@@ -205,6 +226,99 @@ def test_direction_scan_2d_matches_pointwise():
                      for om in dirs])
     # relative to the largest |F|: the smallest samples sit near 1e-11
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+_LAMS = np.geomspace(4.0, 64.0, 12)
+_DIRS_1D = np.array([[1.0], [-1.0]])
+
+
+def _random_directions(k: int, seed: int = 7) -> np.ndarray:
+    d = np.random.default_rng(seed).standard_normal((k, 2))
+    return d / np.hypot(d[:, 0], d[:, 1])[:, None]
+
+
+def _partly_complex_grid(n: int = 384) -> GridFunction:
+    # a conormal grid with an imaginary part in rows 100..139 only
+    gf = conormal_grid(n)
+    vals = gf.values.copy()
+    vals[100:140] += 0.5j * np.abs(vals[100:140].real)
+    return GridFunction(gf.lo, gf.hi, vals)
+
+
+def _assert_matches_oracle(gf, x, dirs, lams=_LAMS):
+    got = fbi_direction_scan(gf, x, dirs, lams)
+    want = scan_oracle.direction_scan(gf, x, dirs, lams)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("build, x", [
+    (lambda: gaussian_grid(n=4096), 0.2),
+    (lambda: sign_grid(n=4096), 0.0),
+    (lambda: pole_grid(n=4096), 0.3),
+], ids=["gaussian", "sign", "pole"])
+def test_direction_scan_1d_matches_oracle(build, x):
+    _assert_matches_oracle(build(), x, _DIRS_1D)
+
+
+@pytest.fixture(scope="module")
+def grids_384():
+    return {"conormal": conormal_grid(384),
+            "holomorphic": holomorphic_grid(384)}
+
+
+@pytest.mark.parametrize("fixture", ["conormal", "holomorphic"])
+@pytest.mark.parametrize("dirs", [
+    _circle_directions(64), _circle_directions(63), _random_directions(7),
+], ids=["fan-64", "fan-63", "random-7"])
+def test_direction_scan_2d_matches_oracle(grids_384, fixture, dirs):
+    _assert_matches_oracle(grids_384[fixture], (0.1, -0.05), dirs)
+
+
+@pytest.mark.parametrize("rows", [7, 384], ids=["blocks-of-7", "one-block"])
+def test_direction_scan_partly_complex_matches_oracle(monkeypatch, rows):
+    # blocks of 7 rows: some carry the imaginary part, most do not
+    gf = _partly_complex_grid()
+    monkeypatch.setattr(fbi, "_SCAN_BLOCK_ELEMENTS", rows * gf.n[1])
+    _assert_matches_oracle(gf, (0.1, -0.05), _circle_directions(64))
+
+
+@pytest.mark.parametrize("fixture", ["conormal", "holomorphic"])
+@pytest.mark.parametrize("x", [(0.0, 0.0), (0.2, -0.1)])
+def test_wavefront_scan_verdicts_match_oracle(monkeypatch, grids_384, g2,
+                                              fixture, x):
+    gf = grids_384[fixture]
+    got = wavefront_scan(gf, x, g2)
+    monkeypatch.setattr(fbi, "fbi_direction_scan",
+                        scan_oracle.direction_scan)
+    want = wavefront_scan(gf, x, g2)
+    assert got.failed_indices == want.failed_indices
+    assert got.singular_indices == want.singular_indices
+    assert [r.A_fit for r in got.reports] == [r.A_fit for r in want.reports]
+    assert np.max(np.abs(got.samples - want.samples)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [6, 8, 63, 64])
+def test_circle_directions_fan(n):
+    d = _circle_directions(n)
+    with mpmath.workdps(40):
+        exact = np.array([[float(mpmath.cos(2 * mpmath.pi * j / n)),
+                           float(mpmath.sin(2 * mpmath.pi * j / n))]
+                          for j in range(n)])
+    th = 2.0 * np.pi * np.arange(n) / n
+    assert np.max(np.abs(d - exact)) <= 1e-15
+    assert np.max(np.abs(d - np.column_stack([np.cos(th), np.sin(th)]))) \
+        <= 1e-15
+    assert np.max(np.abs(np.hypot(d[:, 0], d[:, 1]) - 1.0)) <= 2.3e-16
+    # closed bit for bit under every reflection the fan admits
+    j = np.arange(n)
+    assert np.array_equal(d[(n - j) % n], d * [1.0, -1.0])
+    if n % 2 == 0:
+        assert np.array_equal(d[(j + n // 2) % n], -d)
+    if n % 4 == 0:
+        assert np.array_equal(d[(n // 4 - j) % n], d[:, ::-1])
+    if n == 64:
+        assert np.unique(np.abs(d[:, 1])).size <= 18
 
 
 def _uncut_grid(n):
