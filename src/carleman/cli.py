@@ -13,6 +13,7 @@ with the same config reproduces every payload byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,11 +40,18 @@ def _json_text(obj, indent: int = 0) -> str:
         rows = [f'{pad}  {json.dumps(str(k))}: {_json_text(v, indent + 1)}'
                 for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if type(obj) is _CoeffRows:
+        return _coeff_rows_text(obj.jet, indent)
     if isinstance(obj, (list, tuple)) or type(obj).__name__ == "ndarray":
         items = list(obj)
         if not items:
             return "[]"
-        rows = [f"{pad}  {_json_text(v, indent + 1)}" for v in items]
+        # exactly int or float (never bool or a numpy scalar): one join
+        if all(type(v) is float or type(v) is int for v in items):
+            rows = [pad + "  " + (_fmt(v) if type(v) is float else str(v))
+                    for v in items]
+        else:
+            rows = [f"{pad}  {_json_text(v, indent + 1)}" for v in items]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -58,25 +66,60 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
+class _CoeffRows:
+    """Stand-in for the coeffs rows of jet_to_dict(jet), which _json_text
+    writes straight from Jet.data."""
+    __slots__ = ("jet",)
+
+    def __init__(self, jet):
+        self.jet = jet
+
+
+@functools.cache
+def _row_heads(basis, indent: int) -> list:
+    """Per basis slot, the text of a coeffs row at this indent up to its
+    real part: the row's opening and its exponent list."""
+    row, inner = "  " * (indent + 1), "  " * (indent + 2)
+    heads = []
+    for e in basis.exps.tolist():
+        exponent = "[\n" + ",\n".join([f"{inner}  {p}" for p in e]) + \
+            f"\n{inner}]" if e else "[]"
+        heads.append(f"{row}[\n{inner}{exponent},\n{inner}")
+    return heads
+
+
+def _coeff_rows_text(jet, indent: int) -> str:
+    """_json_text of the coeffs rows of jet_to_dict(jet), row by row from
+    the nonzero slots in coeff_slots order."""
+    from .jets import coeff_slots
+    slots = coeff_slots(jet)
+    if not slots.size:
+        return "[]"
+    heads = _row_heads(jet.basis, indent)
+    row, inner = "  " * (indent + 1), "  " * (indent + 2)
+    tail = "%.17g,\n" + inner + "%.17g\n" + row + "]"
+    rows = [heads[i] + tail % (c.real, c.imag)
+            for i, c in zip(slots.tolist(), jet.data[slots].tolist())]
+    return "[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]"
+
+
+def _cell(v) -> str:
+    if hasattr(v, "item"):
+        v = v.item()
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return _fmt(v)
+    return str(v)
+
+
 def _csv_text(header, rows) -> str:
     if not rows:
         raise ConfigError("refusing to write an empty report")
-    out = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if hasattr(v, "item"):
-                v = v.item()
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, int):
-                cells.append(str(v))
-            elif isinstance(v, float):
-                cells.append(_fmt(v))
-            else:
-                cells.append(str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write(args, name: str, text: str) -> str:
@@ -134,6 +177,15 @@ def _number(v, name: str, kind=float):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, not {json.dumps(v)}") \
             from None
+
+
+def _grid_n(v, name: str) -> int:
+    """v as a count of grid samples per axis, at least two."""
+    n = _number(v, name, int)
+    if n < 2:
+        raise ConfigError(f"{name} must be at least 2 samples per axis, "
+                          f"not {n}")
+    return n
 
 
 def _numbers(v, name: str, size: int) -> list:
@@ -261,7 +313,7 @@ def _cmd_jets(args) -> int:
     results = {"n_max": series.n_max,
                "lossy": bool(any(u.lossy for u in series.u)),
                "max_residual": max(r for _, r in rows),
-               "u": [jet_to_dict(u) for u in series.u]}
+               "u": [jet_to_dict(u, rows=_CoeffRows(u)) for u in series.u]}
     _write(args, "jets.json", _json_text(_report(cfg, results)) + "\n")
     return 0
 
@@ -344,7 +396,7 @@ def _fixture_grid(spec, seed: int):
             f"grid needs a file or a fixture name from {_FIXTURE_GRIDS}")
     kw = {}
     if "n" in spec:
-        kw["n"] = _number(spec["n"], "grid.n", int)
+        kw["n"] = _grid_n(spec["n"], "grid.n")
     if name in ("gaussian", "sign", "pole") and "half_width" in spec:
         kw["half_width"] = _number(spec["half_width"], "grid.half_width")
     if name == "pole" and "offset" in spec:
@@ -466,7 +518,7 @@ def _cmd_wf_experiment(args) -> int:
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
     base = _numbers(cfg.get("base", [0.0, 0.0]), "base", 2)
     radius = _number(cfg.get("radius", 1.0), "radius")
-    n = _number(cfg.get("n", GRID_N), "n", int)
+    n = _grid_n(cfg.get("n", GRID_N), "n")
     scfg = _scan_cfg(cfg.get("scan", {}))
     rep = wf_inclusion_experiment(model, fn, seq, base=base,
                                   radius=radius, n=n, config=scfg,

@@ -188,14 +188,26 @@ def _check_compat(a: Jet, b: Jet):
         raise ArityMismatch("jets expanded about different base points")
 
 
-def jet_to_dict(a: Jet) -> dict:
+def coeff_slots(a: Jet) -> np.ndarray:
+    """Slots of the nonzero coefficients in lexicographic exponent order,
+    the row order of jet_to_dict."""
+    order = a.basis._order
+    return order[a.data[order] != 0]
+
+
+def jet_to_dict(a: Jet, rows=None) -> dict:
     """JSON-ready form: {base_point, n_x, n_zeta, D, coeffs} with every
-    complex number as an [re, im] pair and coefficients sorted by index."""
+    complex number as an [re, im] pair.  coeffs holds an [exponent, re, im]
+    row per nonzero coefficient in lexicographic exponent order
+    (coeff_slots), or `rows`, a stand-in for them that a writer renders
+    itself."""
     base = [[complex(v).real, complex(v).imag] for v in a.base_x + a.base_zeta]
-    entries = [[list(idx), complex(c).real, complex(c).imag]
-               for idx, c in sorted(a.coeffs.items())]
+    if rows is None:
+        slots = coeff_slots(a)
+        rows = [[e, c.real, c.imag] for e, c in
+                zip(a.basis.exps[slots].tolist(), a.data[slots].tolist())]
     return {"base_point": base, "n_x": a.n_x, "n_zeta": a.n_zeta,
-            "D": a.degree, "coeffs": entries}
+            "D": a.degree, "coeffs": rows}
 
 
 def jet_from_dict(d: dict) -> Jet:
@@ -317,6 +329,8 @@ class FormalSeries:
     u: list                  # u[k], k = 0..n_max
     n_max: int
     valid_degree: list       # D - k, the degree to which u[k] is trustworthy
+    # residual_check by n, built on its first call
+    residuals: list = field(default=None, init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -371,14 +385,28 @@ def residual_check(series: FormalSeries, n: int) -> float:
 
     Zero to rounding for exact polynomial data: the k < n coefficients of
     L(T^n u) cancel by the recursion, and the t^n coefficient reproduces
-    the next term.
+    the next term.  Entry n of the series' residual table, which the first
+    call builds for every n < n_max.
     """
+    if n < 0:
+        raise ValueError(f"residual index n={n} is negative")
     if n + 1 > series.n_max:
         raise ValueError(f"need u_{n + 1}, computed only to n_max={series.n_max}")
-    q = apply_field(series.field, truncate(series, n))
-    want = jet_scale(series.u[n + 1], -(n + 1.0))
-    return max([float(np.max(np.abs(c.data), initial=0.0)) for c in q.coeffs[:n]]
-               + [jet_max_diff(q.coeffs[n], want)])
+    if series.residuals is None:
+        series.residuals = _residual_table(series)
+    return series.residuals[n]
+
+
+def _residual_table(series: FormalSeries) -> list:
+    """residual_check for n = 0..n_max-1, with the coefficient part of L
+    applied to each u_k once and shared by every n: the t^k coefficient of
+    L(T^n u) is the same jet for every n > k."""
+    u = series.u
+    lu = [_apply_coeffs(series.field, uk) for uk in u[:-1]]
+    cancel = [float(np.max(np.abs(jet_add(lu[k], jet_scale(u[k + 1], k + 1)).data),
+                           initial=0.0)) for k in range(len(lu) - 1)]
+    return [max(cancel[:n] + [jet_max_diff(lu[n], jet_scale(u[n + 1], -(n + 1.0)))])
+            for n in range(series.n_max)]
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,9 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
 @pytest.mark.parametrize("command, cfg", [
     pytest.param("wf-experiment", dict(_WF_SMALL, n="x"), id="wf.n"),
     pytest.param("wf-experiment", dict(_WF_SMALL, base=[0.0]), id="wf.base"),
+    pytest.param("wf-experiment", {"n": 1}, id="wf.n-1"),
+    pytest.param("fbi", {"grid": {"fixture": "conormal", "n": 1}},
+                 id="fbi.grid.n-1"),
     pytest.param("fbi", {"grid": {"fixture": "sign", "n": "many"}},
                  id="fbi.grid.n"),
     pytest.param("fbi", {"grid": {"fixture": "sign"}, "x0": 3}, id="fbi.x0"),

@@ -3,6 +3,11 @@
 Parity: seeded random jets at 1, 3 and 5 variables run through the array
 algebra and through the sparse dict implementation in dict_jets, which
 agree to 1e-14 of the largest coefficient with identical lossy flags.
+Ring laws: associativity and distributivity of jet_mul and jet_add and
+the Leibniz rule of jet_diff on random truncated jets in one to three
+variables, each side against the dict oracle.
+Residuals: the shared residual table against the per-n computation
+through apply_field, bit for bit.
 Series: the transport and dilation formal solutions in two variables
 against sympy expansions of the closed-form solutions.
 """
@@ -12,11 +17,14 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import dict_jets as dj
-from carleman.jets import (Jet, VectorFieldJet, augment_datum, formal_solution,
-                           jet_add, jet_diff, jet_eval, jet_mul, jet_scale,
-                           residual_check, restrict_diagonal, time_augment)
+from carleman import jets
+from carleman.jets import (Jet, VectorFieldJet, apply_field, augment_datum,
+                           formal_solution, jet_add, jet_diff, jet_eval,
+                           jet_max_diff, jet_mul, jet_scale, residual_check,
+                           restrict_diagonal, time_augment, truncate)
 
 SHAPES = [(1, 0, 12), (1, 2, 8), (2, 3, 6)]     # (n_x, n_zeta, D)
 
@@ -131,6 +139,121 @@ def test_time_augment_and_diagonal_match_dict_oracle(time_dependent):
     assert len(diag) == len(diag_ref)
     for d, dr in zip(diag, diag_ref):
         assert_matches(d, dr)
+
+
+# ---------------------------------------------------------------------------
+# ring laws, with truncation
+
+RING_SHAPES = [(1, 0, 6), (1, 1, 4), (2, 1, 3)]     # (n_x, n_zeta, D)
+
+
+@st.composite
+def jet_triples(draw):
+    """Three jets of one shape as Jets and DictJets; their terms reach
+    degree D, so products truncate."""
+    n_x, n_zeta, D = draw(st.sampled_from(RING_SHAPES))
+    pool = _exponents(n_x + n_zeta, D)
+    # no part below 1e-3 in size, so no product falls under dict_jets.PRUNE
+    parts = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+    out = []
+    for _ in range(3):
+        terms = draw(st.dictionaries(
+            st.sampled_from(pool), st.builds(complex, parts, parts),
+            min_size=1, max_size=6))
+        out.append((Jet(n_x, n_zeta, D, terms),
+                    dj.DictJet(n_x + n_zeta, D, dj._pruned(terms))))
+    return out
+
+
+def _size(ref):
+    return sum(abs(c) for c in ref.coeffs.values())
+
+
+def assert_near(jet, ref, scale):
+    got, want = jet.coeffs, ref.coeffs
+    dev = max((abs(got.get(k, 0.0) - want.get(k, 0.0))
+               for k in set(got) | set(want)), default=0.0)
+    assert dev <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_triples())
+def test_mul_is_associative(triple):
+    (a, ar), (b, br), (c, cr) = triple
+    scale = _size(ar) * _size(br) * _size(cr)
+    left, right = jet_mul(jet_mul(a, b), c), jet_mul(a, jet_mul(b, c))
+    left_ref = dj.mul(dj.mul(ar, br), cr)
+    assert_near(left, left_ref, scale)
+    assert_near(right, dj.mul(ar, dj.mul(br, cr)), scale)
+    assert left.lossy == left_ref.lossy
+    assert jet_max_diff(left, right) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_triples())
+def test_mul_distributes_over_add(triple):
+    (a, ar), (b, br), (c, cr) = triple
+    scale = _size(ar) * (_size(br) + _size(cr))
+    left = jet_mul(a, jet_add(b, c))
+    right = jet_add(jet_mul(a, b), jet_mul(a, c))
+    assert_near(left, dj.mul(ar, dj.add(br, cr)), scale)
+    assert_near(right, dj.add(dj.mul(ar, br), dj.mul(ar, cr)), scale)
+    assert right.lossy == dj.add(dj.mul(ar, br), dj.mul(ar, cr)).lossy
+    assert jet_max_diff(left, right) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_triples(), st.integers(0, 2))
+def test_diff_obeys_leibniz(triple, slot):
+    """d(ab) = (da) b + a (db) below degree D; at degree D the right side
+    holds the derivative of terms the truncated product dropped."""
+    (a, ar), (b, br), _ = triple
+    slot %= a.nvars
+    scale = _size(ar) * _size(br) * a.degree
+    left = jet_diff(jet_mul(a, b), slot)
+    right = jet_add(jet_mul(jet_diff(a, slot), b), jet_mul(a, jet_diff(b, slot)))
+    assert_near(left, dj.diff(dj.mul(ar, br), slot), scale)
+    assert_near(right, dj.add(dj.mul(dj.diff(ar, slot), br),
+                              dj.mul(ar, dj.diff(br, slot))), scale)
+    below = a.basis.deg < a.degree
+    assert np.all(np.abs(left.data - right.data)[below] <= 1e-14 * scale)
+    assert np.all(left.data[~below] == 0)
+
+
+# ---------------------------------------------------------------------------
+# the residual table
+
+def _residual_by_n(series, n):
+    """The residual of T^n u computed on its own, as one apply_field."""
+    q = apply_field(series.field, truncate(series, n))
+    want = jet_scale(series.u[n + 1], -(n + 1.0))
+    return max([float(np.max(np.abs(c.data), initial=0.0)) for c in q.coeffs[:n]]
+               + [jet_max_diff(q.coeffs[n], want)])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_residual_table_matches_per_n_residuals(shape, monkeypatch):
+    n_x, n_zeta, D = shape
+    rng = np.random.default_rng([13, n_x + n_zeta])
+    coeffs, _ = random_field(rng, n_x, n_zeta, D)
+    f, _ = random_pair(rng, n_x, n_zeta, D, D - 2, 40)
+    n_max = D // 2
+    series = formal_solution(VectorFieldJet(a=coeffs[:n_x], b=coeffs[n_x:]),
+                             f, n_max)
+    calls = []
+    apply_coeffs = jets._apply_coeffs
+    monkeypatch.setattr(jets, "_apply_coeffs",
+                        lambda L, p: calls.append(p) or apply_coeffs(L, p))
+    got = [residual_check(series, n) for n in range(n_max)]
+    # L is applied to each u_k once, whatever the number of n
+    assert calls == series.u[:-1]
+    monkeypatch.undo()
+    assert got == [_residual_by_n(series, n) for n in range(n_max)]
+    assert got[-1] > 0.0
+    with pytest.raises(ValueError):
+        residual_check(series, n_max)
+    with pytest.raises(ValueError):
+        residual_check(series, -1)
 
 
 # ---------------------------------------------------------------------------
