@@ -332,20 +332,27 @@ def _cmd_extend(args) -> int:
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0,
                                    "K_max": 4096}))
     kspec = _section(cfg.get("kernel", {}), "kernel")
-    kernel = make_kernel(
-        epsilon=_number(kspec.get("epsilon", 0.5), "kernel.epsilon"),
-        n_r=_number(kspec.get("n_r", 64), "kernel.n_r", int),
-        n_theta=_number(kspec.get("n_theta", 64), "kernel.n_theta", int))
     c_star = cfg.get("C_star")
     gbox = cfg.get("growth_box")
     x = _grid1d(cfg.get("x", {"lo": -0.5, "hi": 0.5, "n": 21}), "x")
-    # the real-axis trace pins the default growth box to the x range
-    _, sol = almost_analytic_extend(
-        datum, seq, kernel, x.astype(complex),
-        n_max=_number(cfg.get("n_max", 12), "n_max", int),
-        C_star=None if c_star is None else _number(c_star, "C_star"),
-        growth_box=None if gbox is None else
-        EvalBox([tuple(_numbers(gbox, "growth_box", 2))]))
+    n_max = _number(cfg.get("n_max", 12), "n_max", int)
+    if n_max < 0:
+        raise ConfigError(f"n_max must be nonnegative, not {n_max}")
+    # the ValueErrors of these calls are input boundaries: epsilon outside
+    # (0, 1), C_star <= 0, a table shorter than the series
+    try:
+        kernel = make_kernel(
+            epsilon=_number(kspec.get("epsilon", 0.5), "kernel.epsilon"),
+            n_r=_number(kspec.get("n_r", 64), "kernel.n_r", int),
+            n_theta=_number(kspec.get("n_theta", 64), "kernel.n_theta", int))
+        # the real-axis trace pins the default growth box to the x range
+        _, sol = almost_analytic_extend(
+            datum, seq, kernel, x.astype(complex), n_max=n_max,
+            C_star=None if c_star is None else _number(c_star, "C_star"),
+            growth_box=None if gbox is None else
+            EvalBox([tuple(_numbers(gbox, "growth_box", 2))]))
+    except ValueError as e:
+        raise ConfigError(f"bad extend config: {e}")
 
     tspec = dict(_section(cfg.get("t", {}), "t"))
     t_hi = tspec.get("hi")

@@ -123,8 +123,8 @@ class ApproxSolution:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        if self.C_star <= 0.0:
-            raise ValueError("C_star must be positive")
+        if not self.C_star > 0.0:
+            raise ValueError(f"C_star must be positive, not {self.C_star}")
         if self.seq.K_max < self.series.n_max:
             raise ValueError(
                 f"sequence table K_max={self.seq.K_max} shorter than the "
@@ -138,16 +138,15 @@ class ApproxSolution:
         r = (1.0 + self.kernel.epsilon) * self.C_star * np.abs(z)
         return z, bigN_capped(self.seq, r, self.series.n_max)
 
-    def evaluate(self, x, t: float):
-        """u(x, t) = sum_i W_i sum_{k <= K_i} u_k(x) z_i^k, factored through
-        the moment sums G_k = sum_{K_i >= k} W_i z_i^k."""
+    def moments(self, t: float):
+        """The moment sums G_k(t) = sum_{K_i >= k} W_i z_i^k, k = 0..n_max;
+        None at t = 0, where the average is u_0 itself."""
         t = float(t)
         if abs(t) > self.delta * (1.0 + 1e-12):
             raise ValueError(
                 f"|t|={abs(t):.6g} beyond the validity radius delta={self.delta:.6g}")
-        u = self.series.u
         if t == 0.0:
-            return jet_eval(u[0], x=x)
+            return None
         z, K = self.truncation_indices(t)
         W = self.kernel.weights
         G = np.zeros(self.series.n_max + 1, dtype=complex)
@@ -158,14 +157,74 @@ class ApproxSolution:
                 break
             G[k] = np.sum(W[keep] * zp[keep])
             zp = zp * z
-        out = None
-        for k in range(self.series.n_max + 1):
-            if G[k] == 0.0:
-                continue
-            term = jet_eval(u[k], x=x) * G[k]
-            out = term if out is None else out + term
-        if out is None:
-            out = jet_eval(u[0], x=x) * 0.0
+        return G
+
+    def evaluate(self, x, t: float):
+        """u(x, t) = sum_i W_i sum_{k <= K_i} u_k(x) z_i^k, factored as
+        sum_k u_k(x) G_k(t) through the moment sums."""
+        u = self.series.u
+        return _average(lambda k: jet_eval(u[k], x=x), self.moments(t))
+
+
+def _average(term, G):
+    """sum_k term(k) G_k, added in index order over the G_k != 0; term(0)
+    when G is None (t = 0), term(0) * 0 when every G_k is 0."""
+    if G is None:
+        return term(0)
+    out = None
+    for k, g in enumerate(G):
+        if g == 0.0:
+            continue
+        tk = term(k) * g
+        out = tk if out is None else out + tk
+    return term(0) * 0.0 if out is None else out
+
+
+class _Stencil:
+    """The t-independent half of apply_L_numeric: every u_k at x and at
+    x +- dx along each axis, and the field coefficients a_i(x).  Each time
+    then costs three moment sums, at t and t +- ht."""
+
+    def __init__(self, sol: ApproxSolution, x, dx: float):
+        fld = sol.series.field
+        if fld.n_zeta:
+            raise ArityMismatch("numeric field application needs zeta-free jets")
+        if isinstance(x, (list, tuple)):
+            xs = [np.asarray(xi, dtype=float) for xi in x]
+        else:
+            xs = [np.asarray(x, dtype=float)]
+        if len(xs) != fld.n_x:
+            raise ArityMismatch(f"need {fld.n_x} x components, got {len(xs)}")
+
+        def terms(xlist):
+            xv = xlist if fld.n_x > 1 else xlist[0]
+            return [jet_eval(u, x=xv) for u in sol.series.u]
+
+        self.sol, self.dx = sol, dx
+        self.V = terms(xs)
+        self.axes = []
+        for i, ai in enumerate(fld.a):
+            xp = [xi + (dx if j == i else 0.0) for j, xi in enumerate(xs)]
+            xm = [xi - (dx if j == i else 0.0) for j, xi in enumerate(xs)]
+            self.axes.append((terms(xp), terms(xm),
+                              jet_eval(ai, x=xs if fld.n_x > 1 else xs[0])))
+
+    def apply_L(self, t: float, dt: float | None = None):
+        sol = self.sol
+        cap = 0.45 * (sol.delta - abs(t))
+        if cap <= 0.0:
+            raise ValueError("t at or beyond the validity radius, no room to difference")
+        ht = min(dt, cap) if dt is not None else min(1e-4 * (1.0 + abs(t)), cap)
+
+        def ev(V, G):
+            return np.asarray(_average(V.__getitem__, G))
+
+        out = (ev(self.V, sol.moments(t + ht)) -
+               ev(self.V, sol.moments(t - ht))) / (2.0 * ht)
+        G = sol.moments(t)
+        for Vp, Vm, a in self.axes:
+            dudx = (ev(Vp, G) - ev(Vm, G)) / (2.0 * self.dx)
+            out = out + a * dudx
         return out
 
 
@@ -176,30 +235,7 @@ def apply_L_numeric(sol: ApproxSolution, x, t: float, dx: float = 1e-4,
     The time step is capped at 0.45 (delta - |t|) so both stencil points
     stay inside the validity region.
     """
-    fld = sol.series.field
-    if fld.n_zeta:
-        raise ArityMismatch("numeric field application needs zeta-free jets")
-    if isinstance(x, (list, tuple)):
-        xs = [np.asarray(xi, dtype=float) for xi in x]
-    else:
-        xs = [np.asarray(x, dtype=float)]
-    if len(xs) != fld.n_x:
-        raise ArityMismatch(f"need {fld.n_x} x components, got {len(xs)}")
-    cap = 0.45 * (sol.delta - abs(t))
-    if cap <= 0.0:
-        raise ValueError("t at or beyond the validity radius, no room to difference")
-    ht = min(dt, cap) if dt is not None else min(1e-4 * (1.0 + abs(t)), cap)
-
-    def ev(xlist, tv):
-        return np.asarray(sol.evaluate(xlist if fld.n_x > 1 else xlist[0], tv))
-
-    out = (ev(xs, t + ht) - ev(xs, t - ht)) / (2.0 * ht)
-    for i, ai in enumerate(fld.a):
-        xp = [xi + (dx if j == i else 0.0) for j, xi in enumerate(xs)]
-        xm = [xi - (dx if j == i else 0.0) for j, xi in enumerate(xs)]
-        dudx = (ev(xp, t) - ev(xm, t)) / (2.0 * dx)
-        out = out + jet_eval(ai, x=xs if fld.n_x > 1 else xs[0]) * dudx
-    return out
+    return _Stencil(sol, x, dx).apply_L(t, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +305,13 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence, q_grid=None,
 def measure_flatness(sol: ApproxSolution, x_values, t_values,
                      factor: float = 1.0, dx: float = 1e-4, q_grid=None,
                      a_cap: float = 2.0 ** 16) -> FlatnessFit:
-    """Fit the decay of sup_x |L u(x, t)| (times factor) against h(Q|t|)."""
-    sups = []
-    for tv in t_values:
-        lu = apply_L_numeric(sol, x_values, float(tv), dx=dx)
-        sups.append(factor * float(np.max(np.abs(lu))))
+    """Fit the decay of sup_x |L u(x, t)| (times factor) against h(Q|t|).
+
+    The u_k are evaluated on the x stencil once; each time adds only its
+    moment sums."""
+    stencil = _Stencil(sol, x_values, dx)
+    sups = [factor * float(np.max(np.abs(stencil.apply_L(float(tv)))))
+            for tv in t_values]
     return flatness_fit(t_values, sups, sol.seq, q_grid=q_grid, a_cap=a_cap)
 
 

@@ -473,7 +473,8 @@ def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
                 _grid_sup(functools.reduce(jet_diff, alpha, u), xs, zs)
             if s <= 0.0:
                 continue
-            bound_log = seq.log_M[a_len + k] - seq.lfact[k]
+            j = a_len + k
+            bound_log = seq.log_m[j] + seq.lfact[j] - seq.lfact[k]
             log_c_need = max(log_c_need,
                              (np.log(s) - bound_log) / (1.0 + a_len + k))
 

@@ -225,14 +225,18 @@ def _guard(seq: WeightSequence, t: np.ndarray, hit: np.ndarray) -> None:
             f"(r = {float(np.exp(t[hit][0])):.6g}); enlarge K_max")
 
 
-def _bigN(seq: WeightSequence, t: np.ndarray, guard: bool) -> np.ndarray:
+def _bigN(seq: WeightSequence, t: np.ndarray, guard: bool,
+          stop: int | None = None) -> np.ndarray:
     """N at log r = t: 0 for r >= 1, where the k = 0 term's clamp
-    min(1, 1/r) wins, else the least k >= 1 minimizing m_k r^(k-1)."""
+    min(1, 1/r) wins, else the least k >= 1 minimizing m_k r^(k-1).
+
+    stop (log-convex tables only) searches the increments below index stop
+    alone, which gives min(N, stop) for every r < 1."""
     idx = np.zeros(t.shape, dtype=int)
     small = t < 0.0
     if np.any(small):
-        idx[small], hit = _argmin(seq, seq.log_m, seq.increments, -t[small],
-                                  k0=1)
+        idx[small], hit = _argmin(seq, seq.log_m, seq.increments[:stop],
+                                  -t[small], k0=1)
         if guard:
             _guard(seq, t[small], hit)
     return idx
@@ -277,15 +281,18 @@ def bigN(seq: WeightSequence, r):
 def bigN_capped(seq: WeightSequence, r, cap: int):
     """min(N(r), cap) elementwise, without the table guard when the cap decides.
 
-    For a log-convex table a guarded argmin certifies N(r) >= K_max >= cap,
-    so the capped value is cap and no raise is needed.  Non-log-convex
-    tables keep the guard (the true argmin location is unknown there).
+    On a log-convex table N(r) >= cap exactly when the increments below
+    index cap all lie under -log r, so the argmin searches only that
+    prefix and never needs the guard.  Non-log-convex tables scan the
+    whole table and keep the guard (the true argmin location is unknown
+    there).
     """
     cap = int(cap)
     if cap > seq.K_max:
         raise ValueError(f"cap={cap} exceeds table K_max={seq.K_max}")
-    return _elementwise(r, "r", lambda rr: np.minimum(
-        _bigN(seq, np.log(rr), guard=not seq.log_convex), cap))
+    convex = seq.log_convex
+    return _elementwise(r, "r", lambda rr: np.minimum(_bigN(
+        seq, np.log(rr), guard=not convex, stop=cap if convex else None), cap))
 
 
 def fbi_envelope(seq: WeightSequence, A: float, lam, certified: bool = True):

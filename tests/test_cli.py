@@ -382,6 +382,8 @@ def test_config_must_parse(tmp_path):
 
 
 _WF_SMALL = {"solution": {"fixture": "conormal"}, "n": 256}
+# shorter than EXTEND_CFG's series of n_max = 10 terms
+_SHORT_SEQ = {"kind": "gevrey", "s": 2.0, "K_max": 8}
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -424,6 +426,17 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
                  id="fbi.scan.a_threshold"),
     pytest.param("extend", dict(EXTEND_CFG, x=[]), id="extend.x"),
     pytest.param("extend", dict(EXTEND_CFG, n_max=[10]), id="extend.n_max"),
+    pytest.param("extend", dict(EXTEND_CFG, C_star=0), id="extend.C_star-0"),
+    pytest.param("extend", dict(EXTEND_CFG, C_star=-2.0),
+                 id="extend.C_star-negative"),
+    pytest.param("extend", dict(EXTEND_CFG, kernel={"epsilon": 1.5}),
+                 id="extend.kernel.epsilon"),
+    pytest.param("extend", dict(EXTEND_CFG, n_max=-3),
+                 id="extend.n_max-negative"),
+    pytest.param("extend", dict(EXTEND_CFG, seq=_SHORT_SEQ),
+                 id="extend.seq.K_max-short"),
+    pytest.param("extend", dict(EXTEND_CFG, seq=_SHORT_SEQ, C_star=2.0),
+                 id="extend.seq.K_max-short-C_star"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, cfg):
     rc, out = run(tmp_path, [command], cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman import weights
 from carleman.errors import FitFailed, GuardExceeded, NonRegular
 from carleman.weights import (
     absorption_fit,
@@ -383,6 +384,55 @@ def test_bigN_capped_agrees_and_survives_guard():
     assert not bumpy.log_convex
     with pytest.raises(GuardExceeded):
         bigN_capped(bumpy, 1e-4, 6)
+
+
+def full_search_capped(seq, r, cap):
+    """min(N(r), cap) from the argmin over the whole table, unguarded."""
+    return np.minimum(weights._bigN(seq, np.log(r), guard=False), cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=st.one_of(log_convex_tables(),
+                     st.sampled_from([make_sequence("gevrey", s=2.0, K_max=64),
+                                      make_sequence("gevrey", s=1.5,
+                                                    K_max=4096)])),
+       data=st.data())
+def test_bigN_capped_prefix_matches_full_search(seq, data):
+    cap = data.draw(st.integers(0, seq.K_max), label="cap")
+    # free r from far below the certified range to above 1, plus r on and
+    # next to the breakpoints exp(-lr[k]), where ties decide the index
+    k = data.draw(st.integers(1, seq.K_max - 1), label="k")
+    near = float(np.exp(-seq.increments[k]))
+    r = np.array(data.draw(st.lists(st.one_of(
+        st.floats(1e-12, 4.0),
+        st.sampled_from([near, np.nextafter(near, 0.0),
+                         np.nextafter(near, 2.0)])), min_size=1, max_size=8),
+        label="r"))
+    assert np.array_equal(bigN_capped(seq, r, cap),
+                          full_search_capped(seq, r, cap))
+    assert bigN_capped(seq, float(r[0]), cap) == \
+        full_search_capped(seq, r[:1], cap)[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=st.floats(1e-8, 4.0), cap=st.integers(0, 16))
+def test_bigN_capped_nonconvex_keeps_full_guarded_scan(r, cap):
+    bumpy = _bumpy_table()
+    assert not bumpy.log_convex
+    try:
+        want = min(bigN(bumpy, r), cap)
+    except GuardExceeded:
+        with pytest.raises(GuardExceeded):
+            bigN_capped(bumpy, r, cap)
+        return
+    assert bigN_capped(bumpy, r, cap) == want
+
+
+@pytest.mark.parametrize("r", [0.0, -0.5, [0.3, 0.0], [-1.0, 0.5]])
+def test_bigN_capped_rejects_nonpositive_r(r):
+    for seq in (make_sequence("gevrey", s=2.0, K_max=64), _bumpy_table()):
+        with pytest.raises(ValueError):
+            bigN_capped(seq, r, 6)
 
 
 @settings(max_examples=50, deadline=None)
