@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .errors import CarlemanError, ConfigError
+from .errors import ArityMismatch, CarlemanError, ConfigError
 
 _FIXTURE_GRIDS = ("gaussian", "sign", "pole", "conormal", "holomorphic")
 
@@ -170,11 +170,14 @@ def _section(spec, name: str) -> dict:
 
 def _number(v, name: str, kind=float):
     """v converted by kind (float or int); a config error when it does not
-    convert."""
+    convert, or when an integer does not fit the 64 bits of a numpy size."""
     try:
-        return kind(v)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
+        out = kind(v)
+        if kind is int and not -2 ** 63 <= out < 2 ** 63:
+            raise OverflowError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        what = "a 64-bit integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, not {json.dumps(v)}") \
             from None
 
@@ -186,6 +189,13 @@ def _grid_n(v, name: str) -> int:
         raise ConfigError(f"{name} must be at least 2 samples per axis, "
                           f"not {n}")
     return n
+
+
+def _integers(v, name: str) -> list:
+    """v as a list of integers; a config error otherwise."""
+    if not isinstance(v, list):
+        raise ConfigError(f"{name} must be a list, not {json.dumps(v)}")
+    return [_number(c, name, int) for c in v]
 
 
 def _numbers(v, name: str, size: int) -> list:
@@ -209,9 +219,10 @@ def _grid1d(d, name: str):
             grid = np.asarray(d["values"], dtype=float)
         else:
             lo, hi, n = float(d["lo"]), float(d["hi"]), int(d["n"])
-            grid = np.geomspace(lo, hi, n) \
-                if d.get("spacing", "linear") == "log" \
-                else np.linspace(lo, hi, n)
+            log = d.get("spacing", "linear") == "log"
+            if log and not (lo > 0.0 and hi > 0.0):
+                raise ValueError("log spacing needs lo > 0 and hi > 0")
+            grid = np.geomspace(lo, hi, n) if log else np.linspace(lo, hi, n)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad grid spec for {name!r}: {e}")
     if grid.size == 0:
@@ -255,35 +266,37 @@ def _cmd_weights(args) -> int:
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
     r = _grid1d(cfg.get("r", {"lo": 0.01, "hi": 10.0, "n": 50,
                               "spacing": "log"}), "r")
-
-    h = assoc(seq, "h", r)
-    h1 = assoc(seq, "h1", r)
-    nn = bigN_capped(seq, r, seq.K_max)
-    rows = [(float(rv), float(hv), float(h1v), int(nv))
-            for rv, hv, h1v, nv in zip(r, h, h1, nn)]
-    _write(args, "weights.csv", _csv_text(["r", "h", "h1", "bigN"], rows))
-
     reg = check_regularity(seq)
     results = {"regular": bool(reg.passed), "c_bound": float(seq.c_bound),
                "K_max": int(seq.K_max), "log_convex": bool(seq.log_convex)}
-    if "absorption" in cfg:
-        spec = _section(cfg["absorption"], "absorption")
-        rr = _grid1d(spec.get("r", {"lo": 1e-3, "hi": 1.0, "n": 40,
-                                    "spacing": "log"}), "absorption.r")
-        fits = []
-        for n in spec.get("n", [1, 2, 3]):
-            n = _number(n, "absorption.n", int)
-            fit = absorption_fit(seq, n, rr)
-            fits.append({"n": n, "Q": float(fit.Q), "C": float(fit.C),
-                         "passed": bool(fit.passed)})
-        results["absorption"] = fits
+    # the ValueErrors of these calls are input boundaries: an r <= 0
+    try:
+        h = assoc(seq, "h", r)
+        h1 = assoc(seq, "h1", r)
+        nn = bigN_capped(seq, r, seq.K_max)
+        if "absorption" in cfg:
+            spec = _section(cfg["absorption"], "absorption")
+            rr = _grid1d(spec.get("r", {"lo": 1e-3, "hi": 1.0, "n": 40,
+                                        "spacing": "log"}), "absorption.r")
+            fits = []
+            for n in _integers(spec.get("n", [1, 2, 3]), "absorption.n"):
+                fit = absorption_fit(seq, n, rr)
+                fits.append({"n": n, "Q": float(fit.Q), "C": float(fit.C),
+                             "passed": bool(fit.passed)})
+            results["absorption"] = fits
+    except ValueError as e:
+        raise ConfigError(f"bad weights config: {e}")
+    rows = [(float(rv), float(hv), float(h1v), int(nv))
+            for rv, hv, h1v, nv in zip(r, h, h1, nn)]
+    _write(args, "weights.csv", _csv_text(["r", "h", "h1", "bigN"], rows))
     _write(args, "weights.json", _json_text(_report(cfg, results)) + "\n")
     return 0
 
 
 def _cmd_jets(args) -> int:
-    from .jets import (VectorFieldJet, formal_solution, jet_to_dict,
-                       residual_check)
+    from .jets import (VectorFieldJet, augment_datum, formal_solution,
+                       jet_to_dict, residual_check, restrict_diagonal,
+                       time_augment)
     cfg = _load_config(args)
     try:
         fspec = _section(cfg["field"], "field")
@@ -292,13 +305,15 @@ def _cmd_jets(args) -> int:
         datum = _jet_cfg(cfg["datum"], "datum")
     except KeyError as e:
         raise ConfigError(f"jets config is missing {e}")
-    if fspec.get("time_dependent", False):
-        raise ConfigError("jets needs a time-independent field: make t one "
-                          "more x variable with coefficient 1")
+    except TypeError as e:              # "a" or "b" not a list
+        raise ConfigError(f"bad field spec: {e}")
+    timed = bool(fspec.get("time_dependent", False))
     try:
-        field = VectorFieldJet(a=a, b=b)
+        field = VectorFieldJet(a=a, b=b, time_dependent=timed)
     except CarlemanError as e:
         raise ConfigError(f"bad field spec: {e}")
+    if timed:       # t is the last x slot; u(x, 0) gains it at t = 0
+        field, datum = time_augment(field), augment_datum(datum)
     n_max = _number(cfg.get("n_max", 8), "n_max", int)
     n_res = _number(cfg.get("residual_n", min(6, n_max - 1)), "residual_n",
                     int)
@@ -306,14 +321,20 @@ def _cmd_jets(args) -> int:
         raise ConfigError(
             f"residual_n={n_res} needs u_{n_res + 1}, beyond n_max={n_max}")
 
-    series = formal_solution(field, datum, n_max)
+    try:
+        series = formal_solution(field, datum, n_max)
+    except (ArityMismatch, ValueError) as e:    # arity or overflow
+        raise ConfigError(f"bad jets config: {e}")
     rows = [(n, float(residual_check(series, n))) for n in range(n_res + 1)]
     _write(args, "jets.csv", _csv_text(["n", "residual"], rows))
 
+    # the t-coefficients of u(x, t), read off the diagonal s = t when t
+    # was an x slot
+    u = restrict_diagonal(series) if timed else series.u
     results = {"n_max": series.n_max,
-               "lossy": bool(any(u.lossy for u in series.u)),
+               "lossy": bool(any(uk.lossy for uk in series.u)),
                "max_residual": max(r for _, r in rows),
-               "u": [jet_to_dict(u, rows=_CoeffRows(u)) for u in series.u]}
+               "u": [jet_to_dict(uk, rows=_CoeffRows(uk)) for uk in u]}
     _write(args, "jets.json", _json_text(_report(cfg, results)) + "\n")
     return 0
 
@@ -408,7 +429,10 @@ def _fixture_grid(spec, seed: int):
         kw["half_width"] = _number(spec["half_width"], "grid.half_width")
     if name == "pole" and "offset" in spec:
         kw["offset"] = _number(spec["offset"], "grid.offset")
-    gf = getattr(fixtures, f"{name}_grid")(**kw)
+    try:
+        gf = getattr(fixtures, f"{name}_grid")(**kw)
+    except ValueError as e:             # half_width <= 0
+        raise ConfigError(f"bad grid spec: {e}")
     amp = _number(spec.get("noise", 0.0), "grid.noise")
     if amp > 0.0:
         rng = np.random.default_rng(seed)
@@ -438,7 +462,10 @@ def _scan_cfg(spec) -> "object":
         kw["lambda_min"] = _number(spec["lambda_min"], "scan.lambda_min")
     if "certified" in spec:
         kw["certified"] = bool(spec["certified"])
-    return ScanConfig(**kw)
+    try:
+        return ScanConfig(**kw)
+    except ValueError as e:
+        raise ConfigError(f"bad scan spec: {e}")
 
 
 def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
@@ -527,9 +554,14 @@ def _cmd_wf_experiment(args) -> int:
     radius = _number(cfg.get("radius", 1.0), "radius")
     n = _grid_n(cfg.get("n", GRID_N), "n")
     scfg = _scan_cfg(cfg.get("scan", {}))
-    rep = wf_inclusion_experiment(model, fn, seq, base=base,
-                                  radius=radius, n=n, config=scfg,
-                                  convention=cfg.get("convention", "split"))
+    # its ValueErrors are input boundaries: the convention, the radius
+    try:
+        rep = wf_inclusion_experiment(model, fn, seq, base=base,
+                                      radius=radius, n=n, config=scfg,
+                                      convention=cfg.get("convention",
+                                                         "split"))
+    except ValueError as e:
+        raise ConfigError(f"bad wf-experiment config: {e}")
 
     header, rows, summary = _scan_payload(rep.scan, seq, scfg.a_threshold,
                                           scfg.floor_rel)
@@ -554,8 +586,7 @@ def _cmd_acceptance(args) -> int:
         numbers = sorted(acceptance.CRITERIA)
     elif args.config is not None:
         cfg = _load_config(args)
-        numbers = [_number(n, "criteria", int)
-                   for n in cfg.get("criteria", [])]
+        numbers = _integers(cfg.get("criteria", []), "criteria")
         if not numbers:
             raise ConfigError("acceptance config selects no criteria")
     else:

@@ -61,8 +61,8 @@ def make_kernel(epsilon: float = 0.5, n_r: int = 64, n_theta: int = 64,
     kills the first four moments; both are required to tol, otherwise the
     grid cannot reproduce polynomials and we refuse it.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    if not 0.0 < epsilon < 1.0 or n_theta < 1:
+        raise ValueError("epsilon must lie in (0, 1) and n_theta be positive")
     xg, wg = roots_legendre(n_r)
     rr = 0.5 * epsilon * (xg + 1.0)
     wr = 0.5 * epsilon * wg
@@ -85,13 +85,6 @@ def make_kernel(epsilon: float = 0.5, n_r: int = 64, n_theta: int = 64,
             f"kernel moment residual {residual:.3g} exceeds {tol:.3g} "
             f"at n_r={n_r}, n_theta={n_theta}")
     return DiskKernel(epsilon, n_r, n_theta, nodes, weights, norm, residual)
-
-
-def bump_value(kernel: DiskKernel, w):
-    """The normalized bump at complex w (vanishes for |w| >= epsilon)."""
-    s = np.abs(np.asarray(w, dtype=complex)) ** 2 / kernel.epsilon ** 2
-    out = kernel.norm * _bump_profile(s)
-    return float(out) if np.ndim(w) == 0 else out
 
 
 def kernel_apply_poly(kernel: DiskKernel, coeffs, t: float) -> complex:
@@ -181,9 +174,9 @@ def _average(term, G):
 
 
 class _Stencil:
-    """The t-independent half of apply_L_numeric: every u_k at x and at
-    x +- dx along each axis, and the field coefficients a_i(x).  Each time
-    then costs three moment sums, at t and t +- ht."""
+    """The t-independent half of the central-difference field application:
+    every u_k at x and at x +- dx along each axis, and the coefficients
+    a_i(x).  Each time then costs three moment sums, at t and t +- ht."""
 
     def __init__(self, sol: ApproxSolution, x, dx: float):
         fld = sol.series.field
@@ -210,6 +203,7 @@ class _Stencil:
                               jet_eval(ai, x=xs if fld.n_x > 1 else xs[0])))
 
     def apply_L(self, t: float, dt: float | None = None):
+        """The field at time t, both time stencil points inside delta."""
         sol = self.sol
         cap = 0.45 * (sol.delta - abs(t))
         if cap <= 0.0:
@@ -226,16 +220,6 @@ class _Stencil:
             dudx = (ev(Vp, G) - ev(Vm, G)) / (2.0 * self.dx)
             out = out + a * dudx
         return out
-
-
-def apply_L_numeric(sol: ApproxSolution, x, t: float, dx: float = 1e-4,
-                    dt: float | None = None):
-    """Central-difference application of the field to the averaged solution.
-
-    The time step is capped at 0.45 (delta - |t|) so both stencil points
-    stay inside the validity region.
-    """
-    return _Stencil(sol, x, dx).apply_L(t, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +255,8 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence, q_grid=None,
         raise ValueError("need matching one-dimensional t and sup arrays")
     if np.any(t <= 0.0):
         raise ValueError("flatness is measured at t != 0")
+    if not np.isfinite(sup).all():
+        raise FitFailed("sup |L u| is not finite at every t")
     q_grid = _Q_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
 
     best = None
@@ -284,7 +270,8 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence, q_grid=None,
         if np.any((hv == 0.0) & (sup > 0.0)):
             skipped.append(float(Q))
             continue
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # a ratio past the largest float is inf, above any a_cap
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             ratios = np.where(sup > 0.0, sup / hv, 0.0)
         a_raw = float(np.max(ratios))
         A = 0.0 if a_raw == 0.0 else snap_up(a_raw)
@@ -309,9 +296,11 @@ def measure_flatness(sol: ApproxSolution, x_values, t_values,
 
     The u_k are evaluated on the x stencil once; each time adds only its
     moment sums."""
-    stencil = _Stencil(sol, x_values, dx)
-    sups = [factor * float(np.max(np.abs(stencil.apply_L(float(tv)))))
-            for tv in t_values]
+    # values past the float range reach the fit as inf or nan, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        stencil = _Stencil(sol, x_values, dx)
+        sups = [factor * float(np.max(np.abs(stencil.apply_L(float(tv)))))
+                for tv in t_values]
     return flatness_fit(t_values, sups, sol.seq, q_grid=q_grid, a_cap=a_cap)
 
 
@@ -345,7 +334,8 @@ def almost_analytic_extend(f, seq: WeightSequence, kernel: DiskKernel,
     sol = ApproxSolution(series, seq, kernel, C_star)
 
     out = np.empty(zf.shape, dtype=complex)
-    for tv in np.unique(zf.imag):
-        m = zf.imag == tv
-        out[m] = np.atleast_1d(sol.evaluate(zf.real[m], float(tv)))
+    with np.errstate(over="ignore", invalid="ignore"):     # inf or nan
+        for tv in np.unique(zf.imag):
+            m = zf.imag == tv
+            out[m] = np.atleast_1d(sol.evaluate(zf.real[m], float(tv)))
     return out.reshape(z.shape), sol

@@ -5,18 +5,6 @@ class CarlemanError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NonRegular(CarlemanError):
-    """A weight sequence violates one of the regularity conditions a)-d).
-
-    Carries the list of (condition tag, first offending index) pairs.
-    """
-
-    def __init__(self, failures):
-        self.failures = list(failures)
-        tags = ", ".join(f"{tag}@{idx}" for tag, idx in self.failures)
-        super().__init__(f"sequence fails regularity condition(s): {tags}")
-
-
 class GuardExceeded(CarlemanError):
     """An infimum over the materialized table hit the boundary index K_max
     with terms still decreasing, so the reported value would not be the
@@ -53,10 +41,6 @@ class TrustBoxExceeded(CarlemanError):
 
 class SingularJacobian(CarlemanError):
     """Z_x is numerically singular at some sample (condition number too large)."""
-
-
-class CharacteristicDirection(CarlemanError):
-    """The covector is characteristic; the rotation amplitude R vanishes."""
 
 
 class ConfigError(CarlemanError):

@@ -150,6 +150,17 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 # the transform
 
+def _check_steps(steps, half, lam: float):
+    """The oscillation guard at |xi| = lam, per axis step and half-width."""
+    for d in range(len(steps)):
+        allowed = np.pi / (4.0 * (lam + np.sqrt(lam) * half[d])) \
+            if lam > 0 else np.inf
+        if steps[d] > allowed:
+            raise Undersampled(
+                f"axis {d} step {steps[d]:.3g} exceeds {allowed:.3g} "
+                f"needed at |xi| = {lam:.3g}")
+
+
 def _check_sampling(gf: GridFunction, x, lams):
     """Oscillation and truncation guards at each |xi| in lams, in order."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -164,13 +175,7 @@ def _check_sampling(gf: GridFunction, x, lams):
     edge = gf.boundary_max()
     dist = float(np.min(np.minimum(x - gf.lo, gf.hi - x)))
     for lam in lams:
-        for d in range(gf.dim):
-            allowed = np.pi / (4.0 * (lam + np.sqrt(lam) * half[d])) \
-                if lam > 0 else np.inf
-            if steps[d] > allowed:
-                raise Undersampled(
-                    f"axis {d} step {steps[d]:.3g} exceeds {allowed:.3g} "
-                    f"needed at |xi| = {lam:.3g}")
+        _check_steps(steps, half, lam)
         with np.errstate(under="ignore"):
             damping = np.exp(-lam * dist * dist)
         if edge * damping > _BOUNDARY_TOL * scale:
@@ -178,22 +183,6 @@ def _check_sampling(gf: GridFunction, x, lams):
                 "integrand is not negligible at the box edge; enlarge the "
                 "box or add a cutoff")
     return x
-
-
-def fbi_transform(gf: GridFunction, x, xi) -> complex:
-    """Trapezoid discretization of int u(y) e^{i(x-y).xi - |xi|(x-y)^2} dy."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.size != gf.dim:
-        raise ValueError(f"xi has {xi.size} components for a {gf.dim}-d grid")
-    lam = float(np.linalg.norm(xi))
-    x = _check_sampling(gf, x, [lam])
-    out = gf.values
-    for d in range(gf.dim - 1, -1, -1):
-        v = x[d] - gf.axis(d)
-        with np.errstate(under="ignore"):
-            p = gf.trapezoid_weights(d) * np.exp(1j * v * xi[d] - lam * v * v)
-        out = np.tensordot(out, p, axes=([d], [0]))
-    return complex(out)
 
 
 def _axis_window(gf: GridFunction, x, d: int, lams):
@@ -293,7 +282,12 @@ class DecayReport:
     n_tail: int
 
 
-def decay_classify(lambdas, samples, seq: WeightSequence, a_grid=None,
+def _tail(lams: np.ndarray, lambda_min: float) -> np.ndarray:
+    """Mask of the lambdas at or above lambda_min, up to rounding."""
+    return lams >= lambda_min * (1.0 - 1e-12)
+
+
+def decay_classify(lambdas, samples, seq: WeightSequence,
                    lambda_min: float = 4.0, floor_rel: float = 1e-11,
                    scale: float | None = None,
                    certified: bool = False) -> DecayReport:
@@ -307,18 +301,17 @@ def decay_classify(lambdas, samples, seq: WeightSequence, a_grid=None,
     mags = np.abs(np.asarray(samples))
     if lams.shape != mags.shape or lams.ndim != 1 or lams.size == 0:
         raise ValueError("need matching one-dimensional lambda and sample arrays")
-    a_grid = _A_GRID if a_grid is None else np.asarray(a_grid, dtype=float)
     if scale is None:
         scale = float(np.max(mags)) if np.max(mags) > 0 else 1.0
     floor = floor_rel * scale
 
-    tail = lams >= lambda_min * (1.0 - 1e-12)
+    tail = _tail(lams, lambda_min)
     n_tail = int(np.sum(tail))
     if n_tail == 0:
         raise ValueError(f"no samples at or above lambda_min={lambda_min}")
     lt, mt = lams[tail], mags[tail]
 
-    for A in a_grid:
+    for A in _A_GRID:
         env = fbi_envelope(seq, float(A), lt, certified=certified)
         if np.all(mt <= np.maximum(env, floor)):
             return DecayReport(True, float(A), lambda_min, floor, n_tail)
@@ -331,7 +324,7 @@ def decay_margin(lambdas, samples, seq: WeightSequence, A: float,
     samples poke above the envelope at level A."""
     lams = np.asarray(lambdas, dtype=float)
     mags = np.abs(np.asarray(samples))
-    tail = lams >= lambda_min * (1.0 - 1e-12)
+    tail = _tail(lams, lambda_min)
     env = fbi_envelope(seq, A, lams[tail], certified=False)
     with np.errstate(divide="ignore"):
         return float(np.max(np.log(mags[tail]) - np.log(env)))
@@ -347,9 +340,17 @@ class ScanConfig:
         default_factory=lambda: np.geomspace(4.0, 64.0, 12))
     a_threshold: float = 1.0
     floor_rel: float = 1e-11
-    a_grid: np.ndarray | None = None
     lambda_min: float | None = None      # default: top third of the log range
     certified: bool = False
+
+    def __post_init__(self):
+        """ValueError for a scan that classifies nothing."""
+        lams = np.asarray(self.lambdas, dtype=float)
+        top = self.lambda_min is None or np.any(_tail(lams, self.lambda_min))
+        if self.n_directions < 1 or not self.a_threshold > 0.0 or \
+                not (lams.size and np.all(lams > 0.0)) or not top:
+            raise ValueError("a scan needs n_directions >= 1, a_threshold > "
+                             "0, lambdas > 0 and one at or above lambda_min")
 
 
 @dataclass
@@ -443,9 +444,9 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
     reports = []
     failed = []
     for j in range(dirs.shape[0]):
-        rep = decay_classify(lams, samples[j], seq, a_grid=cfg.a_grid,
-                             lambda_min=lambda_min, floor_rel=cfg.floor_rel,
-                             scale=1.0, certified=cfg.certified)
+        rep = decay_classify(lams, samples[j], seq, lambda_min=lambda_min,
+                             floor_rel=cfg.floor_rel, scale=1.0,
+                             certified=cfg.certified)
         reports.append(rep)
         if not rep.passed or rep.A_fit > cfg.a_threshold:
             failed.append(j)

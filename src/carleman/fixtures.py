@@ -35,8 +35,10 @@ def radial_cutoff(*coords, radius: float = 1.0):
 # one-dimensional profiles with closed-form transforms
 
 def gaussian_grid(n: int = 2048, half_width: float = 8.0) -> GridFunction:
-    return GridFunction.from_function(lambda y: np.exp(-y * y),
-                                      [-half_width], [half_width], n)
+    def fn(y):
+        with np.errstate(over="ignore"):        # y^2 = inf: e^{-y^2} = 0
+            return np.exp(-y * y)
+    return GridFunction.from_function(fn, [-half_width], [half_width], n)
 
 
 def gaussian_fbi_closed_form(x: float, xi: float) -> complex:
@@ -104,7 +106,3 @@ def upper_trace(x: float, t_values) -> np.ndarray:
 
 def lower_trace(x: float, t_values) -> np.ndarray:
     return x - 1j * np.asarray(t_values, dtype=float)
-
-
-def flat_trace(x: float, t_values) -> np.ndarray:
-    return x + 0j * np.asarray(t_values, dtype=float)

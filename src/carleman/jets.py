@@ -8,8 +8,8 @@ solution recursion of a vector field
     L = d/dt + sum_i a_i(x, zeta) d/dx_i + sum_j b_j(x, zeta) d/dzeta_j,
 
 its truncation residual identity, derivative growth fitting against a
-weight sequence, and the device that turns a t-dependent field into a
-t-independent one on one more variable.
+weight sequence, and the device that solves a t-dependent field as a
+t-independent one with t as one more x variable.
 
 Multi-indices run over the x slots first, then the zeta slots.  A jet's
 coefficients are one read-only complex array over the graded basis of the
@@ -333,12 +333,6 @@ class FormalSeries:
     residuals: list = field(default=None, init=False, repr=False)
 
 
-@dataclass(eq=False)
-class TimePoly:
-    """Polynomial in t with Jet coefficients, coeffs[k] multiplying t^k."""
-    coeffs: list
-
-
 def _apply_coeffs(L: VectorFieldJet, p: Jet) -> Jet:
     """sum_i a_i dp/dx_i + sum_j b_j dp/dzeta_j (no time derivative)."""
     out = jet_constant(0.0, p.n_x, p.n_zeta, p.degree, p.base_x, p.base_zeta)
@@ -353,7 +347,8 @@ def formal_solution(L: VectorFieldJet, f: Jet, n_max: int) -> FormalSeries:
     """u_0 = f, u_k = -(1/k)(sum a_i du_{k-1}/dx_i + sum b_j du_{k-1}/dzeta_j).
 
     Requires a time-independent field (augment first otherwise) and
-    n_max <= D, since every step consumes one polynomial degree.
+    n_max <= D, since every step consumes one polynomial degree.  A u_k
+    past the float range raises ValueError.
     """
     if L.time_dependent:
         raise ValueError("field is time-dependent; apply time_augment first")
@@ -362,22 +357,12 @@ def formal_solution(L: VectorFieldJet, f: Jet, n_max: int) -> FormalSeries:
         raise BudgetExhausted(
             f"n_max={n_max} exceeds degree budget D={f.degree}")
     u = [f]
-    for k in range(1, n_max + 1):
-        u.append(jet_scale(_apply_coeffs(L, u[-1]), -1.0 / k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_max + 1):
+            u.append(jet_scale(_apply_coeffs(L, u[-1]), -1.0 / k))
+            if not np.isfinite(u[-1].data).all():
+                raise ValueError(f"u_{k} overflows the float range")
     return FormalSeries(L, f, u, n_max, [f.degree - k for k in range(n_max + 1)])
-
-
-def truncate(series: FormalSeries, n: int) -> TimePoly:
-    if n > series.n_max:
-        raise ValueError(f"n={n} exceeds computed n_max={series.n_max}")
-    return TimePoly(list(series.u[:n + 1]))
-
-
-def apply_field(L: VectorFieldJet, p: TimePoly) -> TimePoly:
-    """Exact d/dt p + (coefficient part) p, degree by degree in t."""
-    out = [_apply_coeffs(L, c) for c in p.coeffs]
-    return TimePoly([jet_add(q, jet_scale(c, k + 1)) for k, (q, c)
-                     in enumerate(zip(out, p.coeffs[1:]))] + out[-1:])
 
 
 def residual_check(series: FormalSeries, n: int) -> float:
@@ -506,25 +491,19 @@ def augment_datum(jet: Jet) -> Jet:
 
 def time_augment(L: VectorFieldJet) -> VectorFieldJet:
     """Turn d/dt + sum a_i(x, t, zeta) d/dx_i + ... into a time-independent
-    field on one more x variable: the time slot becomes x_{n_x}, picking up
-    the unit coefficient of d/dt.
-
-    For a time-dependent field the slot already exists (last x variable) and
-    the result is a reinterpretation; a time-independent field first gets
-    the extra slot spliced into every coefficient jet.
-    """
-    ext = (lambda j: j) if L.time_dependent else augment_datum
-    a, b, ref = [ext(j) for j in L.a], [ext(j) for j in L.b], ext(L.ref)
+    field on the same variables: the time slot, the last x variable, picks
+    up the unit coefficient of d/dt.  Embed the datum with augment_datum."""
+    ref = L.ref
     one = jet_constant(1.0, ref.n_x, ref.n_zeta, ref.degree,
                        ref.base_x, ref.base_zeta)
-    return VectorFieldJet(a + [one], b, time_dependent=False)
+    return VectorFieldJet(list(L.a) + [one], L.b, time_dependent=False)
 
 
 def restrict_diagonal(series: FormalSeries) -> list:
     """Set the augmented slot equal to t in sum_k u_k(x, s) t^k at s = t.
 
-    Returns the t-coefficients as jets over the original (unaugmented)
-    variables: coefficient m collects the s^{m-k} part of every u_k.
+    Returns the t-coefficients m = 0..n_max over the original variables:
+    coefficient m collects the s^{m-k} part of every u_k, k <= m.
     """
     u0 = series.u[0]
     n_x = u0.n_x - 1
@@ -534,9 +513,9 @@ def restrict_diagonal(series: FormalSeries) -> list:
     s_exp = u0.basis.exps[:, n_x]
     target = small.basis.rank(np.delete(u0.basis.exps, n_x, axis=1)
                               @ small.basis.radix)
-    nzs = [np.flatnonzero(u.data) for u in series.u]
-    out = np.zeros((max([k + s_exp[nz].max() for k, nz in enumerate(nzs)
-                         if nz.size] + [0]) + 1, small.basis.size), dtype=complex)
-    for k, (u, nz) in enumerate(zip(series.u, nzs)):
+    out = np.zeros((series.n_max + 1, small.basis.size), dtype=complex)
+    for k, u in enumerate(series.u):
+        nz = np.flatnonzero(u.data)
+        nz = nz[k + s_exp[nz] <= series.n_max]
         out[k + s_exp[nz], target[nz]] += u.data[nz]
     return [_like(small, row, False) for row in out]

@@ -7,9 +7,9 @@ relevant operator is the linearization
 
     L^u = d/dt - sum_j f_zeta_j(x, u, grad u) d/dx_j,
 
-whose characteristic covectors, Hamiltonian lift to the zeta slots, and
-angular reduction are computed here, together with utilities that certify
-sampled solutions and recover transport coefficients from complex traces.
+whose characteristic covectors and Hamiltonian lift to the zeta slots are
+computed here, together with utilities that certify sampled solutions and
+recover transport coefficients from complex traces.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import (ArityMismatch, CharacteristicDirection, SingularJacobian,
-                     TrustBoxExceeded)
-from .fbi import GRID_N, GridFunction, ScanConfig, ScanReport, wavefront_scan
+from .errors import ArityMismatch, SingularJacobian, TrustBoxExceeded
+from .fbi import GRID_N, GridFunction, ScanConfig, ScanReport, \
+    _check_steps, wavefront_scan
 from .fixtures import radial_cutoff
 from .jets import Jet, VectorFieldJet, _apply_coeffs, jet_add, jet_diff, \
     jet_eval, jet_mul, jet_scale, jet_variable
@@ -157,9 +157,6 @@ class CharSet:
         proj = self.basis @ (self.basis.T @ v)
         return float(np.linalg.norm(v - proj))
 
-    def contains(self, covector, tol: float = 1e-9) -> bool:
-        return self.distance(covector) <= tol
-
 
 def char_set(a0, convention: str = "split") -> CharSet:
     """tau = Re a0 . xi and Im a0 . xi = 0 ("split", the default), or
@@ -176,29 +173,6 @@ def char_set(a0, convention: str = "split") -> CharSet:
     constraints = np.vstack([row_re, row_im])
     basis = null_space(constraints)
     return CharSet(a0, convention, constraints, basis)
-
-
-def theta_reduce(a0, tau: float, xi, tol: float = 1e-9):
-    """Angle minimizing g(theta) = cos(theta) Im a0.xi
-    + sin(theta) (Re a0.xi + tau); returns (theta, min value).
-
-    g is R cos(theta - phi0); a covector with R ~ 0 admits no minimizing
-    angle and raises.
-    """
-    a0 = np.atleast_1d(np.asarray(a0, dtype=complex))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.size != a0.size:
-        raise ArityMismatch("xi length does not match the symbol")
-    re_part = float(a0.real @ xi) + float(tau)
-    im_part = float(a0.imag @ xi)
-    R = float(np.hypot(re_part, im_part))
-    if R <= tol:
-        raise CharacteristicDirection(
-            "covector is characteristic for the angular reduction; "
-            "g vanishes identically")
-    phi0 = np.arctan2(re_part, im_part)
-    theta = float(np.mod(phi0 + np.pi, 2.0 * np.pi))
-    return theta, -R
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +312,13 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
     if model.n_x != 1:
         raise ArityMismatch("the experiment covers one spatial variable")
     x0, t0 = float(base[0]), float(base[1])
+    lo, hi = np.array([x0, t0]) - radius, np.array([x0, t0]) + radius
+    if not np.all(lo < hi):
+        raise ValueError(f"radius {radius:.6g} spans no box around {base}")
 
     def windowed(xv, tv):
         return (np.asarray(u(xv, tv), dtype=complex)
                 * radial_cutoff(xv - x0, tv - t0, radius=radius))
-
-    gf = GridFunction.from_function(windowed, [x0 - radius, t0 - radius],
-                                    [x0 + radius, t0 + radius], n)
-    scan = wavefront_scan(gf, [x0, t0], seq, config)
 
     h = 1e-5
     u0 = complex(np.asarray(u(x0, t0), dtype=complex))
@@ -356,6 +329,11 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
         raise TrustBoxExceeded("base point state beyond the trusted radius")
     a0 = model.zeta_gradient_at(x0, [u0, ux0])
     cs = char_set(a0, convention)
+
+    for lam in (config or ScanConfig()).lambdas:    # before the grid build
+        _check_steps((hi - lo) / (n - 1.0), 0.5 * (hi - lo), lam)
+    gf = GridFunction.from_function(windowed, lo, hi, n)
+    scan = wavefront_scan(gf, [x0, t0], seq, config)
 
     step = 2.0 * np.pi / scan.directions.shape[0]
     covs = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitFailed, GuardExceeded, NonRegular
+from .errors import FitFailed, GuardExceeded
 
 # Largest non-log-convex table we are willing to brute-force scan.
 _BRUTE_MAX = 8192
@@ -71,7 +71,9 @@ class WeightSequence:
         """Empirical sup over the table of (m_{k+1}/m_k)^(1/k), k >= 1."""
         lr = self.increments
         ks = np.arange(1, self.K_max)
-        return float(np.exp(np.max(lr[1:] / ks))) if self.K_max >= 2 else 1.0
+        with np.errstate(over="ignore"):        # inf past the float range
+            return float(np.exp(np.max(lr[1:] / ks))) if self.K_max >= 2 \
+                else 1.0
 
     @property
     def log_M(self) -> np.ndarray:
@@ -85,7 +87,7 @@ def make_sequence(kind: str = "gevrey", s: float = 2.0, K_max: int = 64,
     kind="gevrey": M_k = (k!)^s, requires s > 1.  kind="table": values are
     the M_k themselves, need at least K_max+1 positive entries.
     Construction never rejects a sequence for failing the regularity
-    conditions; run check_regularity / require_regular for that.
+    conditions; run check_regularity for that.
     """
     K_max = int(K_max)
     if K_max < 8:
@@ -162,7 +164,7 @@ def check_regularity(seq: WeightSequence, d_threshold: float = 4.0,
         failures.append(("c", int(bad[0]) + 1))
 
     roots = log_m[1:] / np.arange(1, K + 1)    # log m_k^{1/k}
-    if np.exp(roots[-1]) < d_threshold:
+    if roots[-1] < np.log(d_threshold):
         failures.append(("d", K))
     else:
         lo = max(1, (3 * K) // 4)
@@ -173,13 +175,6 @@ def check_regularity(seq: WeightSequence, d_threshold: float = 4.0,
 
     return RegularityReport(not failures, failures, seq.c_bound,
                             d_threshold, c_threshold)
-
-
-def require_regular(seq: WeightSequence, **kwargs) -> None:
-    """Raise NonRegular unless check_regularity passes."""
-    report = check_regularity(seq, **kwargs)
-    if not report.passed:
-        raise NonRegular(report.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +326,8 @@ def snap_up(value: float) -> float:
     constants are reported; the 1e-9 slack absorbs rounding."""
     if value <= 1.0:
         return 1.0
+    if value == np.inf:
+        return value
     j = int(np.ceil(np.log2(value) / 0.25 - 1e-9))
     return 2.0 ** (j * 0.25)
 
@@ -373,12 +370,6 @@ def absorption_fit(seq: WeightSequence, n: int, r_values,
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def seq_to_dict(seq: WeightSequence) -> dict:
-    if seq.kind == "gevrey":
-        return {"kind": "gevrey", "s": seq.s, "K_max": seq.K_max}
-    return {"kind": "table", "values": [float(v) for v in seq.values]}
-
 
 def seq_from_dict(d: dict) -> WeightSequence:
     kind = d.get("kind")

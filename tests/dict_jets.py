@@ -107,13 +107,13 @@ def extend_with_slot(a: DictJet, pos: int) -> DictJet:
 
 
 def restrict_diagonal(u: list, pos: int) -> list:
-    """Coefficients of t^m in sum_k u_k t^k with slot pos set to t."""
-    out = {}
+    """Coefficients of t^m, m < len(u), in sum_k u_k t^k with slot pos set
+    to t."""
+    out = [{} for _ in u]
     for k, uk in enumerate(u):
         for idx, c in uk.coeffs.items():
-            d = out.setdefault(k + idx[pos], {})
-            ridx = idx[:pos] + idx[pos + 1:]
-            d[ridx] = d.get(ridx, 0.0) + c
-    top = max(out) if out else 0
-    return [DictJet(u[0].nvars - 1, u[0].degree, _pruned(out.get(m, {})))
-            for m in range(top + 1)]
+            if k + idx[pos] < len(u):
+                d = out[k + idx[pos]]
+                ridx = idx[:pos] + idx[pos + 1:]
+                d[ridx] = d.get(ridx, 0.0) + c
+    return [DictJet(u[0].nvars - 1, u[0].degree, _pruned(d)) for d in out]

@@ -1,11 +1,13 @@
-"""Per-lambda complex-product direction scan: the oracle for
-carleman.fbi.fbi_direction_scan.
+"""Per-lambda complex-product direction scan and the pointwise transform:
+the oracles for carleman.fbi.fbi_direction_scan.
 
-The toolkit's first scan, kept as a plain function.  For every lambda it
-builds the complex phase planes g_d(y_d) e^{i lambda v_d omega_d} of every
-direction along each axis and contracts the grid against them: one complex
-matrix product per lambda, with no sharing between directions and no use of
-a real grid.  The sampling guards are the toolkit's own.
+direction_scan is the toolkit's first scan, kept as a plain function.  For
+every lambda it builds the complex phase planes g_d(y_d) e^{i lambda v_d
+omega_d} of every direction along each axis and contracts the grid against
+them: one complex matrix product per lambda, with no sharing between
+directions and no use of a real grid.  fbi_transform is the toolkit's first
+transform: one covector at a time, one tensor contraction per axis.  The
+sampling guards are the toolkit's own.
 """
 
 from __future__ import annotations
@@ -13,6 +15,22 @@ from __future__ import annotations
 import numpy as np
 
 from carleman.fbi import GridFunction, _check_sampling
+
+
+def fbi_transform(gf: GridFunction, x, xi) -> complex:
+    """Trapezoid discretization of int u(y) e^{i(x-y).xi - |xi|(x-y)^2} dy."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.size != gf.dim:
+        raise ValueError(f"xi has {xi.size} components for a {gf.dim}-d grid")
+    lam = float(np.linalg.norm(xi))
+    x = _check_sampling(gf, x, [lam])
+    out = gf.values
+    for d in range(gf.dim - 1, -1, -1):
+        v = x[d] - gf.axis(d)
+        with np.errstate(under="ignore"):
+            p = gf.trapezoid_weights(d) * np.exp(1j * v * xi[d] - lam * v * v)
+        out = np.tensordot(out, p, axes=([d], [0]))
+    return complex(out)
 
 
 def direction_scan(gf: GridFunction, x, directions, lambdas) -> np.ndarray:

@@ -164,13 +164,36 @@ def test_jets_bad_datum_is_config_error(tmp_path, capsys, rows):
     assert not (out / "jets.json").exists()
 
 
-def test_jets_time_dependent_field_is_config_error(tmp_path, capsys):
-    t_coeff = {"n_x": 2, "n_zeta": 0, "D": 8, "coeffs": [[[0, 1], 1.0, 0.0]]}
+# d/dt + t d/dx: the coefficient lives on (x, t), the datum u(x, 0) on x
+JETS_TD_CFG = {"field": {"a": [{"n_x": 2, "n_zeta": 0, "D": 8,
+                                "coeffs": [[[0, 1], 1.0, 0.0]]}], "b": [],
+                         "time_dependent": True},
+               "datum": {"n_x": 1, "n_zeta": 0, "D": 8,
+                         "coeffs": [[[2], 1.0, 0.0]]},
+               "n_max": 4}
+
+
+def test_jets_time_dependent_oracle(tmp_path):
+    # (d/dt + t d/dx) u = 0, u(x, 0) = x^2 has u = (x - t^2/2)^2
+    rc, out = run(tmp_path, ["jets"], JETS_TD_CFG)
+    assert rc == 0
+    _, rows = read_csv(out / "jets.csv")
+    assert [float(r[1]) for r in rows] == [0.0] * 4
+    res = json.loads((out / "jets.json").read_text())["results"]
+    assert res["n_max"] == 4 and res["max_residual"] == 0.0
+    assert [u["n_x"] for u in res["u"]] == [1] * 5
+    # the t^m coefficients x^2, 0, -x, 0, 1/4
+    assert [u["coeffs"] for u in res["u"]] == [
+        [[[2], 1.0, 0.0]], [], [[[1], -1.0, 0.0]], [], [[[0], 0.25, 0.0]]]
+
+
+def test_jets_time_dependent_datum_of_wrong_arity_is_config_error(
+        tmp_path, capsys):
+    # a datum over (x, t) has one variable more than u(x, 0)
     datum = {"n_x": 2, "n_zeta": 0, "D": 8, "coeffs": [[[1, 0], 1.0, 0.0]]}
-    cfg = {"field": {"a": [t_coeff], "b": [], "time_dependent": True},
-           "datum": datum, "n_max": 4}
-    rc, _ = run(tmp_path, ["jets"], cfg)
+    rc, out = run(tmp_path, ["jets"], dict(JETS_TD_CFG, datum=datum))
     assert rc == 2 and one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_weights_absorption_overflow_is_fit_failure(tmp_path, capsys):
@@ -382,6 +405,11 @@ def test_config_must_parse(tmp_path):
 
 
 _WF_SMALL = {"solution": {"fixture": "conormal"}, "n": 256}
+
+
+def _sign_scan(**scan):
+    return {"grid": {"fixture": "sign"}, "seq": GEVREY2, "scan": scan}
+
 # shorter than EXTEND_CFG's series of n_max = 10 terms
 _SHORT_SEQ = {"kind": "gevrey", "s": 2.0, "K_max": 8}
 
@@ -437,6 +465,48 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
                  id="extend.seq.K_max-short"),
     pytest.param("extend", dict(EXTEND_CFG, seq=_SHORT_SEQ, C_star=2.0),
                  id="extend.seq.K_max-short-C_star"),
+    pytest.param("weights", dict(WEIGHTS_CFG, absorption={"n": 3}),
+                 id="weights.absorption.n-int"),
+    pytest.param("weights", dict(WEIGHTS_CFG, absorption={"n": "abc"}),
+                 id="weights.absorption.n-str"),
+    pytest.param("weights", dict(WEIGHTS_CFG, r={"values": [0.5, -1.0]}),
+                 id="weights.r-negative"),
+    pytest.param("weights", dict(WEIGHTS_CFG, absorption={
+        "r": {"values": [0.0, 1.0]}}), id="weights.absorption.r-0"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, convention="bogus"),
+                 id="wf.convention"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, radius=0),
+                 id="wf.radius-0"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, radius=-1.0),
+                 id="wf.radius-negative"),
+    pytest.param("fbi", _sign_scan(n_directions=0),
+                 id="fbi.scan.n_directions-0"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, scan={"n_directions": -4}),
+                 id="wf.scan.n_directions-negative"),
+    pytest.param("fbi", _sign_scan(lambda_min=100.0),
+                 id="fbi.scan.lambda_min-above"),
+    pytest.param("fbi", _sign_scan(lambdas={"values": [0.0, 8.0, 64.0]}),
+                 id="fbi.scan.lambdas-0"),
+    pytest.param("fbi", _sign_scan(a_threshold=0),
+                 id="fbi.scan.a_threshold-0"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, scan={"a_threshold": -1.0}),
+                 id="wf.scan.a_threshold-negative"),
+    pytest.param("weights", dict(WEIGHTS_CFG, r={"lo": -1.0, "hi": 4.0,
+                                                 "n": 5, "spacing": "log"}),
+                 id="weights.r-log-negative"),
+    pytest.param("jets", dict(JETS_CFG, field={"a": 3, "b": []}),
+                 id="jets.field.a-int"),
+    pytest.param("jets", dict(JETS_CFG, field={"a": [dict(
+        JETS_CFG["field"]["a"][0], coeffs=[[[0], 1e300, 0.0]])], "b": []}),
+                 id="jets.field.a-overflow"),
+    pytest.param("extend", dict(EXTEND_CFG, kernel={"n_theta": 0}),
+                 id="extend.kernel.n_theta-0"),
+    pytest.param("fbi", {"grid": {"fixture": "sign", "half_width": 0}},
+                 id="fbi.grid.half_width-0"),
+    pytest.param("fbi", {"grid": {"fixture": "sign", "n": 1e300}},
+                 id="fbi.grid.n-huge"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, base=[1e300, 0.0]),
+                 id="wf.base-huge"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, cfg):
     rc, out = run(tmp_path, [command], cfg)

