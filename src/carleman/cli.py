@@ -498,9 +498,12 @@ def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
 
 
 def _cmd_fbi(args) -> int:
-    from .fbi import ScanConfig, wavefront_scan
+    from .fbi import wavefront_scan
     cfg = _load_config(args)
     gf = _fixture_grid(cfg.get("grid", {}), args.seed)
+    if gf.dim > 2:
+        raise ConfigError(f"scans cover 1-D and 2-D grids; this grid is "
+                          f"{gf.dim}-D")
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
     x0 = _numbers(cfg.get("x0", [0.0] * gf.dim), "x0", gf.dim)
     scfg = _scan_cfg(cfg.get("scan", {}))
@@ -613,7 +616,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int,
-                        help="BLAS thread cap, applied before numpy loads")
+                        help="thread cap for BLAS and the grid pool, applied "
+                             "before numpy loads")
     common.add_argument("--seed", type=int, default=0,
                         help="RNG seed for fixture noise")
 

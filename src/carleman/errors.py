@@ -31,6 +31,11 @@ class Undersampled(CarlemanError):
     """Grid spacing too coarse to resolve the requested FBI frequency."""
 
 
+class NonFiniteSamples(CarlemanError):
+    """Grid samples hold NaN or infinity, so no transform of them is
+    meaningful."""
+
+
 class NoCone(CarlemanError):
     """No sampled direction admits a phase-bound constant above the floor."""
 

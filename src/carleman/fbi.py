@@ -12,22 +12,25 @@ product (two where the block has an imaginary part).
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoCone, Undersampled
+from .errors import NonFiniteSamples, NoCone, Undersampled
 from .weights import WeightSequence, fbi_envelope
 
 _BOUNDARY_TOL = 1e-12
 # default samples per axis of the two-dimensional scan grids: the conormal
 # and holomorphic fixtures and the wave front experiment
 GRID_N = 2752
-# samples per block of leading-axis rows when a grid is built, checked,
-# written or read
+# samples per block of leading-axis rows when a grid is written or read,
+# and in flight over all workers when a grid is built or checked
 _BLOCK_ELEMENTS = 1 << 15
 # samples per block of grid rows in a direction scan: the real product
 # against the shared cos/sin matrix runs nearer the BLAS peak on taller
@@ -43,6 +46,54 @@ def _row_blocks(shape, elements: int = _BLOCK_ELEMENTS) -> list:
     """Slices of leading-axis rows holding about `elements` samples each."""
     rows = max(1, elements // math.prod(shape[1:]))
     return [slice(i, i + rows) for i in range(0, shape[0], rows)]
+
+
+def _pool_workers() -> int:
+    """Threads for the elementwise grid passes: the CPUs this process may
+    run on, capped by OMP_NUM_THREADS, which the CLI's --threads sets."""
+    try:
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity mask on this OS
+        n = os.cpu_count() or 1
+    try:
+        cap = int(os.environ.get("OMP_NUM_THREADS", ""))
+    except ValueError:
+        cap = 0
+    return max(1, min(n, cap) if cap > 0 else n)
+
+
+def _map_row_blocks(fn, shape) -> list:
+    """[fn(b) for b in the row blocks of shape], run on a thread pool.
+
+    numpy releases the GIL in its elementwise loops, so the workers share
+    the work: worker w takes blocks w, w + workers, ..., and blocks of
+    _BLOCK_ELEMENTS // workers samples keep the samples in flight at
+    _BLOCK_ELEMENTS.  Each worker runs in a copy of the caller's context,
+    where numpy keeps its errstate; an exception raised by fn stops the
+    other workers at their next block and reaches the caller unchanged."""
+    workers = _pool_workers()
+    blocks = _row_blocks(shape, _BLOCK_ELEMENTS // workers)
+    if workers == 1 or len(blocks) == 1:
+        return [fn(b) for b in blocks]
+    failed = threading.Event()
+
+    def part(w):
+        out = []
+        for b in blocks[w::workers]:
+            if failed.is_set():
+                break
+            try:
+                out.append(fn(b))
+            except BaseException:
+                failed.set()
+                raise
+        return out
+
+    with ThreadPoolExecutor(workers) as pool:
+        parts = [pool.submit(contextvars.copy_context().run, part, w)
+                 for w in range(workers)]
+        done = [p.result() for p in parts]
+    return [done[i % workers][i // workers] for i in range(len(blocks))]
 
 
 @dataclass(eq=False)
@@ -99,7 +150,8 @@ class GridFunction:
         """Samples of fn at n points per axis (one count or one per axis).
 
         fn must be pointwise and broadcast over its arguments: it is called
-        on blocks of leading-axis rows of the sparse meshgrid axes."""
+        on blocks of leading-axis rows of the sparse meshgrid axes, from
+        several threads at once (see _map_row_blocks)."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         nn = np.atleast_1d(np.asarray(n, dtype=int))
@@ -108,8 +160,10 @@ class GridFunction:
         axes = [np.linspace(lo[d], hi[d], nn[d]) for d in range(lo.size)]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         gf = cls(lo, hi, np.empty(tuple(nn), dtype=complex))
-        for b in _row_blocks(gf.n):
+
+        def fill(b):
             gf.values[b] = fn(grids[0][b], *grids[1:])
+        _map_row_blocks(fill, gf.n)
         return gf
 
     def save(self, path):
@@ -161,8 +215,16 @@ def _check_steps(steps, half, lam: float):
                 f"needed at |xi| = {lam:.3g}")
 
 
+def _abs_max(block) -> tuple:
+    """(max |sample|, count of non-finite samples) of one block."""
+    mags = np.abs(block)
+    top = float(np.max(mags))
+    return top, 0 if np.isfinite(top) else int(np.sum(~np.isfinite(mags)))
+
+
 def _check_sampling(gf: GridFunction, x, lams):
-    """Oscillation and truncation guards at each |xi| in lams, in order."""
+    """Oscillation and truncation guards at each |xi| in lams, in order;
+    NonFiniteSamples when a sample is NaN or infinite."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != gf.dim:
         raise ValueError(f"x has {x.size} components for a {gf.dim}-d grid")
@@ -170,8 +232,11 @@ def _check_sampling(gf: GridFunction, x, lams):
         raise Undersampled(f"base point {x} outside the grid box")
     half = 0.5 * (gf.hi - gf.lo)
     steps = gf.steps()
-    scale = max(1.0, *(float(np.max(np.abs(gf.values[b])))
-                       for b in _row_blocks(gf.n)))
+    tops, bad = zip(*_map_row_blocks(lambda b: _abs_max(gf.values[b]), gf.n))
+    if sum(bad):
+        raise NonFiniteSamples(f"grid holds NaN or infinite samples: "
+                               f"{sum(bad)} of {gf.values.size}")
+    scale = max(1.0, *tops)
     edge = gf.boundary_max()
     dist = float(np.min(np.minimum(x - gf.lo, gf.hi - x)))
     for lam in lams:
@@ -311,11 +376,14 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
         raise ValueError(f"no samples at or above lambda_min={lambda_min}")
     lt, mt = lams[tail], mags[tail]
 
-    for A in _A_GRID:
-        env = fbi_envelope(seq, float(A), lt, certified=certified)
-        if np.all(mt <= np.maximum(env, floor)):
-            return DecayReport(True, float(A), lambda_min, floor, n_tail)
-    return DecayReport(False, np.inf, lambda_min, floor, n_tail)
+    # one envelope row per grid A; a certified hit at any A is a hit at the
+    # smallest, so the guard raises as a search from the smallest A would
+    env = fbi_envelope(seq, _A_GRID, lt, certified=certified)
+    ok = np.all(mt <= np.maximum(env, floor), axis=1)
+    if not ok.any():
+        return DecayReport(False, np.inf, lambda_min, floor, n_tail)
+    return DecayReport(True, float(_A_GRID[np.argmax(ok)]), lambda_min, floor,
+                       n_tail)
 
 
 def decay_margin(lambdas, samples, seq: WeightSequence, A: float,

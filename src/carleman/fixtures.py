@@ -13,22 +13,32 @@ from .fbi import GRID_N, GridFunction
 
 
 def smooth_step(s):
-    """C-infinity cutoff in one scalar: 1 for s <= 1/2, 0 for s >= 1,
-    strictly decreasing between."""
+    """C-infinity cutoff in one scalar: 1 for s <= 1/2, 0 for s >= 1 and
+    for NaN, strictly decreasing between.
+
+    Between, it is a / (a + b) with a = e^{-1/(1-s)} and b = e^{-1/(s-1/2)};
+    a and b cannot underflow together there, since (1-s) + (s-1/2) = 1/2."""
     s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        a = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
-        b = np.where(s > 0.5, np.exp(-1.0 / np.maximum(s - 0.5, 1e-300)), 0.0)
-    out = a / (a + b + (a + b == 0.0))
-    out = np.where(s <= 0.5, 1.0, out)
-    out = np.where(s >= 1.0, 0.0, out)
+    out = np.where(s <= 0.5, 1.0, 0.0)
+    band = (s > 0.5) & (s < 1.0)
+    a = s[band]
+    b = a - 0.5
+    np.subtract(1.0, a, out=a)
+    with np.errstate(under="ignore"):
+        for t in (a, b):
+            np.divide(-1.0, t, out=t)
+            np.exp(t, out=t)
+    b += a
+    out[band] = np.divide(a, b, out=a)
     return out
 
 
 def radial_cutoff(*coords, radius: float = 1.0):
     """smooth_step of |y|/radius; 1 inside radius/2, 0 outside radius."""
-    r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-    return smooth_step(r / radius)
+    r = np.asarray(sum(np.square(np.asarray(c, dtype=float)) for c in coords))
+    np.sqrt(r, out=r)
+    r /= radius
+    return smooth_step(r)
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +76,11 @@ def sign_fbi_closed_form(xi: float) -> complex:
 def pole_grid(n: int = 2048, half_width: float = 8.0,
               offset: float = 0.05) -> GridFunction:
     """Boundary value of 1/(y + i offset): holomorphic in the lower half
-    plane, singular at y = 0 from above."""
-    return GridFunction.from_function(lambda y: 1.0 / (y + 1j * offset),
-                                      [-half_width], [half_width], n)
+    plane, singular at y = 0 from above.  At offset 0 a sample on y = 0 is
+    not finite, and scans reject the grid."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return GridFunction.from_function(lambda y: 1.0 / (y + 1j * offset),
+                                          [-half_width], [half_width], n)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +90,10 @@ def conormal_grid(n: int = GRID_N) -> GridFunction:
     """|y1 - y2|^3 times a radial cutoff: smooth off the diagonal, C^2 but
     no better across it; wave front conormal to {y1 = y2}."""
     def fn(y1, y2):
-        return np.abs(y1 - y2) ** 3 * radial_cutoff(y1, y2)
+        d = np.abs(y1 - y2)
+        np.power(d, 3, out=d)
+        d *= radial_cutoff(y1, y2)
+        return d
     return GridFunction.from_function(fn, [-1.0, -1.0], [1.0, 1.0], n)
 
 
@@ -86,7 +101,10 @@ def holomorphic_grid(n: int = GRID_N) -> GridFunction:
     """e^{y1 + i y2} times the same cutoff: entire amplitude, empty wave
     front over the inner half of the box."""
     def fn(y1, y2):
-        return np.exp(y1 + 1j * y2) * radial_cutoff(y1, y2)
+        z = y1 + 1j * y2
+        np.exp(z, out=z)
+        z *= radial_cutoff(y1, y2)
+        return z
     return GridFunction.from_function(fn, [-1.0, -1.0], [1.0, 1.0], n)
 
 

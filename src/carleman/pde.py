@@ -317,8 +317,8 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
         raise ValueError(f"radius {radius:.6g} spans no box around {base}")
 
     def windowed(xv, tv):
-        return (np.asarray(u(xv, tv), dtype=complex)
-                * radial_cutoff(xv - x0, tv - t0, radius=radius))
+        cut = radial_cutoff(xv - x0, tv - t0, radius=radius)
+        return np.multiply(u(xv, tv), cut, dtype=complex)
 
     h = 1e-5
     u0 = complex(np.asarray(u(x0, t0), dtype=complex))

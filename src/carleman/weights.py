@@ -30,6 +30,8 @@ from .errors import FitFailed, GuardExceeded
 
 # Largest non-log-convex table we are willing to brute-force scan.
 _BRUTE_MAX = 8192
+# argmin terms held at once by that scan: 8 MB
+_BRUTE_TERMS = 1 << 20
 _CONVEX_TOL = 1e-12
 
 
@@ -181,12 +183,17 @@ def check_regularity(seq: WeightSequence, d_threshold: float = 4.0,
 # associated functions
 
 def _elementwise(x, name: str, fn):
-    """fn over x as a 1-d array with positive entries; scalar in, scalar out."""
+    """fn over x as a 1-d array with positive entries, mapped onto the last
+    axis of its result; scalar in, scalar (or one row per leading index)
+    out."""
     xx = np.asarray(x, dtype=float)
     if np.any(xx <= 0.0):
         raise ValueError(f"{name} must be positive")
     out = fn(np.atleast_1d(xx))
-    return out[0].item() if xx.ndim == 0 else out
+    if xx.ndim:
+        return out
+    out = out[..., 0]
+    return out.item() if out.ndim == 0 else out
 
 
 def _argmin(seq: WeightSequence, log_a: np.ndarray, incs: np.ndarray,
@@ -208,8 +215,13 @@ def _argmin(seq: WeightSequence, log_a: np.ndarray, incs: np.ndarray,
     if seq.K_max > _BRUTE_MAX:
         raise ValueError(
             "table is not log-convex and too large for a direct argmin scan")
-    terms = log_a[None, k0:] - np.arange(seq.K_max + 1 - k0)[None, :] * c[:, None]
-    idx = k0 + np.argmin(terms, axis=1)
+    ks = np.arange(seq.K_max + 1 - k0)
+    flat = np.ravel(c)
+    rows = max(1, _BRUTE_TERMS // ks.size)     # bounds the terms in memory
+    idx = k0 + np.concatenate([
+        np.argmin(log_a[None, k0:] - ks[None, :] * flat[i:i + rows, None],
+                  axis=1) for i in range(0, max(flat.size, 1), rows)]
+    ).reshape(np.shape(c))
     return idx, (idx == seq.K_max) & (incs[-1] < c)
 
 
@@ -290,29 +302,33 @@ def bigN_capped(seq: WeightSequence, r, cap: int):
         seq, np.log(rr), guard=not convex, stop=cap if convex else None), cap))
 
 
-def fbi_envelope(seq: WeightSequence, A: float, lam, certified: bool = True):
+def fbi_envelope(seq: WeightSequence, A, lam, certified: bool = True):
     """FBI decay envelope E(A, lam) = inf_k A^{k+1} M_k lam^{-k}.
 
+    A is one positive level or an array of them; an array gives one row of
+    lam values per entry, each equal to the call with that entry alone.
     With certified=False the partial minimum over the table is returned even
     when the minimizer sits on the boundary; that value is an upper bound
     for the true envelope, which is the conservative direction for decay
     pass/fail decisions.
     """
-    A = float(A)
-    if A <= 0.0:
+    A = np.asarray(A, dtype=float)
+    if np.any(A <= 0.0):
         raise ValueError("A must be positive")
+    log_A = np.log(A)[..., None]
 
     def envelope(ll):
         log_M = seq.log_M
         # no tie shift: at lam/A = M_{k+1}/M_k either index attains E, and
         # moving to the lower one would change E in its last bits
         idx, hit = _argmin(seq, log_M, np.diff(log_M),
-                           np.log(ll) - np.log(A), shift_ties=False)
+                           np.log(ll) - log_A, shift_ties=False)
         if np.any(hit) and certified:
             raise GuardExceeded(
                 f"envelope minimizer hit K_max={seq.K_max} at lambda="
-                f"{ll[hit][0]:.6g}; enlarge K_max or pass certified=False")
-        vals = (idx + 1) * np.log(A) + log_M[idx] - idx * np.log(ll)
+                f"{np.broadcast_to(ll, hit.shape)[hit][0]:.6g}; enlarge "
+                f"K_max or pass certified=False")
+        vals = (idx + 1) * log_A + log_M[idx] - idx * np.log(ll)
         with np.errstate(under="ignore"):
             return np.exp(vals)
     return _elementwise(lam, "lambda", envelope)

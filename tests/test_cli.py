@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from carleman import cli
+from carleman.fbi import GridFunction
 from carleman.fixtures import sign_grid
 from carleman.jets import jet_from_dict, jet_max_diff, jet_to_dict, jet_variable
 from carleman.weights import assoc, make_sequence
@@ -322,6 +324,42 @@ def test_fbi_noise_respects_seed(tmp_path):
     a = (tmp_path / "a" / "fbi.csv").read_bytes()
     assert a == (tmp_path / "b" / "fbi.csv").read_bytes()
     assert a != (tmp_path / "c" / "fbi.csv").read_bytes()
+
+
+def _nan_sign_grid_file(tmp_path):
+    gf = sign_grid(n=4096)
+    gf.values[1000] = np.nan
+    path = tmp_path / "nan.bin"
+    gf.save(str(path))
+    return {"file": str(path)}
+
+
+@pytest.mark.parametrize("grid, size", [
+    # the pole at offset 0 puts 1/0 on the sample y = 0
+    pytest.param(lambda tmp: {"fixture": "pole", "n": 4097, "offset": 0},
+                 4097, id="pole-offset-0"),
+    pytest.param(_nan_sign_grid_file, 4096, id="saved-nan"),
+])
+def test_fbi_non_finite_grid_fails_in_one_line(tmp_path, capsys, grid, size):
+    cfg = {"grid": grid(tmp_path), "x0": [0.5]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(tmp_path, ["fbi"], cfg)
+    assert not caught
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert f"NaN or infinite samples: 1 of {size}" in err
+    assert not (out / "fbi.json").exists()
+
+
+def test_fbi_three_dimensional_grid_is_config_error(tmp_path, capsys):
+    path = tmp_path / "gauss3.bin"
+    GridFunction.from_function(lambda a, b, c: np.exp(-a * a - b * b - c * c),
+                               [-1.0] * 3, [1.0] * 3, 8).save(str(path))
+    rc, _ = run(tmp_path, ["fbi"], {"grid": {"file": str(path)}})
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "1-D and 2-D grids" in err
 
 
 # ---------------------------------------------------------------------------
