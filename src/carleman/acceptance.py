@@ -230,8 +230,8 @@ def criterion_7() -> AcceptanceResult:
     seq = make_sequence("gevrey", s=2.0, K_max=64)
     step = 2.0 * np.pi / 64.0
 
-    model = RhsModel(jet_scale(_z1_jet(), -1.0), fn=lambda x, z0, z1: -z1)
-    rep = wf_inclusion_experiment(model, lambda x, t: np.abs(x - t) ** 3, seq)
+    conormal = fixtures.WAVE_SOLUTIONS["conormal"]
+    rep = wf_inclusion_experiment(RhsModel(conormal.rhs), conormal.u, seq)
 
     targets = fixtures.conormal_covectors()          # +-(1,-1)/sqrt(2)
     two = list(rep.scan.singular_indices) == [24, 56]
@@ -243,8 +243,8 @@ def criterion_7() -> AcceptanceResult:
     in_char = bool(len(rep.distances) == 2 and np.all(rep.distances
                                                       <= step + 1e-12))
 
-    holo = RhsModel(jet_scale(_z1_jet(), 1j), fn=lambda x, z0, z1: 1j * z1)
-    hrep = wf_inclusion_experiment(holo, lambda x, t: np.exp(x + 1j * t), seq)
+    holo = fixtures.WAVE_SOLUTIONS["holomorphic"]
+    hrep = wf_inclusion_experiment(RhsModel(holo.rhs), holo.u, seq)
     clean = len(hrep.scan.singular_indices) == 0
 
     passed = two and near and in_char and clean
@@ -309,7 +309,7 @@ def criterion_10() -> AcceptanceResult:
     finite-difference residual is small, converges at second order, and
     the lifted derivatives take their exact values."""
     t0 = time.perf_counter()
-    model = RhsModel(_z1_jet(), fn=lambda x, z0, z1: z1)
+    model = RhsModel(_z1_jet())
     H = hamiltonian_lift(model)
     phis = {"z0": jet_variable(1, 1, 2, 8), "z1": _z1_jet(),
             "x1": jet_variable(0, 1, 2, 8)}

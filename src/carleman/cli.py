@@ -516,29 +516,12 @@ def _cmd_fbi(args) -> int:
     return 0
 
 
-_WF_FIXTURES = {"conormal", "holomorphic"}
-
-
-def _wf_fixture_pieces(name: str):
-    import numpy as np
-
-    from .jets import jet_scale, jet_variable
-    from .pde import RhsModel
-    z1 = jet_variable(2, 1, 2, 8)
-    if name == "conormal":
-        model = RhsModel(jet_scale(z1, -1.0), fn=lambda x, z0, z1: -z1)
-        fn = lambda x, t: np.abs(x - t) ** 3
-    elif name == "holomorphic":
-        model = RhsModel(jet_scale(z1, 1j), fn=lambda x, z0, z1: 1j * z1)
-        fn = lambda x, t: np.exp(x + 1j * t)
-    else:
-        raise ConfigError(
-            f"unknown solution fixture {name!r}; have {sorted(_WF_FIXTURES)}")
-    return model, fn
+_WF_FIXTURES = ("conormal", "holomorphic")
 
 
 def _cmd_wf_experiment(args) -> int:
     from .fbi import GRID_N
+    from .fixtures import WAVE_SOLUTIONS
     from .pde import RhsModel, wf_inclusion_experiment
     if args.fixture is not None:
         cfg = {"solution": {"fixture": args.fixture}}
@@ -546,24 +529,25 @@ def _cmd_wf_experiment(args) -> int:
         cfg = _load_config(args)
     sol_spec = _section(cfg.get("solution", {}), "solution")
     name = sol_spec.get("fixture", "conormal")
-    model, fn = _wf_fixture_pieces(name)
-    if "model" in cfg:
-        model = RhsModel(_jet_cfg(cfg["model"], "model"),
-                         trust_radius=_number(
-                             cfg.get("trust_radius", float("inf")),
-                             "trust_radius"))
+    if name not in _WF_FIXTURES:
+        raise ConfigError(
+            f"unknown solution fixture {name!r}; have {list(_WF_FIXTURES)}")
+    solution = WAVE_SOLUTIONS[name]
+    rhs = _jet_cfg(cfg["model"], "model") if "model" in cfg \
+        else solution.rhs
+    trust = _number(cfg.get("trust_radius", float("inf")), "trust_radius")
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
     base = _numbers(cfg.get("base", [0.0, 0.0]), "base", 2)
     radius = _number(cfg.get("radius", 1.0), "radius")
     n = _grid_n(cfg.get("n", GRID_N), "n")
     scfg = _scan_cfg(cfg.get("scan", {}))
-    # its ValueErrors are input boundaries: the convention, the radius
+    # its ArityMismatch and ValueErrors are input boundaries: a model not
+    # of one spatial variable, the radius
     try:
-        rep = wf_inclusion_experiment(model, fn, seq, base=base,
-                                      radius=radius, n=n, config=scfg,
-                                      convention=cfg.get("convention",
-                                                         "split"))
-    except ValueError as e:
+        rep = wf_inclusion_experiment(RhsModel(rhs, trust_radius=trust),
+                                      solution.u, seq, base=base,
+                                      radius=radius, n=n, config=scfg)
+    except (ArityMismatch, ValueError) as e:
         raise ConfigError(f"bad wf-experiment config: {e}")
 
     header, rows, summary = _scan_payload(rep.scan, seq, scfg.a_threshold,
@@ -641,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_fbi)
     sp = sub.add_parser("wf-experiment", parents=[common],
                         help="wave front vs characteristic set experiment")
-    sp.add_argument("--fixture", choices=sorted(_WF_FIXTURES),
+    sp.add_argument("--fixture", choices=_WF_FIXTURES,
                     help="run a named solution fixture without a config")
     sp.set_defaults(handler=_cmd_wf_experiment)
     sp = sub.add_parser("acceptance", parents=[common],

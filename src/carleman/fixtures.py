@@ -1,15 +1,18 @@
-"""Reference functions, grids, and closed forms used across tests and the
-acceptance battery.
+"""Reference functions, solutions, grids, and closed forms used by the
+commands, the tests and the acceptance battery.
 
 Everything here is deterministic; grids are built on demand.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import dawsn
 
 from .fbi import GRID_N, GridFunction
+from .jets import Jet, jet_scale, jet_variable
 
 
 def smooth_step(s):
@@ -84,28 +87,52 @@ def pole_grid(n: int = 2048, half_width: float = 8.0,
 
 
 # ---------------------------------------------------------------------------
-# two-dimensional scan fixtures
+# two-dimensional scan fixtures: solutions of du/dt = f(x, u, du/dx)
+
+@dataclass(frozen=True, eq=False)
+class WaveSolution:
+    """u(x, t), pointwise and broadcasting, solving du/dt = f(x, u, du/dx)
+    with f the jet rhs in (x, zeta_0 = u, zeta_1 = du/dx)."""
+    rhs: Jet
+    u: object
+
+
+def _speed(c) -> Jet:
+    """f = c zeta_1, the transport du/dt = c du/dx."""
+    return jet_scale(jet_variable(2, 1, 2, 8), c)
+
+
+WAVE_SOLUTIONS = {
+    # C^2 but no better across the diagonal; wave front conormal to it
+    "conormal": WaveSolution(_speed(-1.0), lambda x, t: np.abs(x - t) ** 3),
+    # entire: empty wave front
+    "holomorphic": WaveSolution(_speed(1j), lambda x, t: np.exp(x + 1j * t)),
+}
+
+
+def windowed_grid(u, base=(0.0, 0.0), radius: float = 1.0,
+                  n: int = GRID_N) -> GridFunction:
+    """u(x, t) radial_cutoff((x, t) - base, radius) on the square of
+    half-width radius about base, n points per axis."""
+    x0, t0 = float(base[0]), float(base[1])
+
+    def fn(x, t):
+        # a new array: u's result may alias the shared meshgrid axes
+        return u(x, t) * radial_cutoff(x - x0, t - t0, radius=radius)
+    return GridFunction.from_function(fn, np.array([x0, t0]) - radius,
+                                      np.array([x0, t0]) + radius, n)
+
 
 def conormal_grid(n: int = GRID_N) -> GridFunction:
-    """|y1 - y2|^3 times a radial cutoff: smooth off the diagonal, C^2 but
-    no better across it; wave front conormal to {y1 = y2}."""
-    def fn(y1, y2):
-        d = np.abs(y1 - y2)
-        np.power(d, 3, out=d)
-        d *= radial_cutoff(y1, y2)
-        return d
-    return GridFunction.from_function(fn, [-1.0, -1.0], [1.0, 1.0], n)
+    """The conormal solution |y1 - y2|^3 windowed about the origin: smooth
+    off the diagonal, wave front conormal to {y1 = y2}."""
+    return windowed_grid(WAVE_SOLUTIONS["conormal"].u, n=n)
 
 
 def holomorphic_grid(n: int = GRID_N) -> GridFunction:
-    """e^{y1 + i y2} times the same cutoff: entire amplitude, empty wave
-    front over the inner half of the box."""
-    def fn(y1, y2):
-        z = y1 + 1j * y2
-        np.exp(z, out=z)
-        z *= radial_cutoff(y1, y2)
-        return z
-    return GridFunction.from_function(fn, [-1.0, -1.0], [1.0, 1.0], n)
+    """The holomorphic solution e^{y1 + i y2} windowed about the origin:
+    empty wave front over the inner half of the box."""
+    return windowed_grid(WAVE_SOLUTIONS["holomorphic"].u, n=n)
 
 
 def conormal_covectors() -> np.ndarray:

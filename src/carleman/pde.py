@@ -1,15 +1,14 @@
 """Quasilinear first-order model, linearization, characteristic geometry.
 
-The equation is du/dt = f(x, u, grad u) with f given as a jet (and
-optionally a vectorized callable) in (x_1..x_n, zeta_0, zeta_1..zeta_n),
-zeta_0 standing for u and zeta_j for du/dx_j.  Along a solution u the
-relevant operator is the linearization
+The equation is du/dt = f(x, u, grad u) with f given as a jet in
+(x_1..x_n, zeta_0, zeta_1..zeta_n), zeta_0 standing for u and zeta_j for
+du/dx_j.  Along a solution u the relevant operator is the linearization
 
     L^u = d/dt - sum_j f_zeta_j(x, u, grad u) d/dx_j,
 
 whose characteristic covectors and Hamiltonian lift to the zeta slots are
-computed here, together with utilities that certify sampled solutions and
-recover transport coefficients from complex traces.
+computed here, together with the residual of sampled solutions and the
+recovery of transport coefficients from complex traces.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import ArityMismatch, SingularJacobian, TrustBoxExceeded
-from .fbi import GRID_N, GridFunction, ScanConfig, ScanReport, \
-    _check_steps, wavefront_scan
-from .fixtures import radial_cutoff
+from .fbi import GRID_N, ScanConfig, ScanReport, _check_steps, \
+    wavefront_scan
+from .fixtures import windowed_grid
 from .jets import Jet, VectorFieldJet, _apply_coeffs, jet_add, jet_diff, \
     jet_eval, jet_mul, jet_scale, jet_variable
 from .weights import WeightSequence
@@ -35,12 +34,10 @@ from .weights import WeightSequence
 class RhsModel:
     """Right side f(x, zeta_0, zeta_1..zeta_n) of du/dt = f(x, u, grad u).
 
-    jet carries the exact Taylor data; fn, when given, must agree with it
-    on the sampling box (jet evaluation is the fallback).  trust_radius
-    bounds |u| and |grad u| values the model is trusted on.
+    jet carries the exact Taylor data, and f is evaluated through it.
+    trust_radius bounds the |u| and |grad u| values the model is trusted on.
     """
     jet: Jet
-    fn: object = None
     trust_radius: float = np.inf
 
     def __post_init__(self):
@@ -52,17 +49,6 @@ class RhsModel:
     @property
     def n_x(self) -> int:
         return self.jet.n_x
-
-    def eval(self, x, zeta):
-        if self.fn is not None:
-            return self.fn(x, *zeta)
-        return jet_eval(self.jet, x=x, zeta=zeta)
-
-    def zeta_gradient_at(self, x, zeta) -> np.ndarray:
-        """(f_zeta_1, .., f_zeta_n) at a point; the transport symbol a_0."""
-        out = [jet_eval(jet_diff(self.jet, self.jet.n_x + 1 + j), x=x,
-                        zeta=zeta) for j in range(self.n_x)]
-        return np.asarray(out, dtype=complex)
 
 
 @dataclass(eq=False)
@@ -100,36 +86,30 @@ class SolutionSamples:
         ut = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * self.dt)
         return self.x[1:-1], ui, ux, ut
 
-    def residual(self, model: RhsModel) -> float:
+    def trusted_interior(self, model: RhsModel):
+        """interior() with x broadcast to the interior grid, after checking
+        that u and du/dx stay within the model's trusted radius."""
         xi, ui, ux, ut = self.interior()
         reach = max(float(np.max(np.abs(ui))), float(np.max(np.abs(ux))))
         if reach > model.trust_radius:
             raise TrustBoxExceeded(
                 f"samples reach |zeta| ~ {reach:.3g} beyond the trusted "
                 f"radius {model.trust_radius:.3g}")
-        fv = model.eval(xi[:, None] + 0.0 * ui.real, [ui, ux])
+        return xi[:, None] + 0.0 * ui.real, ui, ux, ut
+
+    def residual(self, model: RhsModel) -> float:
+        """max |du/dt - f(x, u, du/dx)| over the interior."""
+        xg, ui, ux, ut = self.trusted_interior(model)
+        fv = jet_eval(model.jet, x=xg, zeta=[ui, ux])
         fv = np.broadcast_to(np.asarray(fv, dtype=complex), ut.shape)
         return float(np.max(np.abs(ut - fv)))
-
-    def certify(self, model: RhsModel, tol: float = 1e-6) -> float:
-        res = self.residual(model)
-        if res > tol:
-            raise ValueError(
-                f"sampled solution misses the model by {res:.3g} > {tol:.3g}")
-        return res
 
 
 def linearize(model: RhsModel, samples: SolutionSamples):
     """Transport coefficient grids a_j = f_zeta_j(x, u, du/dx) on the
     interior of the sample grid; the linearized operator is
     d/dt - sum_j a_j d/dx_j."""
-    xi, ui, ux, _ = samples.interior()
-    reach = max(float(np.max(np.abs(ui))), float(np.max(np.abs(ux))))
-    if reach > model.trust_radius:
-        raise TrustBoxExceeded(
-            f"samples reach |zeta| ~ {reach:.3g} beyond the trusted "
-            f"radius {model.trust_radius:.3g}")
-    xg = xi[:, None] + 0.0 * ui.real
+    xg, ui, ux, _ = samples.trusted_interior(model)
     grids = []
     for j in range(model.n_x):
         dj = jet_diff(model.jet, model.jet.n_x + 1 + j)
@@ -143,11 +123,8 @@ def linearize(model: RhsModel, samples: SolutionSamples):
 
 @dataclass
 class CharSet:
-    """Characteristic covectors (tau, xi) of d/dt - sum a0_j d/dx_j as the
-    null space of explicit linear constraints on R^{1+n}."""
-    a0: np.ndarray
-    convention: str
-    constraints: np.ndarray
+    """Characteristic covectors (tau, xi) of d/dt - sum a0_j d/dx_j, a
+    linear subspace of R^{1+n}."""
     basis: np.ndarray            # orthonormal columns spanning the set
 
     def distance(self, covector) -> float:
@@ -158,21 +135,12 @@ class CharSet:
         return float(np.linalg.norm(v - proj))
 
 
-def char_set(a0, convention: str = "split") -> CharSet:
-    """tau = Re a0 . xi and Im a0 . xi = 0 ("split", the default), or
-    tau = -Re a0 . xi under the "paper" sign convention."""
+def char_set(a0) -> CharSet:
+    """The null space of tau = Re a0 . xi and Im a0 . xi = 0."""
     a0 = np.atleast_1d(np.asarray(a0, dtype=complex))
-    n = a0.size
-    if convention == "split":
-        row_re = np.concatenate([[1.0], -a0.real])
-    elif convention == "paper":
-        row_re = np.concatenate([[1.0], a0.real])
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    row_im = np.concatenate([[0.0], a0.imag])
-    constraints = np.vstack([row_re, row_im])
-    basis = null_space(constraints)
-    return CharSet(a0, convention, constraints, basis)
+    return CharSet(null_space(np.vstack([
+        np.concatenate([[1.0], -a0.real]),
+        np.concatenate([[0.0], a0.imag])])))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +267,17 @@ class WfInclusionReport:
 def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
                             base=(0.0, 0.0), radius: float = 1.0,
                             n: int = GRID_N,
-                            config: ScanConfig | None = None,
-                            convention: str = "split") -> WfInclusionReport:
+                            config: ScanConfig | None = None
+                            ) -> WfInclusionReport:
     """Scan the solution u(x, t), a vectorized callable, as a function of
     spacetime around a base point and test every singular covector against
     the characteristic set of the linearization there.
 
-    The grid axes are (x, t), so a scan direction omega maps to the
-    covector (tau, xi) = (omega_2, omega_1).  Inclusion holds when the
-    distance to Char does not exceed the angular step of the fan.
+    a0 is linearize's coefficient at the centre of a 3 x 3 sample stencil
+    of step 1e-5 about the base point.  The grid axes are (x, t), so a
+    scan direction omega maps to the covector (tau, xi) = (omega_2,
+    omega_1).  Inclusion holds when the distance to Char does not exceed
+    the angular step of the fan.
     """
     if model.n_x != 1:
         raise ArityMismatch("the experiment covers one spatial variable")
@@ -316,23 +286,18 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
     if not np.all(lo < hi):
         raise ValueError(f"radius {radius:.6g} spans no box around {base}")
 
-    def windowed(xv, tv):
-        cut = radial_cutoff(xv - x0, tv - t0, radius=radius)
-        return np.multiply(u(xv, tv), cut, dtype=complex)
-
     h = 1e-5
-    u0 = complex(np.asarray(u(x0, t0), dtype=complex))
-    ux0 = complex((np.asarray(u(x0 + h, t0), dtype=complex)
-                   - np.asarray(u(x0 - h, t0), dtype=complex))
-                  / (2.0 * h))
-    if max(abs(u0), abs(ux0)) > model.trust_radius:
-        raise TrustBoxExceeded("base point state beyond the trusted radius")
-    a0 = model.zeta_gradient_at(x0, [u0, ux0])
-    cs = char_set(a0, convention)
+    if not (x0 - h < x0 + h and t0 - h < t0 + h):
+        raise ValueError(f"base {base} lies too far out for the a0 stencil "
+                         f"of step {h:g}")
+    stencil = SolutionSamples.from_function(u, x0 - h, x0 + h, 3,
+                                            t0 - h, t0 + h, 3)
+    a0 = np.array([a[0, 0] for a in linearize(model, stencil)])
+    cs = char_set(a0)
 
     for lam in (config or ScanConfig()).lambdas:    # before the grid build
         _check_steps((hi - lo) / (n - 1.0), 0.5 * (hi - lo), lam)
-    gf = GridFunction.from_function(windowed, lo, hi, n)
+    gf = windowed_grid(u, (x0, t0), radius, n)
     scan = wavefront_scan(gf, [x0, t0], seq, config)
 
     step = 2.0 * np.pi / scan.directions.shape[0]

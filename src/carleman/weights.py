@@ -269,7 +269,7 @@ def assoc(seq: WeightSequence, variant: str, r):
     """Associated function h (variant="h") or h1 (variant="h1") at r > 0.
 
     Scalar in, float out; array in, array out.  Raises GuardExceeded when
-    r is too small for the materialized table to certify the infimum.
+    r is too small for the materialized table to guarantee the infimum.
     """
     out = _log_assoc(seq, variant, r)
     with np.errstate(under="ignore"):

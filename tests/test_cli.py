@@ -402,6 +402,20 @@ def test_wf_mismatched_model_fails(tmp_path):
     assert min(res["char_distances"]) > res["step"]
 
 
+@pytest.mark.parametrize("model", [
+    pytest.param({}, id="fixture-model"),
+    pytest.param({"model": {"n_x": 1, "n_zeta": 2, "D": 8,
+                            "coeffs": [[[0, 0, 1], -1.0, 0.0]]}},
+                 id="config-model"),
+])
+def test_wf_trust_radius_bounds_either_model(tmp_path, capsys, model):
+    # |x - t|^3 = 1e-3 at the base point, beyond the trusted 1e-9
+    cfg = dict(_WF_SMALL, trust_radius=1e-9, base=[0.1, 0.2], **model)
+    rc, out = run(tmp_path, ["wf-experiment"], cfg)
+    assert rc == 1 and one_line_error(capsys)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # acceptance
 
@@ -511,8 +525,13 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
                  id="weights.r-negative"),
     pytest.param("weights", dict(WEIGHTS_CFG, absorption={
         "r": {"values": [0.0, 1.0]}}), id="weights.absorption.r-0"),
-    pytest.param("wf-experiment", dict(_WF_SMALL, convention="bogus"),
-                 id="wf.convention"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, model={
+        "n_x": 1, "n_zeta": 1, "D": 8, "coeffs": [[[0, 1], 1.0, 0.0]]}),
+                 id="wf.model-no-gradient-slot"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, model={
+        "n_x": 2, "n_zeta": 3, "D": 8,
+        "coeffs": [[[0, 0, 0, 1, 0], 1.0, 0.0]]}),
+                 id="wf.model-two-space-variables"),
     pytest.param("wf-experiment", dict(_WF_SMALL, radius=0),
                  id="wf.radius-0"),
     pytest.param("wf-experiment", dict(_WF_SMALL, radius=-1.0),
@@ -545,6 +564,8 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
                  id="fbi.grid.n-huge"),
     pytest.param("wf-experiment", dict(_WF_SMALL, base=[1e300, 0.0]),
                  id="wf.base-huge"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, base=[0.0, 1e13]),
+                 id="wf.base-beyond-a0-stencil"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, cfg):
     rc, out = run(tmp_path, [command], cfg)

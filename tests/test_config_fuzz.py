@@ -45,7 +45,6 @@ CONFIGS = {
                      "lambda_min": 16.0, "certified": False}},
     "wf-experiment": {"solution": {"fixture": "holomorphic"}, "n": 256,
                       "base": [0.0, 0.0], "radius": 1.0,
-                      "convention": "split",
                       "seq": {"kind": "gevrey", "s": 2.0, "K_max": 64},
                       "scan": {"n_directions": 8, "lambdas": _LAMBDAS}},
     "acceptance": {"criteria": [2]},

@@ -12,12 +12,11 @@ from carleman.errors import NoCone, Undersampled
 from carleman.fbi import (GridFunction, _check_sampling, _circle_directions,
                           decay_classify, fbi_direction_scan,
                           phase_bound_check, wavefront_scan)
-from carleman.fixtures import (conormal_grid, gaussian_fbi_closed_form,
-                               gaussian_grid,
+from carleman.fixtures import (WAVE_SOLUTIONS, conormal_grid,
+                               gaussian_fbi_closed_form, gaussian_grid,
                                holomorphic_grid, lower_trace, pole_grid,
                                sign_fbi_closed_form, sign_grid, smooth_step,
                                upper_trace)
-from carleman.jets import jet_scale, jet_variable
 from carleman.pde import RhsModel, wf_inclusion_experiment
 from carleman.weights import make_sequence
 
@@ -72,9 +71,8 @@ def _dense_values(fn, lo, hi, n):
 
 
 def _wf_windowed_grid():
-    z1 = jet_variable(2, 1, 2, 8)
-    model = RhsModel(jet_scale(z1, -1.0), fn=lambda x, z0, z1: -z1)
-    wf_inclusion_experiment(model, lambda x, t: np.abs(x - t) ** 3,
+    conormal = WAVE_SOLUTIONS["conormal"]
+    wf_inclusion_experiment(RhsModel(conormal.rhs), conormal.u,
                             make_sequence("gevrey", s=2.0, K_max=64),
                             base=(0.1, -0.2), n=257)
 

@@ -11,7 +11,6 @@ from carleman import cli, fbi, fixtures
 from carleman.errors import NonFiniteSamples
 from carleman.fbi import GridFunction
 from carleman.fixtures import conormal_grid, holomorphic_grid
-from carleman.jets import jet_scale, jet_variable
 from carleman.pde import RhsModel, wf_inclusion_experiment
 from carleman.weights import make_sequence
 
@@ -19,9 +18,8 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _wf_windowed(n):
-    z1 = jet_variable(2, 1, 2, 8)
-    model = RhsModel(jet_scale(z1, -1.0), fn=lambda x, z0, z1: -z1)
-    wf_inclusion_experiment(model, lambda x, t: np.abs(x - t) ** 3,
+    conormal = fixtures.WAVE_SOLUTIONS["conormal"]
+    wf_inclusion_experiment(RhsModel(conormal.rhs), conormal.u,
                             make_sequence("gevrey", s=2.0, K_max=64),
                             base=(0.1, -0.2), n=n)
 

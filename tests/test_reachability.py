@@ -16,9 +16,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "carleman"
 
-# ROADMAP item 3 puts these to work: wf-experiment certifies that the
-# scanned function solves the model, with a0 taken from linearize
-ALLOWED = {"pde.SolutionSamples", "pde.linearize"}
+ALLOWED = set()
 
 
 def _definitions(tree) -> dict:
