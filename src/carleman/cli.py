@@ -520,7 +520,6 @@ _WF_FIXTURES = ("conormal", "holomorphic")
 
 
 def _cmd_wf_experiment(args) -> int:
-    from .fbi import GRID_N
     from .fixtures import WAVE_SOLUTIONS
     from .pde import RhsModel, wf_inclusion_experiment
     if args.fixture is not None:
@@ -539,7 +538,7 @@ def _cmd_wf_experiment(args) -> int:
     seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
     base = _numbers(cfg.get("base", [0.0, 0.0]), "base", 2)
     radius = _number(cfg.get("radius", 1.0), "radius")
-    n = _grid_n(cfg.get("n", GRID_N), "n")
+    n = _grid_n(cfg["n"], "n") if "n" in cfg else None
     scfg = _scan_cfg(cfg.get("scan", {}))
     # its ArityMismatch and ValueErrors are input boundaries: a model not
     # of one spatial variable, the radius
@@ -553,7 +552,7 @@ def _cmd_wf_experiment(args) -> int:
     header, rows, summary = _scan_payload(rep.scan, seq, scfg.a_threshold,
                                           scfg.floor_rel)
     ok = bool(rep.included.all())
-    results = {"pass": ok,
+    results = {"pass": ok, "n": rep.n,
                "a0": [[float(v.real), float(v.imag)] for v in rep.a0],
                "step": float(rep.step),
                "covectors": [[float(c) for c in row]

@@ -40,6 +40,11 @@ class NoCone(CarlemanError):
     """No sampled direction admits a phase-bound constant above the floor."""
 
 
+class NoRegularDirection(CarlemanError):
+    """Every direction of a two-dimensional scan failed, so no band stands
+    out against regular directions and the scan has no verdict."""
+
+
 class TrustBoxExceeded(CarlemanError):
     """Sample values leave the region where a jet is trusted."""
 

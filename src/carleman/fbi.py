@@ -22,12 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteSamples, NoCone, Undersampled
+from .errors import NonFiniteSamples, NoCone, NoRegularDirection, \
+    Undersampled
 from .weights import WeightSequence, fbi_envelope
 
 _BOUNDARY_TOL = 1e-12
-# default samples per axis of the two-dimensional scan grids: the conormal
-# and holomorphic fixtures and the wave front experiment
+# samples per axis of the conormal and holomorphic fixture grids, which the
+# benchmark's grid-file check pins, and the ceiling on the grid size the
+# wave front experiment derives from the sampling guard
 GRID_N = 2752
 # samples per block of leading-axis rows when a grid is written or read,
 # and in flight over all workers when a grid is built or checked
@@ -204,11 +206,34 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 # the transform
 
+def _allowed_step(lam: float, half: float) -> float:
+    """The largest grid step the oscillation guard lets through at
+    |xi| = lam over a box of half-width half."""
+    return math.pi / (4.0 * (lam + math.sqrt(lam) * half)) if lam > 0 \
+        else math.inf
+
+
+def guard_n(lam: float, half: float, share: float = 1.0) -> int:
+    """The fewest samples per axis whose step over a box of half-width
+    half is at most share times the step the oscillation guard allows at
+    |xi| = lam: 185 at lam = 64 over half-width 1, 368 at share 0.5.
+    Undersampled when no finite count is that fine."""
+    bound = share * _allowed_step(lam, half)
+    width = 2.0 * half
+    intervals = width / bound if bound > 0.0 else math.inf
+    if not math.isfinite(intervals):
+        raise Undersampled(f"no grid resolves half-width {half:.6g} at "
+                           f"|xi| = {lam:.6g}")
+    n = max(2, math.ceil(intervals) + 1)
+    while width / (n - 1) > bound:          # the quotient rounded down
+        n += 1
+    return n
+
+
 def _check_steps(steps, half, lam: float):
     """The oscillation guard at |xi| = lam, per axis step and half-width."""
     for d in range(len(steps)):
-        allowed = np.pi / (4.0 * (lam + np.sqrt(lam) * half[d])) \
-            if lam > 0 else np.inf
+        allowed = _allowed_step(lam, half[d])
         if steps[d] > allowed:
             raise Undersampled(
                 f"axis {d} step {steps[d]:.3g} exceeds {allowed:.3g} "
@@ -460,8 +485,6 @@ def _failed_bands(failed, n: int) -> list:
     if not failed:
         return []
     fs = sorted(failed)
-    if len(fs) == n:
-        return [fs]
     bands = []
     cur = [fs[0]]
     for j in fs[1:]:
@@ -487,6 +510,8 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
     singular directions; the angular response of the transform at the top
     lambda is about 1/sqrt(lambda) wide, so a failed band spans several
     neighbors and the per-band envelope-excess peak names the direction.
+    A two-dimensional fan in which every direction fails has no regular
+    direction to set a band against and raises NoRegularDirection.
     """
     cfg = config or ScanConfig()
     lams = np.asarray(cfg.lambdas, dtype=float)
@@ -518,6 +543,11 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
         reports.append(rep)
         if not rep.passed or rep.A_fit > cfg.a_threshold:
             failed.append(j)
+
+    if gf.dim == 2 and len(failed) == dirs.shape[0]:
+        raise NoRegularDirection(
+            f"all {len(failed)} directions fail at a_threshold = "
+            f"{cfg.a_threshold:g}, so the scan has no verdict")
 
     singular = []
     if gf.dim == 1:

@@ -110,8 +110,8 @@ WAVE_SOLUTIONS = {
 }
 
 
-def windowed_grid(u, base=(0.0, 0.0), radius: float = 1.0,
-                  n: int = GRID_N) -> GridFunction:
+def windowed_grid(u, n: int, base=(0.0, 0.0),
+                  radius: float = 1.0) -> GridFunction:
     """u(x, t) radial_cutoff((x, t) - base, radius) on the square of
     half-width radius about base, n points per axis."""
     x0, t0 = float(base[0]), float(base[1])
@@ -126,13 +126,13 @@ def windowed_grid(u, base=(0.0, 0.0), radius: float = 1.0,
 def conormal_grid(n: int = GRID_N) -> GridFunction:
     """The conormal solution |y1 - y2|^3 windowed about the origin: smooth
     off the diagonal, wave front conormal to {y1 = y2}."""
-    return windowed_grid(WAVE_SOLUTIONS["conormal"].u, n=n)
+    return windowed_grid(WAVE_SOLUTIONS["conormal"].u, n)
 
 
 def holomorphic_grid(n: int = GRID_N) -> GridFunction:
     """The holomorphic solution e^{y1 + i y2} windowed about the origin:
     empty wave front over the inner half of the box."""
-    return windowed_grid(WAVE_SOLUTIONS["holomorphic"].u, n=n)
+    return windowed_grid(WAVE_SOLUTIONS["holomorphic"].u, n)
 
 
 def conormal_covectors() -> np.ndarray:

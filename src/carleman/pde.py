@@ -13,14 +13,16 @@ recovery of transport coefficients from complex traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import ArityMismatch, SingularJacobian, TrustBoxExceeded
+from .errors import ArityMismatch, SingularJacobian, TrustBoxExceeded, \
+    Undersampled
 from .fbi import GRID_N, ScanConfig, ScanReport, _check_steps, \
-    wavefront_scan
+    guard_n, wavefront_scan
 from .fixtures import windowed_grid
 from .jets import Jet, VectorFieldJet, _apply_coeffs, jet_add, jet_diff, \
     jet_eval, jet_mul, jet_scale, jet_variable
@@ -254,6 +256,15 @@ def renormalize(z_samples, dx: float, dt: float,
 # ---------------------------------------------------------------------------
 # the inclusion experiment
 
+# the certification rescan has about n / _RESCAN samples per axis, and its
+# normalized |F| may differ from the scan's by at most _RESCAN_TOL.  At the
+# defaults (n = 368 against 246) the gap is 9.9e-10 for the conormal
+# fixture, whose kink leaves the quadrature an algebraic error, and 2.6e-15
+# for the holomorphic one
+_RESCAN = 1.5
+_RESCAN_TOL = 1e-8
+
+
 @dataclass
 class WfInclusionReport:
     scan: ScanReport
@@ -262,22 +273,52 @@ class WfInclusionReport:
     distances: np.ndarray
     step: float
     included: np.ndarray
+    n: int                       # samples per axis of the scanned grid
+
+
+def _certified_scan(u, base, radius: float, n: int, m: int,
+                    seq: WeightSequence,
+                    config: ScanConfig | None) -> ScanReport:
+    """The scan of u windowed about base at n samples per axis, certified
+    by a rescan at m.  Both must fail and single out the same directions
+    and fit the same A in every direction, and their normalized samples
+    must agree within _RESCAN_TOL; Undersampled otherwise.  The grids are
+    built one at a time."""
+    scan, rescan = (wavefront_scan(windowed_grid(u, k, base, radius), base,
+                                   seq, config) for k in (n, m))
+    if scan.failed_indices != rescan.failed_indices or \
+            scan.singular_indices != rescan.singular_indices or \
+            [r.A_fit for r in scan.reports] != \
+            [r.A_fit for r in rescan.reports]:
+        raise Undersampled(f"the scan at n = {n} and its rescan at n = {m} "
+                           f"reach different verdicts")
+    gap = float(np.max(np.abs(scan.samples - rescan.samples)))
+    if not gap <= _RESCAN_TOL:
+        raise Undersampled(f"normalized |F| at n = {n} and at n = {m} differ "
+                           f"by {gap:.3g}, above {_RESCAN_TOL:g}")
+    return scan
 
 
 def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
                             base=(0.0, 0.0), radius: float = 1.0,
-                            n: int = GRID_N,
+                            n: int | None = None,
                             config: ScanConfig | None = None
                             ) -> WfInclusionReport:
     """Scan the solution u(x, t), a vectorized callable, as a function of
     spacetime around a base point and test every singular covector against
     the characteristic set of the linearization there.
 
-    a0 is linearize's coefficient at the centre of a 3 x 3 sample stencil
-    of step 1e-5 about the base point.  The grid axes are (x, t), so a
-    scan direction omega maps to the covector (tau, xi) = (omega_2,
-    omega_1).  Inclusion holds when the distance to Char does not exceed
-    the angular step of the fan.
+    The grid has n samples per axis over the box of half-width radius;
+    by default n is guard_n at half the allowed step at the largest lambda
+    of the scan, 368 at the defaults, and at most GRID_N.  Either way a
+    rescan at ceil(n / 1.5) certifies the scan (see _certified_scan), or
+    at the coarsest grid the sampling guard passes when that is finer, or
+    at n + 1 when n is that grid itself; no grid is built before n passes
+    the guard.  a0 is linearize's coefficient at the centre of a
+    3 x 3 sample stencil of step 1e-5 about the base point.  The grid axes
+    are (x, t), so a scan direction omega maps to the covector (tau, xi) =
+    (omega_2, omega_1).  Inclusion holds when the distance to Char does
+    not exceed the angular step of the fan.
     """
     if model.n_x != 1:
         raise ArityMismatch("the experiment covers one spatial variable")
@@ -295,10 +336,15 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
     a0 = np.array([a[0, 0] for a in linearize(model, stencil)])
     cs = char_set(a0)
 
-    for lam in (config or ScanConfig()).lambdas:    # before the grid build
+    lams = (config or ScanConfig()).lambdas
+    top, half = float(np.max(lams)), 0.5 * float(np.max(hi - lo))
+    if n is None:
+        n = min(guard_n(top, half, 0.5), GRID_N)
+    for lam in lams:                                # before the grid build
         _check_steps((hi - lo) / (n - 1.0), 0.5 * (hi - lo), lam)
-    gf = windowed_grid(u, (x0, t0), radius, n)
-    scan = wavefront_scan(gf, [x0, t0], seq, config)
+    m = max(math.ceil(n / _RESCAN), guard_n(top, half))
+    scan = _certified_scan(u, (x0, t0), radius, n, m if m < n else n + 1,
+                           seq, config)
 
     step = 2.0 * np.pi / scan.directions.shape[0]
     covs = []
@@ -311,4 +357,5 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
     covectors = np.asarray(covs).reshape(-1, 2)
     distances = np.asarray(dists)
     included = distances <= step + 1e-12
-    return WfInclusionReport(scan, a0, covectors, distances, step, included)
+    return WfInclusionReport(scan, a0, covectors, distances, step, included,
+                             n)

@@ -370,6 +370,7 @@ def test_wf_conormal_fixture(tmp_path):
     assert rc == 0
     res = json.loads((out / "wf-experiment.json").read_text())["results"]
     assert res["pass"] is True
+    assert res["n"] == 368                  # derived from the sampling guard
     assert res["scan"]["singular_indices"] == [24, 56]
     assert res["a0"] == [[-1.0, 0.0]]
     assert max(res["char_distances"]) < 1e-9
@@ -383,8 +384,58 @@ def test_wf_holomorphic_fixture(tmp_path):
     assert rc == 0
     res = json.loads((out / "wf-experiment.json").read_text())["results"]
     assert res["pass"] is True
+    assert res["n"] == 368
     assert res["scan"]["singular_indices"] == []
     assert res["char_distances"] == []
+
+
+def test_wf_echoes_an_explicit_n(tmp_path):
+    rc, out = run(tmp_path, ["wf-experiment"], _WF_SMALL)
+    assert rc == 0
+    res = json.loads((out / "wf-experiment.json").read_text())["results"]
+    assert res["n"] == _WF_SMALL["n"]
+    assert res["scan"]["singular_indices"] == [24, 56]
+
+
+def test_wf_derived_n_stops_at_the_ceiling(tmp_path):
+    # radius 6 asks for n = 3424 at half the allowed step; GRID_N = 2752
+    # is within the allowed step, so the experiment scans at 2752
+    cfg = {"solution": {"fixture": "conormal"}, "radius": 6.0}
+    rc, out = run(tmp_path, ["wf-experiment"], cfg)
+    assert rc == 0
+    res = json.loads((out / "wf-experiment.json").read_text())["results"]
+    assert res["pass"] is True and res["n"] == 2752
+    assert res["scan"]["singular_indices"] == [24, 56]
+
+
+def test_wf_radius_beyond_the_ceiling_fails_in_one_line(tmp_path, capsys,
+                                                        monkeypatch):
+    # radius 10 needs n = 3668 at lambda = 64 even at the full allowed
+    # step, so GRID_N fails the guard; no grid may be built
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+    monkeypatch.setattr(GridFunction, "from_function", classmethod(no_grid))
+    cfg = {"solution": {"fixture": "holomorphic"}, "radius": 10.0}
+    rc, out = run(tmp_path, ["wf-experiment"], cfg)
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith("error: axis 0 step")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param("wf-experiment", {"solution": {"fixture": "conormal"},
+                                   "n": 512, "base": [0.1, 0.1],
+                                   "scan": {"a_threshold": 1e-3}}, id="wf"),
+    pytest.param("fbi", {"grid": {"fixture": "conormal", "n": 512},
+                         "scan": {"a_threshold": 1e-3}}, id="fbi"),
+])
+def test_scan_failing_every_direction_has_no_verdict(tmp_path, capsys,
+                                                     command, cfg):
+    # all 64 directions fail, so no band stands out against a regular one
+    rc, out = run(tmp_path, [command], cfg)
+    assert rc == 1 and one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_wf_mismatched_model_fails(tmp_path):

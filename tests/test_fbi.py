@@ -8,10 +8,11 @@ import pytest
 
 import scan_oracle
 from carleman import fbi
-from carleman.errors import NoCone, Undersampled
-from carleman.fbi import (GridFunction, _check_sampling, _circle_directions,
-                          decay_classify, fbi_direction_scan,
-                          phase_bound_check, wavefront_scan)
+from carleman.errors import NoCone, NoRegularDirection, Undersampled
+from carleman.fbi import (GridFunction, ScanConfig, _check_sampling,
+                          _circle_directions, decay_classify,
+                          fbi_direction_scan, phase_bound_check,
+                          wavefront_scan)
 from carleman.fixtures import (WAVE_SOLUTIONS, conormal_grid,
                                gaussian_fbi_closed_form, gaussian_grid,
                                holomorphic_grid, lower_trace, pole_grid,
@@ -77,16 +78,20 @@ def _wf_windowed_grid():
                             base=(0.1, -0.2), n=257)
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda: conormal_grid(257), id="conormal-257"),
-    pytest.param(lambda: holomorphic_grid(257), id="holomorphic-257"),
-    pytest.param(lambda: sign_grid(n=70001), id="sign-1d-70001"),
+@pytest.mark.parametrize("build, shapes", [
+    pytest.param(lambda: conormal_grid(257), [(257, 257)], id="conormal-257"),
+    pytest.param(lambda: holomorphic_grid(257), [(257, 257)],
+                 id="holomorphic-257"),
+    pytest.param(lambda: sign_grid(n=70001), [(70001,)], id="sign-1d-70001"),
     pytest.param(lambda: GridFunction.from_function(
         lambda y1, y2: np.exp(1j * y1) * y2, [-1.0, -2.0], [1.0, 2.0],
-        [17, 9]), id="17x9"),
-    pytest.param(_wf_windowed_grid, id="wf-windowed-257"),
+        [17, 9]), [(17, 9)], id="17x9"),
+    # the scanned grid and its certification rescan at the coarsest grid
+    # the sampling guard passes
+    pytest.param(_wf_windowed_grid, [(257, 257), (185, 185)],
+                 id="wf-windowed-257"),
 ])
-def test_blocked_build_matches_dense_evaluation(monkeypatch, build):
+def test_blocked_build_matches_dense_evaluation(monkeypatch, build, shapes):
     # row blocks that do not divide the grid evenly must give the same bits
     # as evaluating fn once on the dense coordinate arrays
     built = []
@@ -99,9 +104,9 @@ def test_blocked_build_matches_dense_evaluation(monkeypatch, build):
 
     monkeypatch.setattr(GridFunction, "from_function", classmethod(spy))
     build()
-    assert len(built) == 1
-    got, want = built[0]
-    assert got.shape == want.shape and np.array_equal(got, want)
+    assert [got.shape for got, _ in built] == shapes
+    for got, want in built:
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("build", [conormal_grid, holomorphic_grid])
@@ -408,6 +413,12 @@ def test_holomorphic_scan_is_clean(g2):
     rep = wavefront_scan(holomorphic_grid(), [0.0, 0.0], g2)
     assert rep.failed_indices == []
     assert rep.singular_indices == []
+
+
+def test_2d_scan_without_a_regular_direction_raises(grids_384, g2):
+    with pytest.raises(NoRegularDirection, match="all 64 directions fail"):
+        wavefront_scan(grids_384["conormal"], [0.0, 0.0], g2,
+                       ScanConfig(a_threshold=1e-3))
 
 
 def test_sign_scan_fails_both_sides(g2):

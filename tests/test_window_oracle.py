@@ -30,7 +30,7 @@ def test_fixture_grid_matches_its_own_integrand(build, integrand):
                                           ((0.1, -0.2), 0.75)])
 def test_windowed_grid_matches_the_experiments_closure(name, base, radius):
     u = WAVE_SOLUTIONS[name].u
-    got = windowed_grid(u, base, radius, N)
+    got = windowed_grid(u, N, base, radius)
     lo, hi = np.array(base) - radius, np.array(base) + radius
     want = GridFunction.from_function(
         window_oracle.windowed(u, base, radius), lo, hi, N)
