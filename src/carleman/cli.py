@@ -21,6 +21,7 @@ import sys
 from .errors import ArityMismatch, CarlemanError, ConfigError
 
 _FIXTURE_GRIDS = ("gaussian", "sign", "pole", "conormal", "holomorphic")
+_WF_FIXTURES = ("conormal", "holomorphic")
 
 
 # ---------------------------------------------------------------------------
@@ -145,127 +146,234 @@ def _report(config: dict, results: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema
+#
+# One table per command, key -> (kind, default).  A kind is int, float,
+# bool, str or list (passed on unread) for a JSON value of that type, a
+# range of integers, a set of strings, a leaf function (value, path), a dict
+# of keys for a JSON object, [kind] for a JSON list, or a tuple of variants
+# (key, value, keys): the first whose key holds value (value None: whose key
+# is present; key None: any) gives the keys.  _REQUIRED makes a key
+# required; None leaves it out when absent or null, so the library's or the
+# command's own default applies; any other default is parsed as if given.
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        raise ConfigError("this command needs --config <file.json>")
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {args.config}: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {args.config} is not valid JSON: {e}")
-    return _section(cfg, f"config {args.config}")
-
-
-def _section(spec, name: str) -> dict:
-    """spec, a config section, checked to be a JSON object."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be a JSON object, not "
-                          f"{type(spec).__name__}")
-    return spec
+_REQUIRED = object()
+_TYPES = {int: "a 64-bit integer", float: "a number", bool: "true or false",
+          str: "a string", list: "a list"}
 
 
-def _number(v, name: str, kind=float):
-    """v converted by kind (float or int); a config error when it does not
-    convert, or when an integer does not fit the 64 bits of a numpy size."""
-    try:
-        out = kind(v)
-        if kind is int and not -2 ** 63 <= out < 2 ** 63:
-            raise OverflowError
-        return out
-    except (TypeError, ValueError, OverflowError):
-        what = "a 64-bit integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, not {json.dumps(v)}") \
-            from None
+def _bad(path: str, what: str, v) -> ConfigError:
+    return ConfigError(f"{path} must be {what}, not {json.dumps(v)}")
 
 
-def _grid_n(v, name: str) -> int:
-    """v as a count of grid samples per axis, at least two."""
-    n = _number(v, name, int)
-    if n < 2:
-        raise ConfigError(f"{name} must be at least 2 samples per axis, "
-                          f"not {n}")
-    return n
+def _pair(v, path: str) -> list:
+    if type(v) is not list or len(v) != 2:
+        raise _bad(path, "a list of 2 numbers", v)
+    return _parse([float], v, path)
 
 
-def _integers(v, name: str) -> list:
-    """v as a list of integers; a config error otherwise."""
-    if not isinstance(v, list):
-        raise ConfigError(f"{name} must be a list, not {json.dumps(v)}")
-    return [_number(c, name, int) for c in v]
-
-
-def _numbers(v, name: str, size: int) -> list:
-    """v as a list of size floats; a config error otherwise."""
-    try:
-        out = [float(c) for c in v]
-    except (TypeError, ValueError):
-        out = None
-    if out is None or len(out) != size:
-        raise ConfigError(f"{name} must be a list of {size} "
-                          f"number{'s' * (size != 1)}, not {json.dumps(v)}")
+def _parse(kind, v, path: str = ""):
+    """v checked against kind and converted, or a one-line ConfigError that
+    names the dotted path of an unknown key, a missing key or a wrong type."""
+    if isinstance(kind, type):
+        if type(v) is kind and (kind is not int or -2 ** 63 <= v < 2 ** 63) \
+                or kind is float and type(v) is int and abs(v) < 2 ** 1023:
+            return float(v) if kind is float else v
+        raise _bad(path, _TYPES[kind], v)
+    if isinstance(kind, range):
+        if type(v) is int and v in kind:
+            return v
+        raise _bad(path, f"a 64-bit integer >= {kind.start}", v)
+    if isinstance(kind, set):
+        if type(v) is str and v in kind:
+            return v
+        raise _bad(path, " or ".join(sorted(map(json.dumps, kind))), v)
+    if callable(kind):
+        return kind(v, path)
+    if isinstance(kind, list):
+        return [_parse(kind[0], x, f"{path}[{i}]")
+                for i, x in enumerate(_parse(list, v, path))]
+    if type(v) is not dict:
+        raise ConfigError(f"{path or 'config'} must be a JSON object, not "
+                          f"{type(v).__name__}")
+    keys, out = kind, {}
+    if isinstance(kind, tuple):     # the first variant v selects, else none
+        keys, out = [k for key, _, ks in kind for k in (key, *ks) if k], None
+        for key, value, ks in kind:
+            if key is None or key in v and value in (None, v[key]):
+                keys, out = ks, {key: value} if value else {}
+                break
+    known = [*(out or ()), *keys]
+    for key in v:
+        if key not in known:
+            import difflib              # only on the error path
+            near = difflib.get_close_matches(key, known, n=1)
+            raise ConfigError(f"unknown key {path}.{key}".replace(" .", " ")
+                              + (f"; did you mean {near[0]}?" if near else ""))
+    if out is None:
+        raise ConfigError(f"{path} needs " + " or ".join(
+            f"{key}={value}" if value else key for key, value, _ in kind))
+    for key, (sub, default) in keys.items():
+        x = v.get(key, default)
+        if x is _REQUIRED:
+            raise ConfigError(f"{path}.{key} is required".lstrip("."))
+        if x is not None or default is not None:
+            out[key] = _parse(sub, x, f"{path}.{key}".lstrip("."))
     return out
 
 
-def _grid1d(d, name: str):
-    import numpy as np
+_GRID1D = (("values", None, {"values": ([float], _REQUIRED)}),
+           (None, None, {"lo": (float, _REQUIRED), "hi": (float, _REQUIRED),
+                         "n": (int, _REQUIRED),
+                         "spacing": ({"linear", "log"}, "linear")}))
+# K_max defaults in seq_from_dict: 64 for gevrey, every table value
+_SEQ = (("kind", "gevrey", {"s": (float, _REQUIRED), "K_max": (int, None)}),
+        ("kind", "table", {"values": ([float], _REQUIRED),
+                           "K_max": (int, None)}))
+_GEVREY2 = {"kind": "gevrey", "s": 2.0}
+_JET_KEYS = {"n_x": (int, _REQUIRED), "n_zeta": (int, _REQUIRED),
+             "D": (int, _REQUIRED), "base_point": (list, None),
+             "coeffs": (list, _REQUIRED)}
+_JET = (("file", None, {"file": (str, _REQUIRED)}), (None, None, _JET_KEYS))
+# fixture keys: n and noise; half_width on the 1-D traces, offset on the pole
+_SAMPLES = range(2, 2 ** 63)          # grid samples per axis
+_SAMPLED = {"n": (_SAMPLES, None), "noise": (float, 0.0)}
+_TRACE = {**_SAMPLED, "half_width": (float, None)}
+_GRID = (("file", None, {"file": (str, _REQUIRED)}),) + tuple(
+    ("fixture", name, keys) for name, keys in zip(_FIXTURE_GRIDS, (
+        _TRACE, _TRACE, {**_TRACE, "offset": (float, None)},
+        _SAMPLED, _SAMPLED)))
+_SCAN = {"n_directions": (int, None), "lambdas": (_GRID1D, None),
+         "a_threshold": (float, None), "floor_rel": (float, None),
+         "lambda_min": (float, None), "certified": (bool, None)}
+
+_SCHEMAS = {
+    "weights": {
+        "seq": (_SEQ, _GEVREY2),
+        "r": (_GRID1D, {"lo": 0.01, "hi": 10.0, "n": 50, "spacing": "log"}),
+        "absorption": ({"r": (_GRID1D, {"lo": 1e-3, "hi": 1.0, "n": 40,
+                                        "spacing": "log"}),
+                        "n": ([int], [1, 2, 3])}, None)},
+    "jets": {
+        "field": ({"a": ([_JET], []), "b": ([_JET], []),
+                   "time_dependent": (bool, False)}, _REQUIRED),
+        "datum": (_JET, _REQUIRED), "n_max": (int, 8),
+        "residual_n": (int, None)},
+    "extend": {
+        "datum": (_JET, _REQUIRED), "seq": (_SEQ, {**_GEVREY2, "K_max": 4096}),
+        "kernel": ({"epsilon": (float, None), "n_r": (int, None),
+                    "n_theta": (int, None)}, {}),
+        "C_star": (float, None), "growth_box": (_pair, None),
+        "x": (_GRID1D, {"lo": -0.5, "hi": 0.5, "n": 21}),
+        "t": ({"lo": (float, 1e-3), "hi": (float, None), "n": (int, 24)}, {}),
+        "n_max": (range(2 ** 63), 12)},
+    "fbi": {"grid": (_GRID, _REQUIRED), "seq": (_SEQ, _GEVREY2),
+            "x0": ([float], None), "scan": (_SCAN, {})},
+    "wf-experiment": {
+        "solution": ({"fixture": (set(_WF_FIXTURES), "conormal")}, {}),
+        "model": (_JET, None), "trust_radius": (float, float("inf")),
+        "seq": (_SEQ, _GEVREY2), "base": (_pair, [0.0, 0.0]),
+        "radius": (float, 1.0), "n": (_SAMPLES, None), "scan": (_SCAN, {})},
+    "acceptance": {"criteria": ([int], [])},
+}
+
+
+def _read_json(path: str, what: str):
     try:
-        if isinstance(d, (list, tuple)):
-            grid = np.asarray(d, dtype=float)
-        elif "values" in d:
-            grid = np.asarray(d["values"], dtype=float)
-        else:
-            lo, hi, n = float(d["lo"]), float(d["hi"]), int(d["n"])
-            log = d.get("spacing", "linear") == "log"
-            if log and not (lo > 0.0 and hi > 0.0):
-                raise ValueError("log spacing needs lo > 0 and hi > 0")
-            grid = np.geomspace(lo, hi, n) if log else np.linspace(lo, hi, n)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad grid spec for {name!r}: {e}")
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}")
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} {path} is not valid JSON: {e}")
+
+
+def _load_config(args, raw=None) -> tuple:
+    """raw, or else --config, and its parse by the command's table."""
+    if raw is None and args.config is None:
+        raise ConfigError("this command needs --config <file.json>")
+    raw = _read_json(args.config, "config") if raw is None else raw
+    return raw, _parse(_SCHEMAS[args.command], raw)
+
+
+def _grid1d(spec: dict, path: str):
+    """The points of a parsed 1-D grid: its values, or n from lo to hi."""
+    import numpy as np
+    log = spec.get("spacing") == "log"
+    try:
+        if log and not (spec["lo"] > 0.0 and spec["hi"] > 0.0):
+            raise ValueError("log spacing needs lo > 0 and hi > 0")
+        grid = np.asarray(spec["values"], dtype=float) if "values" in spec \
+            else (np.geomspace if log else np.linspace)(
+                spec["lo"], spec["hi"], spec["n"])
+    except ValueError as e:
+        raise ConfigError(f"bad grid spec for {path!r}: {e}")
     if grid.size == 0:
-        raise ConfigError(f"bad grid spec for {name!r}: it holds no points")
+        raise ConfigError(f"bad grid spec for {path!r}: it holds no points")
     return grid
 
 
-def _seq_cfg(d):
+def _sequence(spec: dict):
     from .weights import seq_from_dict
-    d = _section(d, "seq")
     try:
-        return seq_from_dict(d)
-    except (CarlemanError, KeyError, TypeError, ValueError) as e:
+        return seq_from_dict(spec)
+    except ValueError as e:
         raise ConfigError(f"bad sequence spec: {e}")
 
 
-def _jet_cfg(d, what: str):
+def _jet(spec: dict, path: str):
+    """The jet of a parsed entry; a file entry is read and parsed inline."""
     from .jets import jet_from_dict
-    if isinstance(d, dict) and "file" in d:
-        try:
-            with open(d["file"]) as fh:
-                d = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read {what} file {d['file']}: {e}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{what} file is not valid JSON: {e}")
+    if "file" in spec:
+        spec = _parse(_JET_KEYS, _read_json(spec["file"], f"{path} file"),
+                      f"{path}.file")
     try:
-        return jet_from_dict(d)
+        return jet_from_dict(spec)
     except (CarlemanError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad {what} spec: {e}")
+        raise ConfigError(f"bad {path} spec: {e}")
+
+
+def _fixture_grid(spec: dict, seed: int):
+    import numpy as np
+
+    from . import fixtures
+    from .fbi import GridFunction
+    if "file" in spec:
+        try:
+            return GridFunction.load(spec["file"])
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read grid file {spec['file']}: {e}")
+    try:
+        gf = getattr(fixtures, f"{spec['fixture']}_grid")(**{
+            k: v for k, v in spec.items() if k not in ("fixture", "noise")})
+    except ValueError as e:             # half_width <= 0
+        raise ConfigError(f"bad grid spec: {e}")
+    if spec["noise"] > 0.0:
+        rng = np.random.default_rng(seed)
+        scale = spec["noise"] * float(np.max(np.abs(gf.values)))
+        gf.values = gf.values + scale * (
+            rng.standard_normal(gf.values.shape)
+            + 1j * rng.standard_normal(gf.values.shape))
+    return gf
+
+
+def _scan_config(spec: dict):
+    from .fbi import ScanConfig
+    if "lambdas" in spec:
+        spec = {**spec, "lambdas": _grid1d(spec["lambdas"], "scan.lambdas")}
+    try:
+        return ScanConfig(**spec)
+    except ValueError as e:
+        raise ConfigError(f"bad scan spec: {e}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_weights(args) -> int:
-    import numpy as np
-
-    from .weights import assoc, bigN_capped, check_regularity, absorption_fit
-    cfg = _load_config(args)
-    seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
-    r = _grid1d(cfg.get("r", {"lo": 0.01, "hi": 10.0, "n": 50,
-                              "spacing": "log"}), "r")
+    from .weights import absorption_fit, assoc, bigN_capped, check_regularity
+    raw, cfg = _load_config(args)
+    seq, r = _sequence(cfg["seq"]), _grid1d(cfg["r"], "r")
     reg = check_regularity(seq)
     results = {"regular": bool(reg.passed), "c_bound": float(seq.c_bound),
                "K_max": int(seq.K_max), "log_convex": bool(seq.log_convex)}
@@ -275,11 +383,9 @@ def _cmd_weights(args) -> int:
         h1 = assoc(seq, "h1", r)
         nn = bigN_capped(seq, r, seq.K_max)
         if "absorption" in cfg:
-            spec = _section(cfg["absorption"], "absorption")
-            rr = _grid1d(spec.get("r", {"lo": 1e-3, "hi": 1.0, "n": 40,
-                                        "spacing": "log"}), "absorption.r")
+            rr = _grid1d(cfg["absorption"]["r"], "absorption.r")
             fits = []
-            for n in _integers(spec.get("n", [1, 2, 3]), "absorption.n"):
+            for n in cfg["absorption"]["n"]:
                 fit = absorption_fit(seq, n, rr)
                 fits.append({"n": n, "Q": float(fit.Q), "C": float(fit.C),
                              "passed": bool(fit.passed)})
@@ -289,7 +395,7 @@ def _cmd_weights(args) -> int:
     rows = [(float(rv), float(hv), float(h1v), int(nv))
             for rv, hv, h1v, nv in zip(r, h, h1, nn)]
     _write(args, "weights.csv", _csv_text(["r", "h", "h1", "bigN"], rows))
-    _write(args, "weights.json", _json_text(_report(cfg, results)) + "\n")
+    _write(args, "weights.json", _json_text(_report(raw, results)) + "\n")
     return 0
 
 
@@ -297,26 +403,19 @@ def _cmd_jets(args) -> int:
     from .jets import (VectorFieldJet, augment_datum, formal_solution,
                        jet_to_dict, residual_check, restrict_diagonal,
                        time_augment)
-    cfg = _load_config(args)
-    try:
-        fspec = _section(cfg["field"], "field")
-        a = [_jet_cfg(j, "field coefficient") for j in fspec.get("a", [])]
-        b = [_jet_cfg(j, "field coefficient") for j in fspec.get("b", [])]
-        datum = _jet_cfg(cfg["datum"], "datum")
-    except KeyError as e:
-        raise ConfigError(f"jets config is missing {e}")
-    except TypeError as e:              # "a" or "b" not a list
-        raise ConfigError(f"bad field spec: {e}")
-    timed = bool(fspec.get("time_dependent", False))
+    raw, cfg = _load_config(args)
+    fspec, datum = cfg["field"], _jet(cfg["datum"], "datum")
+    a, b = ([_jet(j, f"field.{k}[{i}]") for i, j in enumerate(fspec[k])]
+            for k in ("a", "b"))
+    timed = fspec["time_dependent"]
     try:
         field = VectorFieldJet(a=a, b=b, time_dependent=timed)
     except CarlemanError as e:
         raise ConfigError(f"bad field spec: {e}")
     if timed:       # t is the last x slot; u(x, 0) gains it at t = 0
         field, datum = time_augment(field), augment_datum(datum)
-    n_max = _number(cfg.get("n_max", 8), "n_max", int)
-    n_res = _number(cfg.get("residual_n", min(6, n_max - 1)), "residual_n",
-                    int)
+    n_max = cfg["n_max"]
+    n_res = cfg.get("residual_n", min(6, n_max - 1))
     if n_res >= n_max:
         raise ConfigError(
             f"residual_n={n_res} needs u_{n_res + 1}, beyond n_max={n_max}")
@@ -335,7 +434,7 @@ def _cmd_jets(args) -> int:
                "lossy": bool(any(uk.lossy for uk in series.u)),
                "max_residual": max(r for _, r in rows),
                "u": [jet_to_dict(uk, rows=_CoeffRows(uk)) for uk in u]}
-    _write(args, "jets.json", _json_text(_report(cfg, results)) + "\n")
+    _write(args, "jets.json", _json_text(_report(raw, results)) + "\n")
     return 0
 
 
@@ -345,46 +444,25 @@ def _cmd_extend(args) -> int:
     from .dynkin import almost_analytic_extend, make_kernel, measure_flatness
     from .jets import EvalBox
     from .weights import assoc
-    cfg = _load_config(args)
-    try:
-        datum = _jet_cfg(cfg["datum"], "datum")
-    except KeyError as e:
-        raise ConfigError(f"extend config is missing {e}")
-    seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0,
-                                   "K_max": 4096}))
-    kspec = _section(cfg.get("kernel", {}), "kernel")
-    c_star = cfg.get("C_star")
+    raw, cfg = _load_config(args)
+    datum = _jet(cfg["datum"], "datum")
+    seq, x = _sequence(cfg["seq"]), _grid1d(cfg["x"], "x")
     gbox = cfg.get("growth_box")
-    x = _grid1d(cfg.get("x", {"lo": -0.5, "hi": 0.5, "n": 21}), "x")
-    n_max = _number(cfg.get("n_max", 12), "n_max", int)
-    if n_max < 0:
-        raise ConfigError(f"n_max must be nonnegative, not {n_max}")
     # the ValueErrors of these calls are input boundaries: epsilon outside
     # (0, 1), C_star <= 0, a table shorter than the series
     try:
-        kernel = make_kernel(
-            epsilon=_number(kspec.get("epsilon", 0.5), "kernel.epsilon"),
-            n_r=_number(kspec.get("n_r", 64), "kernel.n_r", int),
-            n_theta=_number(kspec.get("n_theta", 64), "kernel.n_theta", int))
+        kernel = make_kernel(**cfg["kernel"])
         # the real-axis trace pins the default growth box to the x range
         _, sol = almost_analytic_extend(
-            datum, seq, kernel, x.astype(complex), n_max=n_max,
-            C_star=None if c_star is None else _number(c_star, "C_star"),
-            growth_box=None if gbox is None else
-            EvalBox([tuple(_numbers(gbox, "growth_box", 2))]))
+            datum, seq, kernel, x.astype(complex),
+            n_max=cfg["n_max"], C_star=cfg.get("C_star"),
+            growth_box=None if gbox is None else EvalBox([tuple(gbox)]))
     except ValueError as e:
         raise ConfigError(f"bad extend config: {e}")
 
-    tspec = dict(_section(cfg.get("t", {}), "t"))
-    t_hi = tspec.get("hi")
-    # default top sample 1% inside the validity radius: the centered time
-    # difference needs room on both sides
-    tspec = {"lo": _number(tspec.get("lo", 1e-3), "t.lo"),
-             "hi": 0.99 * sol.delta if t_hi is None
-             else _number(t_hi, "t.hi"),
-             "n": _number(tspec.get("n", 24), "t.n", int), "spacing": "log"}
-    t = _grid1d(tspec, "t")
-    # the centered time difference needs 0 < |t| < delta at every sample
+    # the centered time difference needs 0 < |t| < delta at every sample:
+    # by default the top sample sits 1% inside the validity radius
+    t = _grid1d({"hi": 0.99 * sol.delta, **cfg["t"], "spacing": "log"}, "t")
     if not np.all((np.abs(t) > 0.0) & (np.abs(t) < sol.delta)):
         raise ConfigError(
             f"t grid must lie in 0 < |t| < delta = {sol.delta:.6g}, the "
@@ -403,69 +481,8 @@ def _cmd_extend(args) -> int:
                "sup_ratio": float(fit.sup_ratio), "passed": True,
                "C_star": float(sol.C_star),
                "skipped_Q": [float(q) for q in fit.skipped_Q]}
-    _write(args, "extend.json", _json_text(_report(cfg, results)) + "\n")
+    _write(args, "extend.json", _json_text(_report(raw, results)) + "\n")
     return 0
-
-
-def _fixture_grid(spec, seed: int):
-    import numpy as np
-
-    from . import fixtures
-    from .fbi import GridFunction
-    spec = _section(spec, "grid")
-    if "file" in spec:
-        try:
-            return GridFunction.load(spec["file"])
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"cannot read grid file {spec['file']}: {e}")
-    name = spec.get("fixture")
-    if name not in _FIXTURE_GRIDS:
-        raise ConfigError(
-            f"grid needs a file or a fixture name from {_FIXTURE_GRIDS}")
-    kw = {}
-    if "n" in spec:
-        kw["n"] = _grid_n(spec["n"], "grid.n")
-    if name in ("gaussian", "sign", "pole") and "half_width" in spec:
-        kw["half_width"] = _number(spec["half_width"], "grid.half_width")
-    if name == "pole" and "offset" in spec:
-        kw["offset"] = _number(spec["offset"], "grid.offset")
-    try:
-        gf = getattr(fixtures, f"{name}_grid")(**kw)
-    except ValueError as e:             # half_width <= 0
-        raise ConfigError(f"bad grid spec: {e}")
-    amp = _number(spec.get("noise", 0.0), "grid.noise")
-    if amp > 0.0:
-        rng = np.random.default_rng(seed)
-        scale = amp * float(np.max(np.abs(gf.values)))
-        gf.values = gf.values + scale * (
-            rng.standard_normal(gf.values.shape)
-            + 1j * rng.standard_normal(gf.values.shape))
-    return gf
-
-
-def _scan_cfg(spec) -> "object":
-    import numpy as np
-
-    from .fbi import ScanConfig
-    spec = _section(spec, "scan")
-    kw = {}
-    if "n_directions" in spec:
-        kw["n_directions"] = _number(spec["n_directions"],
-                                     "scan.n_directions", int)
-    if "lambdas" in spec:
-        kw["lambdas"] = np.asarray(_grid1d(spec["lambdas"], "lambdas"))
-    if "a_threshold" in spec:
-        kw["a_threshold"] = _number(spec["a_threshold"], "scan.a_threshold")
-    if "floor_rel" in spec:
-        kw["floor_rel"] = _number(spec["floor_rel"], "scan.floor_rel")
-    if "lambda_min" in spec and spec["lambda_min"] is not None:
-        kw["lambda_min"] = _number(spec["lambda_min"], "scan.lambda_min")
-    if "certified" in spec:
-        kw["certified"] = bool(spec["certified"])
-    try:
-        return ScanConfig(**kw)
-    except ValueError as e:
-        raise ConfigError(f"bad scan spec: {e}")
 
 
 def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
@@ -499,53 +516,39 @@ def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
 
 def _cmd_fbi(args) -> int:
     from .fbi import wavefront_scan
-    cfg = _load_config(args)
-    gf = _fixture_grid(cfg.get("grid", {}), args.seed)
+    raw, cfg = _load_config(args)
+    seq, scfg = _sequence(cfg["seq"]), _scan_config(cfg["scan"])
+    gf = _fixture_grid(cfg["grid"], args.seed)
     if gf.dim > 2:
         raise ConfigError(f"scans cover 1-D and 2-D grids; this grid is "
                           f"{gf.dim}-D")
-    seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
-    x0 = _numbers(cfg.get("x0", [0.0] * gf.dim), "x0", gf.dim)
-    scfg = _scan_cfg(cfg.get("scan", {}))
+    x0 = cfg.get("x0", [0.0] * gf.dim)
+    if len(x0) != gf.dim:
+        raise _bad("x0", f"a list of {gf.dim} numbers", raw["x0"])
     scan = wavefront_scan(gf, x0, seq, scfg)
 
     header, rows, summary = _scan_payload(scan, seq, scfg.a_threshold,
                                           scfg.floor_rel)
     _write(args, "fbi.csv", _csv_text(header, rows))
-    _write(args, "fbi.json", _json_text(_report(cfg, summary)) + "\n")
+    _write(args, "fbi.json", _json_text(_report(raw, summary)) + "\n")
     return 0
-
-
-_WF_FIXTURES = ("conormal", "holomorphic")
 
 
 def _cmd_wf_experiment(args) -> int:
     from .fixtures import WAVE_SOLUTIONS
     from .pde import RhsModel, wf_inclusion_experiment
-    if args.fixture is not None:
-        cfg = {"solution": {"fixture": args.fixture}}
-    else:
-        cfg = _load_config(args)
-    sol_spec = _section(cfg.get("solution", {}), "solution")
-    name = sol_spec.get("fixture", "conormal")
-    if name not in _WF_FIXTURES:
-        raise ConfigError(
-            f"unknown solution fixture {name!r}; have {list(_WF_FIXTURES)}")
-    solution = WAVE_SOLUTIONS[name]
-    rhs = _jet_cfg(cfg["model"], "model") if "model" in cfg \
-        else solution.rhs
-    trust = _number(cfg.get("trust_radius", float("inf")), "trust_radius")
-    seq = _seq_cfg(cfg.get("seq", {"kind": "gevrey", "s": 2.0, "K_max": 64}))
-    base = _numbers(cfg.get("base", [0.0, 0.0]), "base", 2)
-    radius = _number(cfg.get("radius", 1.0), "radius")
-    n = _grid_n(cfg["n"], "n") if "n" in cfg else None
-    scfg = _scan_cfg(cfg.get("scan", {}))
+    raw, cfg = _load_config(args, args.fixture and {
+        "solution": {"fixture": args.fixture}})
+    solution = WAVE_SOLUTIONS[cfg["solution"]["fixture"]]
+    rhs = _jet(cfg["model"], "model") if "model" in cfg else solution.rhs
+    seq, scfg = _sequence(cfg["seq"]), _scan_config(cfg["scan"])
     # its ArityMismatch and ValueErrors are input boundaries: a model not
     # of one spatial variable, the radius
     try:
-        rep = wf_inclusion_experiment(RhsModel(rhs, trust_radius=trust),
-                                      solution.u, seq, base=base,
-                                      radius=radius, n=n, config=scfg)
+        rep = wf_inclusion_experiment(
+            RhsModel(rhs, trust_radius=cfg["trust_radius"]), solution.u, seq,
+            base=cfg["base"], radius=cfg["radius"], n=cfg.get("n"),
+            config=scfg)
     except (ArityMismatch, ValueError) as e:
         raise ConfigError(f"bad wf-experiment config: {e}")
 
@@ -562,7 +565,7 @@ def _cmd_wf_experiment(args) -> int:
                "scan": summary}
     _write(args, "wf-experiment.csv", _csv_text(header, rows))
     _write(args, "wf-experiment.json",
-           _json_text(_report(cfg, results)) + "\n")
+           _json_text(_report(raw, results)) + "\n")
     return 0 if ok else 1
 
 
@@ -571,8 +574,7 @@ def _cmd_acceptance(args) -> int:
     if args.all:
         numbers = sorted(acceptance.CRITERIA)
     elif args.config is not None:
-        cfg = _load_config(args)
-        numbers = _integers(cfg.get("criteria", []), "criteria")
+        numbers = _load_config(args)[1]["criteria"]
         if not numbers:
             raise ConfigError("acceptance config selects no criteria")
     else:
@@ -610,27 +612,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "regularity experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("weights", parents=[common],
-                        help="associated functions and absorption fits")
-    sp.set_defaults(handler=_cmd_weights)
-    sp = sub.add_parser("jets", parents=[common],
-                        help="formal solution and residual table")
-    sp.set_defaults(handler=_cmd_jets)
-    sp = sub.add_parser("extend", parents=[common],
-                        help="almost analytic extension flatness")
-    sp.set_defaults(handler=_cmd_extend)
-    sp = sub.add_parser("fbi", parents=[common],
-                        help="wave front scan of a grid function")
-    sp.set_defaults(handler=_cmd_fbi)
-    sp = sub.add_parser("wf-experiment", parents=[common],
-                        help="wave front vs characteristic set experiment")
-    sp.add_argument("--fixture", choices=_WF_FIXTURES,
-                    help="run a named solution fixture without a config")
-    sp.set_defaults(handler=_cmd_wf_experiment)
-    sp = sub.add_parser("acceptance", parents=[common],
-                        help="run the shipped acceptance criteria")
-    sp.add_argument("--all", action="store_true", help="run all ten")
-    sp.set_defaults(handler=_cmd_acceptance)
+    sp = {}
+    for name, handler, about in (
+            ("weights", _cmd_weights,
+             "associated functions and absorption fits"),
+            ("jets", _cmd_jets, "formal solution and residual table"),
+            ("extend", _cmd_extend, "almost analytic extension flatness"),
+            ("fbi", _cmd_fbi, "wave front scan of a grid function"),
+            ("wf-experiment", _cmd_wf_experiment,
+             "wave front vs characteristic set experiment"),
+            ("acceptance", _cmd_acceptance,
+             "run the shipped acceptance criteria")):
+        sp[name] = sub.add_parser(name, parents=[common], help=about)
+        sp[name].set_defaults(handler=handler)
+    sp["wf-experiment"].add_argument(
+        "--fixture", choices=_WF_FIXTURES,
+        help="run a named solution fixture without a config")
+    sp["acceptance"].add_argument("--all", action="store_true",
+                                  help="run all ten")
     return p
 
 

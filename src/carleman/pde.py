@@ -60,7 +60,6 @@ class SolutionSamples:
     Central differences on the interior supply du/dx and du/dt; residual
     measures how well the samples satisfy the model.
     """
-    fn: object
     x: np.ndarray
     t: np.ndarray
     u: np.ndarray
@@ -70,7 +69,7 @@ class SolutionSamples:
         x = np.linspace(x_lo, x_hi, n_x)
         t = np.linspace(t_lo, t_hi, n_t)
         u = np.asarray(fn(x[:, None], t[None, :]), dtype=complex)
-        return cls(fn, x, t, u)
+        return cls(x, t, u)
 
     @property
     def dx(self) -> float:

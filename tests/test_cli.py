@@ -617,10 +617,76 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
                  id="wf.base-huge"),
     pytest.param("wf-experiment", dict(_WF_SMALL, base=[0.0, 1e13]),
                  id="wf.base-beyond-a0-stencil"),
+    # booleans are JSON booleans, never strings that bool() reads as true
+    pytest.param("fbi", _sign_scan(certified="false"),
+                 id="fbi.scan.certified-string"),
+    pytest.param("jets", dict(JETS_TD_CFG, field=dict(
+        JETS_TD_CFG["field"], time_dependent="true")),
+                 id="jets.field.time_dependent-string"),
+    # enumerated values and keys a grid does not take
+    pytest.param("weights", dict(WEIGHTS_CFG, r={
+        "lo": 0.05, "hi": 4.0, "n": 5, "spacing": "logarithmic"}),
+                 id="weights.r.spacing-logarithmic"),
+    pytest.param("extend", dict(EXTEND_CFG, t={"lo": 1e-3, "n": 12,
+                                               "spacing": "log"}),
+                 id="extend.t.spacing"),
+    pytest.param("fbi", {"grid": {"fixture": "conormal", "n": 512,
+                                  "half_width": 2.0}},
+                 id="fbi.grid.conormal-half_width"),
+    pytest.param("fbi", {"grid": {"fixture": "holomorphic", "n": 512,
+                                  "half_width": 2.0}},
+                 id="fbi.grid.holomorphic-half_width"),
+    *[pytest.param("fbi", {"grid": {"fixture": name, "offset": 0.5}},
+                   id=f"fbi.grid.{name}-offset")
+      for name in ("gaussian", "sign", "conormal", "holomorphic")],
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, cfg):
     rc, out = run(tmp_path, [command], cfg)
     assert rc == 2 and one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [{"noise": 1e-6}, {"n": 4096}],
+                         ids=["noise", "n"])
+def test_fbi_grid_file_takes_no_fixture_key(tmp_path, capsys, extra):
+    path = tmp_path / "sign.bin"
+    sign_grid(n=4096).save(str(path))
+    cfg = {"grid": {"file": str(path), **extra}, "seq": GEVREY2, "x0": [0.0]}
+    rc, out = run(tmp_path, ["fbi"], cfg)
+    assert rc == 2 and one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    pytest.param("weights", {"seq": {"kind": "gevrey", "s": 2.0,
+                                     "Kmax": 4096}},
+                 "unknown key seq.Kmax; did you mean K_max?", id="seq"),
+    pytest.param("fbi", {"scna": {}}, "unknown key scna; did you mean scan?",
+                 id="top-level"),
+    pytest.param("extend", dict(EXTEND_CFG, datum=dict(
+        EXTEND_CFG["datum"], coefs=[])),
+                 "unknown key datum.coefs; did you mean coeffs?", id="jet"),
+    pytest.param("jets", dict(JETS_CFG, field=dict(JETS_CFG["field"], a=[
+        dict(JETS_CFG["field"]["a"][0], Dee=8)])),
+                 "unknown key field.a[0].Dee", id="jet-in-list"),
+    # the sign-convention key the wave-front experiment no longer has
+    pytest.param("wf-experiment", dict(_WF_SMALL, convention="paper"),
+                 "unknown key convention", id="wf.convention"),
+])
+def test_unknown_key_is_config_error_naming_its_path(tmp_path, capsys,
+                                                     command, cfg, message):
+    rc, out = run(tmp_path, [command], cfg)
+    assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_jet_file_is_checked_as_an_inline_jet(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(dict(JETS_CFG["datum"], coefs=[])))
+    cfg = dict(JETS_CFG, datum={"file": str(path)})
+    rc, out = run(tmp_path, ["jets"], cfg)
+    assert rc == 2 and capsys.readouterr().err == \
+        "error: unknown key datum.file.coefs; did you mean coeffs?\n"
     assert not out.exists()
 
 
