@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -196,9 +197,10 @@ def _parse(kind, v, path: str = ""):
     if type(v) is not dict:
         raise ConfigError(f"{path or 'config'} must be a JSON object, not "
                           f"{type(v).__name__}")
-    keys, out = kind, {}
+    keys, out, every = kind, {}, kind   # hints draw on every variant
     if isinstance(kind, tuple):     # the first variant v selects, else none
-        keys, out = [k for key, _, ks in kind for k in (key, *ks) if k], None
+        keys = every = [k for key, _, ks in kind for k in (key, *ks) if k]
+        out = None
         for key, value, ks in kind:
             if key is None or key in v and value in (None, v[key]):
                 keys, out = ks, {key: value} if value else {}
@@ -207,7 +209,7 @@ def _parse(kind, v, path: str = ""):
     for key in v:
         if key not in known:
             import difflib              # only on the error path
-            near = difflib.get_close_matches(key, known, n=1)
+            near = difflib.get_close_matches(key, every, n=1)
             raise ConfigError(f"unknown key {path}.{key}".replace(" .", " ")
                               + (f"; did you mean {near[0]}?" if near else ""))
     if out is None:
@@ -245,20 +247,20 @@ _GRID = (("file", None, {"file": (str, _REQUIRED)}),) + tuple(
         _SAMPLED, _SAMPLED)))
 _SCAN = {"n_directions": (int, None), "lambdas": (_GRID1D, None),
          "a_threshold": (float, None), "floor_rel": (float, None),
-         "lambda_min": (float, None), "certified": (bool, None)}
+         "lambda_min": (float, None)}
 
 _SCHEMAS = {
     "weights": {
         "seq": (_SEQ, _GEVREY2),
-        "r": (_GRID1D, {"lo": 0.01, "hi": 10.0, "n": 50, "spacing": "log"}),
+        "r": (_GRID1D, None),       # from the table: see _cmd_weights
         "absorption": ({"r": (_GRID1D, {"lo": 1e-3, "hi": 1.0, "n": 40,
                                         "spacing": "log"}),
                         "n": ([int], [1, 2, 3])}, None)},
     "jets": {
         "field": ({"a": ([_JET], []), "b": ([_JET], []),
                    "time_dependent": (bool, False)}, _REQUIRED),
-        "datum": (_JET, _REQUIRED), "n_max": (int, 8),
-        "residual_n": (int, None)},
+        "datum": (_JET, _REQUIRED), "n_max": (range(1, 2 ** 63), 8),
+        "residual_n": (range(2 ** 63), None)},
     "extend": {
         "datum": (_JET, _REQUIRED), "seq": (_SEQ, {**_GEVREY2, "K_max": 4096}),
         "kernel": ({"epsilon": (float, None), "n_r": (int, None),
@@ -373,7 +375,10 @@ def _scan_config(spec: dict):
 def _cmd_weights(args) -> int:
     from .weights import absorption_fit, assoc, bigN_capped, check_regularity
     raw, cfg = _load_config(args)
-    seq, r = _sequence(cfg["seq"]), _grid1d(cfg["r"], "r")
+    seq = _sequence(cfg["seq"])
+    # by default r starts at the least r the table certifies, or at 0.01
+    r = _grid1d(cfg.get("r", {"lo": max(0.01, math.exp(-seq.increments[-1])),
+                              "hi": 10.0, "n": 50, "spacing": "log"}), "r")
     reg = check_regularity(seq)
     results = {"regular": bool(reg.passed), "c_bound": float(seq.c_bound),
                "K_max": int(seq.K_max), "log_convex": bool(seq.log_convex)}
@@ -489,20 +494,14 @@ def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
     import numpy as np
 
     from .weights import fbi_envelope
-    env = np.maximum(
-        fbi_envelope(seq, a_threshold, scan.lambdas, certified=False),
-        floor_rel)
-    rows = []
+    env = np.maximum(fbi_envelope(seq, a_threshold, scan.lambdas), floor_rel)
     failed = set(scan.failed_indices)
-    for j in range(scan.directions.shape[0]):
-        om = scan.directions[j] if scan.directions.ndim == 2 \
-            else [scan.directions[j]]
-        for li, lam in enumerate(scan.lambdas):
-            rows.append((j, *[float(c) for c in om], float(lam),
-                         float(scan.samples[j, li]), float(env[li]),
-                         j not in failed))
-    dim = scan.directions.shape[1] if scan.directions.ndim == 2 else 1
-    header = (["direction_index"] + [f"omega_{d}" for d in range(dim)]
+    rows = [(j, *[float(c) for c in om], float(lam), float(f), float(e),
+             j not in failed)
+            for j, om in enumerate(scan.directions)
+            for lam, f, e in zip(scan.lambdas, scan.samples[j], env)]
+    header = (["direction_index"]
+              + [f"omega_{d}" for d in range(scan.directions.shape[1])]
               + ["lambda", "abs_F", "envelope", "passed"])
     per_dir = [{"index": j, "A_fit": float(r.A_fit), "passed": bool(r.passed)}
                for j, r in enumerate(scan.reports)]

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteSamples, NoCone, NoRegularDirection, \
-    Undersampled
-from .weights import WeightSequence, fbi_envelope
+from .errors import GuardExceeded, NonFiniteSamples, NoCone, \
+    NoRegularDirection, Undersampled
+from .weights import WeightSequence, envelope_certified, fbi_envelope
 
 _BOUNDARY_TOL = 1e-12
 # samples per axis of the conormal and holomorphic fixture grids, which the
@@ -379,10 +379,10 @@ def _tail(lams: np.ndarray, lambda_min: float) -> np.ndarray:
 
 def decay_classify(lambdas, samples, seq: WeightSequence,
                    lambda_min: float = 4.0, floor_rel: float = 1e-11,
-                   scale: float | None = None,
-                   certified: bool = False) -> DecayReport:
+                   scale: float | None = None) -> DecayReport:
     """Smallest grid A with |F(lambda)| <= max(E(A, lambda), floor) on the
-    tail lambda >= lambda_min.
+    tail lambda >= lambda_min, among the levels the table certifies there
+    (so a pass at the lowest reports it); GuardExceeded when there are none.
 
     The floor absorbs quadrature noise and underflow: floor_rel times the
     sample scale (max of these samples unless a global scale is given).
@@ -401,14 +401,16 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
         raise ValueError(f"no samples at or above lambda_min={lambda_min}")
     lt, mt = lams[tail], mags[tail]
 
-    # one envelope row per grid A; a certified hit at any A is a hit at the
-    # smallest, so the guard raises as a search from the smallest A would
-    env = fbi_envelope(seq, _A_GRID, lt, certified=certified)
+    # a level certified at the top lambda is certified over the whole tail
+    levels = _A_GRID[envelope_certified(seq, _A_GRID, lt.max())]
+    if not levels.size:
+        raise GuardExceeded(f"envelope minimizer hit K_max={seq.K_max} at "
+                            f"lambda={lt.max():.6g} for every level A; "
+                            f"enlarge K_max")
+    env = fbi_envelope(seq, levels, lt)         # one row per level
     ok = np.all(mt <= np.maximum(env, floor), axis=1)
-    if not ok.any():
-        return DecayReport(False, np.inf, lambda_min, floor, n_tail)
-    return DecayReport(True, float(_A_GRID[np.argmax(ok)]), lambda_min, floor,
-                       n_tail)
+    A_fit = float(levels[np.argmax(ok)]) if ok.any() else np.inf
+    return DecayReport(bool(ok.any()), A_fit, lambda_min, floor, n_tail)
 
 
 def decay_margin(lambdas, samples, seq: WeightSequence, A: float,
@@ -418,7 +420,7 @@ def decay_margin(lambdas, samples, seq: WeightSequence, A: float,
     lams = np.asarray(lambdas, dtype=float)
     mags = np.abs(np.asarray(samples))
     tail = _tail(lams, lambda_min)
-    env = fbi_envelope(seq, A, lams[tail], certified=False)
+    env = fbi_envelope(seq, A, lams[tail])
     with np.errstate(divide="ignore"):
         return float(np.max(np.log(mags[tail]) - np.log(env)))
 
@@ -434,7 +436,6 @@ class ScanConfig:
     a_threshold: float = 1.0
     floor_rel: float = 1e-11
     lambda_min: float | None = None      # default: top third of the log range
-    certified: bool = False
 
     def __post_init__(self):
         """ValueError for a scan that classifies nothing."""
@@ -482,18 +483,12 @@ def _circle_directions(n: int) -> np.ndarray:
 
 def _failed_bands(failed, n: int) -> list:
     """Group failed direction indices into circularly contiguous bands."""
-    if not failed:
-        return []
-    fs = sorted(failed)
     bands = []
-    cur = [fs[0]]
-    for j in fs[1:]:
-        if j == cur[-1] + 1:
-            cur.append(j)
+    for j in sorted(failed):
+        if bands and j == bands[-1][-1] + 1:
+            bands[-1].append(j)
         else:
-            bands.append(cur)
-            cur = [j]
-    bands.append(cur)
+            bands.append([j])
     # wrap-around: merge a band ending at n-1 into one starting at 0
     if len(bands) > 1 and bands[0][0] == 0 and bands[-1][-1] == n - 1:
         bands[0] = bands.pop() + bands[0]
@@ -534,15 +529,11 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
     else:
         lambda_min = float(cfg.lambda_min)
 
-    reports = []
-    failed = []
-    for j in range(dirs.shape[0]):
-        rep = decay_classify(lams, samples[j], seq, lambda_min=lambda_min,
-                             floor_rel=cfg.floor_rel, scale=1.0,
-                             certified=cfg.certified)
-        reports.append(rep)
-        if not rep.passed or rep.A_fit > cfg.a_threshold:
-            failed.append(j)
+    reports = [decay_classify(lams, row, seq, lambda_min=lambda_min,
+                              floor_rel=cfg.floor_rel, scale=1.0)
+               for row in samples]
+    failed = [j for j, rep in enumerate(reports)
+              if not rep.passed or rep.A_fit > cfg.a_threshold]
 
     if gf.dim == 2 and len(failed) == dirs.shape[0]:
         raise NoRegularDirection(

@@ -16,8 +16,8 @@ infima go through one certified argmin, _argmin: a binary search over the
 nondecreasing increments of a log-convex table, a direct scan of any other
 table.  It also reports when the minimizer sits on the table boundary with
 the terms still decreasing, and each caller sets its policy for that case:
-h, h1 and N raise, bigN_capped caps (and raises on non-log-convex tables),
-and fbi_envelope raises unless certified=False asks for the upper bound.
+h, h1, N and fbi_envelope raise, envelope_certified reports it, and
+bigN_capped caps (and raises on non-log-convex tables).
 """
 
 from __future__ import annotations
@@ -302,36 +302,45 @@ def bigN_capped(seq: WeightSequence, r, cap: int):
         seq, np.log(rr), guard=not convex, stop=cap if convex else None), cap))
 
 
-def fbi_envelope(seq: WeightSequence, A, lam, certified: bool = True):
+def _log_envelope(seq: WeightSequence, A, lam) -> tuple:
+    """(log min over the table of A^{k+1} M_k lam^{-k}, hit), rows by A."""
+    A = np.asarray(A, dtype=float)
+    if np.any(A <= 0.0):
+        raise ValueError("A must be positive")
+    log_A, log_M, log_lam = np.log(A)[..., None], seq.log_M, np.log(lam)
+    # no tie shift: at lam/A = M_{k+1}/M_k either index attains E, and
+    # moving to the lower one would change E in its last bits
+    idx, hit = _argmin(seq, log_M, np.diff(log_M), log_lam - log_A,
+                       shift_ties=False)
+    return (idx + 1) * log_A + log_M[idx] - idx * log_lam, hit
+
+
+def fbi_envelope(seq: WeightSequence, A, lam):
     """FBI decay envelope E(A, lam) = inf_k A^{k+1} M_k lam^{-k}.
 
     A is one positive level or an array of them; an array gives one row of
     lam values per entry, each equal to the call with that entry alone.
-    With certified=False the partial minimum over the table is returned even
-    when the minimizer sits on the boundary; that value is an upper bound
-    for the true envelope, which is the conservative direction for decay
-    pass/fail decisions.
+    GuardExceeded when the minimizer sits on K_max with the terms still
+    decreasing: the infimum may then lie beyond the table, and the minimum
+    over the table only bounds it from above.
     """
-    A = np.asarray(A, dtype=float)
-    if np.any(A <= 0.0):
-        raise ValueError("A must be positive")
-    log_A = np.log(A)[..., None]
-
     def envelope(ll):
-        log_M = seq.log_M
-        # no tie shift: at lam/A = M_{k+1}/M_k either index attains E, and
-        # moving to the lower one would change E in its last bits
-        idx, hit = _argmin(seq, log_M, np.diff(log_M),
-                           np.log(ll) - log_A, shift_ties=False)
-        if np.any(hit) and certified:
+        vals, hit = _log_envelope(seq, A, ll)
+        if np.any(hit):
             raise GuardExceeded(
                 f"envelope minimizer hit K_max={seq.K_max} at lambda="
-                f"{np.broadcast_to(ll, hit.shape)[hit][0]:.6g}; enlarge "
-                f"K_max or pass certified=False")
-        vals = (idx + 1) * log_A + log_M[idx] - idx * np.log(ll)
+                f"{np.broadcast_to(ll, hit.shape)[hit][0]:.6g}; enlarge K_max")
         with np.errstate(under="ignore"):
             return np.exp(vals)
     return _elementwise(lam, "lambda", envelope)
+
+
+def envelope_certified(seq: WeightSequence, A, lam):
+    """Where fbi_envelope(seq, A, lam) is certified, as an array of its
+    shape.  A hit is monotone: a level certified at lam is certified at
+    every smaller lam, and so is every larger level."""
+    return _elementwise(lam, "lambda",
+                        lambda ll: ~_log_envelope(seq, A, ll)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 for carleman.fbi.decay_classify and carleman.fixtures.smooth_step.
 
 decay_classify is the toolkit's first classification, kept as a plain
-function: it evaluates the envelope once per grid level A, from the
-smallest up, and stops at the first A whose envelope covers the tail.
+function: it takes the minimum over the table of A^{k+1} M_k lam^{-k} once
+per grid level A, from the smallest up, and stops at the first A whose
+minimum covers the tail.  It certifies nothing: where the minimizer sits on
+K_max with the terms still decreasing, that minimum only bounds the
+envelope from above.  certified tells those places apart from the terms.
 smooth_step is the toolkit's first cutoff: both exponentials over the whole
 array, clamped away from zero, then both ends overwritten.
 """
@@ -13,15 +16,36 @@ from __future__ import annotations
 import numpy as np
 
 from carleman.fbi import _A_GRID, DecayReport, _tail
-from carleman.weights import WeightSequence, fbi_envelope
+from carleman.weights import WeightSequence
+
+
+def _log_terms(seq: WeightSequence, A: float, lams) -> np.ndarray:
+    """log A^{k+1} M_k lam^{-k} for k = 0..K_max, one row per lambda."""
+    ks = np.arange(seq.K_max + 1)
+    log_lam = np.log(np.atleast_1d(np.asarray(lams, dtype=float)))
+    return (ks + 1) * np.log(A) + seq.log_M - ks * log_lam[:, None]
+
+
+def partial_envelope(seq: WeightSequence, A: float, lams) -> np.ndarray:
+    """The minimum over k = 0..K_max of A^{k+1} M_k lam^{-k}, per lambda."""
+    with np.errstate(under="ignore"):
+        return np.exp(np.min(_log_terms(seq, A, lams), axis=1))
+
+
+def certified(seq: WeightSequence, A: float, lam: float) -> bool:
+    """False when the least minimizer over the table is K_max with the
+    terms still decreasing there, so the envelope may lie below the
+    table's minimum."""
+    t = _log_terms(seq, A, lam)[0]
+    K = seq.K_max
+    return not (np.argmin(t) == K and t[K] < t[K - 1])
 
 
 def decay_classify(lambdas, samples, seq: WeightSequence,
                    lambda_min: float = 4.0, floor_rel: float = 1e-11,
-                   scale: float | None = None,
-                   certified: bool = False) -> DecayReport:
-    """Smallest grid A with |F(lambda)| <= max(E(A, lambda), floor) on the
-    tail lambda >= lambda_min, one envelope call per A tried."""
+                   scale: float | None = None) -> DecayReport:
+    """Smallest grid A with |F(lambda)| <= max(min over the table,
+    floor) on the tail lambda >= lambda_min, one minimum per A tried."""
     lams = np.asarray(lambdas, dtype=float)
     mags = np.abs(np.asarray(samples))
     if lams.shape != mags.shape or lams.ndim != 1 or lams.size == 0:
@@ -37,7 +61,7 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
     lt, mt = lams[tail], mags[tail]
 
     for A in _A_GRID:
-        env = fbi_envelope(seq, float(A), lt, certified=certified)
+        env = partial_envelope(seq, float(A), lt)
         if np.all(mt <= np.maximum(env, floor)):
             return DecayReport(True, float(A), lambda_min, floor, n_tail)
     return DecayReport(False, np.inf, lambda_min, floor, n_tail)

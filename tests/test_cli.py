@@ -1,6 +1,8 @@
 """End-to-end checks of the carleman command line driver."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -103,6 +105,21 @@ def test_weights_guard_is_failure_not_usage(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("cfg, lo", [
+    # the default table certifies r from m_63/m_64, about 1/64, up
+    ({}, float(np.exp(-make_sequence("gevrey", s=2.0).increments[-1]))),
+    ({"seq": WEIGHTS_CFG["seq"]}, 0.01),
+], ids=["defaults", "long-table"])
+def test_weights_default_r_starts_where_the_table_certifies(tmp_path, capsys,
+                                                            cfg, lo):
+    rc, out = run(tmp_path, ["weights"], cfg)
+    assert rc == 0 and capsys.readouterr().err == ""
+    _, rows = read_csv(out / "weights.csv")
+    r = [float(row[0]) for row in rows]
+    assert len(r) == 50 and r[0] == lo and r[-1] == 10.0
+    assert lo == pytest.approx(1.0 / 64.0, rel=1e-12) or lo == 0.01
+
+
 # ---------------------------------------------------------------------------
 # jets
 
@@ -143,6 +160,18 @@ def test_jets_bad_counts_are_config_errors(tmp_path, capsys, counts):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("counts, message", [
+    ({"n_max": 0}, "n_max must be a 64-bit integer >= 1, not 0"),
+    ({"n_max": -1}, "n_max must be a 64-bit integer >= 1, not -1"),
+    ({"residual_n": -1}, "residual_n must be a 64-bit integer >= 0, not -1"),
+], ids=["n_max-0", "n_max-negative", "residual_n-negative"])
+def test_jets_counts_out_of_range_name_their_key(tmp_path, capsys, counts,
+                                                 message):
+    rc, out = run(tmp_path, ["jets"], dict(JETS_CFG, **counts))
+    assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def one_line_error(capsys):
@@ -438,6 +467,20 @@ def test_scan_failing_every_direction_has_no_verdict(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_fbi_a_threshold_below_the_certified_levels_fails_in_one_line(
+        tmp_path, capsys):
+    # the table certifies the envelope at lambda <= 64 from A = 2^-6 up, so
+    # the envelope column at a_threshold 1e-3 has no certified value
+    cfg = {"grid": {"fixture": "sign", "n": 4096},
+           "scan": {"a_threshold": 1e-3}}
+    rc, out = run(tmp_path, ["fbi"], cfg)
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: envelope minimizer hit "
+                                      "K_max=64 at lambda=")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_wf_mismatched_model_fails(tmp_path):
     # transport speed 2 does not match the |x - t|^3 kink direction
     cfg = {"solution": {"fixture": "conormal"},
@@ -618,8 +661,6 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
     pytest.param("wf-experiment", dict(_WF_SMALL, base=[0.0, 1e13]),
                  id="wf.base-beyond-a0-stencil"),
     # booleans are JSON booleans, never strings that bool() reads as true
-    pytest.param("fbi", _sign_scan(certified="false"),
-                 id="fbi.scan.certified-string"),
     pytest.param("jets", dict(JETS_TD_CFG, field=dict(
         JETS_TD_CFG["field"], time_dependent="true")),
                  id="jets.field.time_dependent-string"),
@@ -639,6 +680,10 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
     *[pytest.param("fbi", {"grid": {"fixture": name, "offset": 0.5}},
                    id=f"fbi.grid.{name}-offset")
       for name in ("gaussian", "sign", "conormal", "holomorphic")],
+    # a series needs a term, and a residual table an n of 0 or more
+    pytest.param("jets", dict(JETS_CFG, n_max=0), id="jets.n_max-0"),
+    pytest.param("jets", dict(JETS_CFG, residual_n=-1),
+                 id="jets.residual_n-negative"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, cfg):
     rc, out = run(tmp_path, [command], cfg)
@@ -672,6 +717,13 @@ def test_fbi_grid_file_takes_no_fixture_key(tmp_path, capsys, extra):
     # the sign-convention key the wave-front experiment no longer has
     pytest.param("wf-experiment", dict(_WF_SMALL, convention="paper"),
                  "unknown key convention", id="wf.convention"),
+    # the switch to the uncertified envelope, which is gone
+    pytest.param("fbi", _sign_scan(certified=False),
+                 "unknown key scan.certified", id="fbi.scan.certified"),
+    # read as an inline jet, yet the hint comes from the file variant
+    pytest.param("jets", dict(JETS_CFG, datum={"fil": "u.json"}),
+                 "unknown key datum.fil; did you mean file?",
+                 id="jets.datum.fil"),
 ])
 def test_unknown_key_is_config_error_naming_its_path(tmp_path, capsys,
                                                      command, cfg, message):
@@ -705,3 +757,70 @@ def test_console_script_help():
     for name in ("weights", "jets", "extend", "fbi", "wf-experiment",
                  "acceptance"):
         assert name in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the README's key tables
+
+def _readme_key_tables() -> dict:
+    """{title: {key: fixtures cell or None}} for every table of the README
+    whose first column is key; the title is the command named first in the
+    paragraph above the table, or "scan" or "grid" for the shared tables."""
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text() \
+        .splitlines()
+    tables = {}
+    for i, line in enumerate(lines):
+        if not line.startswith("| key |"):
+            continue
+        j = i - 1                       # the paragraph above the table
+        while not lines[j].strip():
+            j -= 1
+        para = []
+        while lines[j].strip():
+            para.insert(0, lines[j])
+            j -= 1
+        text = " ".join(para)
+        title = "scan" if text.startswith("A scan") else \
+            "grid" if text.startswith("A grid") else \
+            re.match(r"`([\w-]+)`", text).group(1)
+        header = [c.strip() for c in line.strip("|").split("|")]
+        rows = {}
+        for row in lines[i + 2:]:
+            if not row.startswith("|"):
+                break
+            cells = [c.strip() for c in row.strip("|").split("|")]
+            for key in re.findall(r"`([^`]+)`", cells[0]):
+                rows[key] = cells[1] if header[1] == "fixtures" else None
+        tables[title] = rows
+    return tables
+
+
+def _dotted_keys(schema, prefix="") -> set:
+    """The dotted keys of a schema table, into nested objects but not into
+    the scan, which has a table of its own."""
+    out = set()
+    for key, (kind, _) in schema.items():
+        out.add(prefix + key)
+        if isinstance(kind, dict) and kind is not cli._SCAN:
+            out |= _dotted_keys(kind, f"{prefix}{key}.")
+    return out
+
+
+def test_readme_key_tables_match_the_schemas():
+    tables = _readme_key_tables()
+    assert sorted(tables) == sorted([*cli._SCHEMAS, "scan", "grid"])
+    for command, schema in cli._SCHEMAS.items():
+        assert set(tables[command]) == _dotted_keys(schema), command
+    assert set(tables["scan"]) == set(cli._SCAN)
+    # the grid table: every key a fixture takes, and which fixtures take it
+    takes = {}
+    for key, value, keys in cli._GRID:
+        if key == "fixture":
+            for k in keys:
+                takes.setdefault(k, []).append(value)
+    assert set(tables["grid"]) == set(takes)
+    for key, fixtures in takes.items():
+        cell = tables["grid"][key]
+        named = cli._FIXTURE_GRIDS if cell == "all" else \
+            tuple(re.findall(r"`(\w+)`", cell))
+        assert sorted(named) == sorted(fixtures), key

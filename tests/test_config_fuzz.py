@@ -77,7 +77,7 @@ CONFIGS = [
                        noise=0.0), x0=[0.0],
                  scan={"n_directions": 8, "lambdas": _LAMBDAS,
                        "a_threshold": 1.0, "floor_rel": 1e-11,
-                       "lambda_min": 16.0, "certified": False})),
+                       "lambda_min": 16.0})),
     ("fbi", dict(_grid(file=str(FILES / "gaussian.bin")),
                  scan={"lambdas": _LAMBDAS})),
     ("fbi", dict(_grid(fixture="sign", n=2048, noise=1e-6),

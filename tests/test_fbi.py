@@ -348,10 +348,12 @@ def test_direction_scan_2d_guards(gf, lams, message):
 # ---------------------------------------------------------------------------
 # decay classification
 
-def test_classify_gaussian_envelope(g2):
+def test_classify_gaussian_envelope():
+    # lambda up to 2^26 needs a table of K_max 8192 to certify A near 1
+    seq = make_sequence("gevrey", s=2.0, K_max=8192)
     lams = 2.0 ** np.arange(2, 27)
     samples = np.array([abs(gaussian_fbi_closed_form(0.0, l)) for l in lams])
-    rep = decay_classify(lams, samples, g2)
+    rep = decay_classify(lams, samples, seq)
     assert rep.passed
     assert rep.A_fit <= 2.0
 
@@ -359,7 +361,7 @@ def test_classify_gaussian_envelope(g2):
 def test_classify_recovers_planted_envelope(g2):
     from carleman.weights import fbi_envelope
     lams = np.geomspace(4.0, 256.0, 16)
-    samples = fbi_envelope(g2, 2.0, lams, certified=False)
+    samples = fbi_envelope(g2, 2.0, lams)
     rep = decay_classify(lams, samples, g2)
     assert rep.passed
     assert rep.A_fit == 2.0
@@ -376,7 +378,7 @@ def test_classify_sign_fails(g2):
 def test_classify_monotone_in_amplitude(g2):
     lams = np.geomspace(4.0, 256.0, 16)
     from carleman.weights import fbi_envelope
-    base = fbi_envelope(g2, 1.0, lams, certified=False)
+    base = fbi_envelope(g2, 1.0, lams)
     r1 = decay_classify(lams, base, g2, scale=1.0)
     r2 = decay_classify(lams, 8.0 * base, g2, scale=1.0)
     assert r2.A_fit >= r1.A_fit

@@ -12,6 +12,7 @@ from carleman.weights import (
     bigN,
     bigN_capped,
     check_regularity,
+    envelope_certified,
     fbi_envelope,
     make_sequence,
     seq_from_dict,
@@ -292,13 +293,10 @@ def test_envelope_beats_powers(g2):
 
 def test_envelope_guard():
     seq = make_sequence("gevrey", s=2.0, K_max=8)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="^envelope minimizer hit K_max=8 "
+                       "at lambda=1e[+]09; enlarge K_max$"):
         fbi_envelope(seq, 1.0, 1e9)
-    # uncertified partial minimum falls back to the boundary value
-    ks = np.arange(9)
-    want = np.min(np.exp(seq.log_M) * 1e9 ** (-ks.astype(float)))
-    got = fbi_envelope(seq, 1.0, 1e9, certified=False)
-    assert got == pytest.approx(want, rel=1e-10)
+    assert not envelope_certified(seq, 1.0, 1e9)
 
 
 # ---------------------------------------------------------------- absorption
@@ -561,8 +559,7 @@ def test_envelope_matches_mpmath(mp, name):
             _, low, ok = mp_argmin([(k + 1) * log_A + lM - k * log_lam
                                     for k, lM in enumerate(log_M)])
             want = float(mp.exp(low))
-            assert fbi_envelope(seq, A, lam, certified=False) == \
-                pytest.approx(want, rel=ORACLE_RTOL)
+            assert envelope_certified(seq, A, lam) == ok
             if ok:
                 assert fbi_envelope(seq, A, lam) == pytest.approx(
                     want, rel=ORACLE_RTOL)
