@@ -22,6 +22,7 @@ import sys
 from .errors import ArityMismatch, CarlemanError, ConfigError
 
 _FIXTURE_GRIDS = ("gaussian", "sign", "pole", "conormal", "holomorphic")
+_PROFILES = _FIXTURE_GRIDS[:3]          # the 1-D fixture grids
 _WF_FIXTURES = ("conormal", "holomorphic")
 
 
@@ -335,19 +336,26 @@ def _jet(spec: dict, path: str):
         raise ConfigError(f"bad {path} spec: {e}")
 
 
-def _fixture_grid(spec: dict, seed: int):
+def _fixture_grid(spec: dict, seed: int, top: float):
+    """The grid a parsed grid section names.  A 1-D fixture without n takes
+    the fewest samples the scan's sampling guard passes at its top lambda
+    top, at least the fixture's default and at most GRID_N."""
     import numpy as np
 
     from . import fixtures
-    from .fbi import GridFunction
+    from .fbi import GRID_N, GridFunction, guard_n
     if "file" in spec:
         try:
             return GridFunction.load(spec["file"])
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read grid file {spec['file']}: {e}")
+    kwargs = {k: v for k, v in spec.items() if k not in ("fixture", "noise")}
+    half = spec.get("half_width", fixtures.PROFILE_HALF_WIDTH)
+    # a half_width <= 0 is left to the fixture's config error below
+    if spec["fixture"] in _PROFILES and "n" not in spec and half > 0.0:
+        kwargs["n"] = min(max(fixtures.PROFILE_N, guard_n(top, half)), GRID_N)
     try:
-        gf = getattr(fixtures, f"{spec['fixture']}_grid")(**{
-            k: v for k, v in spec.items() if k not in ("fixture", "noise")})
+        gf = getattr(fixtures, f"{spec['fixture']}_grid")(**kwargs)
     except ValueError as e:             # half_width <= 0
         raise ConfigError(f"bad grid spec: {e}")
     if spec["noise"] > 0.0:
@@ -359,14 +367,28 @@ def _fixture_grid(spec: dict, seed: int):
     return gf
 
 
-def _scan_config(spec: dict):
-    from .fbi import ScanConfig
+def _scan_config(spec: dict, seq):
+    """The scan section; a config error, before any grid exists, when the
+    table does not certify the envelope at a_threshold and the top lambda,
+    where neither the verdicts nor the payload's envelope column could be
+    certified."""
+    from .fbi import ScanConfig, certified_levels
+    from .weights import envelope_certified
     if "lambdas" in spec:
         spec = {**spec, "lambdas": _grid1d(spec["lambdas"], "scan.lambdas")}
     try:
-        return ScanConfig(**spec)
+        scfg = ScanConfig(**spec)
     except ValueError as e:
         raise ConfigError(f"bad scan spec: {e}")
+    top = float(max(scfg.lambdas))
+    if not envelope_certified(seq, scfg.a_threshold, top):
+        levels = certified_levels(seq, top)
+        lowest = f"below {levels[0]:g}, the lowest level" if levels.size \
+            else "below every level"
+        raise ConfigError(f"scan.a_threshold {scfg.a_threshold:g} lies "
+                          f"{lowest} the seq table certifies at lambda = "
+                          f"{top:g}; enlarge K_max (now {seq.K_max})")
+    return scfg
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +538,9 @@ def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
 def _cmd_fbi(args) -> int:
     from .fbi import wavefront_scan
     raw, cfg = _load_config(args)
-    seq, scfg = _sequence(cfg["seq"]), _scan_config(cfg["scan"])
-    gf = _fixture_grid(cfg["grid"], args.seed)
+    seq = _sequence(cfg["seq"])
+    scfg = _scan_config(cfg["scan"], seq)
+    gf = _fixture_grid(cfg["grid"], args.seed, float(max(scfg.lambdas)))
     if gf.dim > 2:
         raise ConfigError(f"scans cover 1-D and 2-D grids; this grid is "
                           f"{gf.dim}-D")
@@ -540,7 +563,8 @@ def _cmd_wf_experiment(args) -> int:
         "solution": {"fixture": args.fixture}})
     solution = WAVE_SOLUTIONS[cfg["solution"]["fixture"]]
     rhs = _jet(cfg["model"], "model") if "model" in cfg else solution.rhs
-    seq, scfg = _sequence(cfg["seq"]), _scan_config(cfg["scan"])
+    seq = _sequence(cfg["seq"])
+    scfg = _scan_config(cfg["scan"], seq)
     # its ArityMismatch and ValueErrors are input boundaries: a model not
     # of one spatial variable, the radius
     try:

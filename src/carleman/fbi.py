@@ -6,8 +6,10 @@ along rays xi = lambda omega and fitting the samples against the envelope
 E(A, lambda) = inf_k A^{k+1} M_k lambda^{-k} separates directions where u
 behaves like the weight class from directions where it does not.  A scan
 takes every lambda at once: directions with equal |omega_d| share their
-windowed cos/sin columns, and each block of grid rows costs one real matrix
-product (two where the block has an imaginary part).
+windowed cos/sin columns, both axes share one table when they match bit for
+bit, and each block of grid rows costs one real matrix product over its
+nonzero columns (two where the block has an imaginary part) and one small
+batched product per lambda against the first-axis columns.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ _BOUNDARY_TOL = 1e-12
 # wave front experiment derives from the sampling guard
 GRID_N = 2752
 # samples per block of leading-axis rows when a grid is written or read,
-# and in flight over all workers when a grid is built or checked
+# and in flight over all workers when a grid or a scan's cos/sin table is
+# built, or a grid checked
 _BLOCK_ELEMENTS = 1 << 15
 # samples per block of grid rows in a direction scan: the real product
 # against the shared cos/sin matrix runs nearer the BLAS peak on taller
@@ -287,21 +290,18 @@ def _axis_window(gf: GridFunction, x, d: int, lams):
 
 def _phase_columns(v, g, lams, w) -> np.ndarray:
     """g cos(lambda v w) and g sin(lambda v w) for every offset v, lambda
-    and frequency factor w; shape (n_v, n_lambdas, 2, n_w)."""
-    arg = lams[:, None] * (v[:, None, None] * w)
-    out = np.empty(arg.shape[:2] + (2,) + arg.shape[2:])
-    np.cos(arg, out=out[:, :, 0])
-    np.sin(arg, out=out[:, :, 1])
-    out *= g[:, :, None, None]
+    and frequency factor w; shape (n_v, n_lambdas, 2, n_w).  Built in
+    blocks of offsets on the grid pool, each in place."""
+    out = np.empty((v.size, lams.size, 2, w.size))
+
+    def fill(b):
+        arg = np.multiply(lams[:, None], v[b, None, None] * w,
+                          out=out[b, :, 1])
+        np.cos(arg, out=out[b, :, 0])
+        np.sin(arg, out=arg)
+        out[b] *= g[b, :, None, None]
+    _map_row_blocks(fill, out.shape)
     return out
-
-
-def _signed(cs, sign) -> np.ndarray:
-    """cos + i sign sin from columns taken per direction, (..., 2, d)."""
-    z = np.empty(cs[..., 0, :].shape, dtype=complex)
-    z.real = cs[..., 0, :]
-    z.imag = cs[..., 1, :] * sign
-    return z
 
 
 def fbi_direction_scan(gf: GridFunction, x, directions, lambdas) -> np.ndarray:
@@ -313,13 +313,22 @@ def fbi_direction_scan(gf: GridFunction, x, directions, lambdas) -> np.ndarray:
     + i sign(omega_d) sin(lambda v |omega_d|), so directions with equal
     |omega_d| share their columns.  The windowed cos and sin columns of the
     last axis, for every lambda and every distinct |omega_2|, form one real
-    matrix Q.  Each block of grid rows meets Q in one real matrix product,
-    and in a second only when the block has a nonzero imaginary part; each
-    direction then takes its columns with its sign and is contracted
-    against the first-axis factor g_0 e^{i lambda v_0 omega_1}, built the
-    same way.  A 1-d grid is the case of one row.  The products cost
-    4 n_0 n_1 L K real flops per nonzero part, K the number of distinct
-    |omega_2|: 17 for the default fan of 64 directions.
+    matrix Q; those of the first axis form P, built once, and P is Q itself
+    when the two axes' offsets, windows and |omega| sets are bit-equal (a
+    square box, a base point on its diagonal and a fan closed under the
+    swap).  Each block of grid rows meets Q in one real matrix product, and
+    in a second only when the block has a nonzero imaginary part; each
+    product skips the block's leading and trailing all-zero columns, which
+    a windowed grid has outside its cutoff.  For every lambda the product
+    is then contracted with the block's rows of P in one batched real
+    product, into a table of cos/sin pairs over the distinct |omega_1| and
+    |omega_2|.  Each direction reads its four entries there and combines
+    them with its signs: cos cos - s_1 s_2 sin sin for the real part and
+    s_2 cos sin + s_1 sin cos for the imaginary part.  A 1-d grid is the
+    case of one row.  The products cost 4 n_0 n_1' L K_2 real flops per
+    nonzero part, n_1' the nonzero column span and K_d the number of
+    distinct |omega_d| (17 for the default fan of 64 directions), plus
+    8 n_0 L K_1 K_2 for the first-axis contraction.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
@@ -338,22 +347,38 @@ def fbi_direction_scan(gf: GridFunction, x, directions, lambdas) -> np.ndarray:
     om2 = dirs[:, -1]
     w0, k0 = np.unique(np.abs(om1), return_inverse=True)
     w1, k1 = np.unique(np.abs(om2), return_inverse=True)
-    sign0 = np.where(om1 < 0.0, -1.0, 1.0)
-    sign1 = np.where(om2 < 0.0, -1.0, 1.0)
 
     q = _phase_columns(v1, g1, lams, w1).reshape(v1.size, -1)
-    shape = (-1, lams.size, 2, w1.size)
+    shared = all(np.array_equal(a, b)
+                 for a, b in ((v0, v1), (g0, g1), (w0, w1)))
+    p = q if shared else _phase_columns(v0, g0, lams, w0)
+    p = p.reshape(v0.size, lams.size, 2 * w0.size)
     vals = gf.values.reshape(-1, v1.size)
-    out = np.zeros((dirs.shape[0], lams.size), dtype=complex)
-    for b in _row_blocks(vals.shape, _SCAN_BLOCK_ELEMENTS):
-        m = _signed((np.ascontiguousarray(vals[b].real) @ q)
-                    .reshape(shape)[..., k1], sign1)
-        imag = vals[b].imag
-        if imag.any():
-            m += 1j * _signed((np.ascontiguousarray(imag) @ q)
-                              .reshape(shape)[..., k1], sign1)
-        p0 = _signed(_phase_columns(v0[b], g0[b], lams, w0)[..., k0], sign0)
-        out += np.einsum("alj,alj->jl", p0, m)
+    # [real or imaginary part of u, lambda, cos/sin x |omega_1|,
+    # cos/sin x |omega_2|]
+    table = np.zeros((2, lams.size, 2 * w0.size, 2 * w1.size))
+    blocks = _row_blocks(vals.shape, _SCAN_BLOCK_ELEMENTS)
+    buf = np.empty(vals[blocks[0]].shape)
+    for b in blocks:
+        for part, plane in zip(table, (vals[b].real, vals[b].imag)):
+            a = buf[:plane.shape[0]]
+            np.copyto(a, plane)
+            cols = np.flatnonzero(a.any(axis=0))
+            if cols.size:
+                c = slice(cols[0], cols[-1] + 1)
+                r = (a[:, c] @ q[c]).reshape(len(a), lams.size, -1)
+                part += np.matmul(p[b].transpose(1, 2, 0),
+                                  r.transpose(1, 0, 2))
+    # per direction, (part, lambda, cos/sin 1, cos/sin 2) at (k0, k1)
+    t = table.reshape(2, lams.size, 2, w0.size, 2, w1.size) \
+        .transpose(3, 5, 0, 1, 2, 4)[k0, k1]
+    s0 = np.where(om1 < 0.0, -1.0, 1.0)[:, None, None]
+    s1 = np.where(om2 < 0.0, -1.0, 1.0)[:, None, None]
+    re = t[..., 0, 0] - s0 * s1 * t[..., 1, 1]
+    im = s1 * t[..., 0, 1] + s0 * t[..., 1, 0]
+    out = np.empty((dirs.shape[0], lams.size), dtype=complex)
+    out.real = re[:, 0] - im[:, 1]
+    out.imag = im[:, 0] + re[:, 1]
     return out
 
 
@@ -361,6 +386,12 @@ def fbi_direction_scan(gf: GridFunction, x, directions, lambdas) -> np.ndarray:
 # decay classification
 
 _A_GRID = 2.0 ** (0.5 * np.arange(-32, 33))       # 2^-16 .. 2^16
+
+
+def certified_levels(seq: WeightSequence, lam: float) -> np.ndarray:
+    """The levels of the A grid whose envelope the table certifies at lam,
+    and so at every smaller lambda."""
+    return _A_GRID[envelope_certified(seq, _A_GRID, lam)]
 
 
 @dataclass
@@ -402,7 +433,7 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
     lt, mt = lams[tail], mags[tail]
 
     # a level certified at the top lambda is certified over the whole tail
-    levels = _A_GRID[envelope_certified(seq, _A_GRID, lt.max())]
+    levels = certified_levels(seq, lt.max())
     if not levels.size:
         raise GuardExceeded(f"envelope minimizer hit K_max={seq.K_max} at "
                             f"lambda={lt.max():.6g} for every level A; "

@@ -47,7 +47,13 @@ def radial_cutoff(*coords, radius: float = 1.0):
 # ---------------------------------------------------------------------------
 # one-dimensional profiles with closed-form transforms
 
-def gaussian_grid(n: int = 2048, half_width: float = 8.0) -> GridFunction:
+# the profiles' default samples and box half-width
+PROFILE_N = 2048
+PROFILE_HALF_WIDTH = 8.0
+
+
+def gaussian_grid(n: int = PROFILE_N,
+                  half_width: float = PROFILE_HALF_WIDTH) -> GridFunction:
     def fn(y):
         with np.errstate(over="ignore"):        # y^2 = inf: e^{-y^2} = 0
             return np.exp(-y * y)
@@ -66,7 +72,8 @@ def gaussian_fbi_closed_form(x: float, xi: float) -> complex:
             * np.exp(w * w / (4.0 * (1.0 + lam)) - x * x))
 
 
-def sign_grid(n: int = 2048, half_width: float = 8.0) -> GridFunction:
+def sign_grid(n: int = PROFILE_N,
+              half_width: float = PROFILE_HALF_WIDTH) -> GridFunction:
     return GridFunction.from_function(np.sign, [-half_width], [half_width], n)
 
 
@@ -76,7 +83,7 @@ def sign_fbi_closed_form(xi: float) -> complex:
     return -2j * dawsn(xi / (2.0 * np.sqrt(lam))) / np.sqrt(lam)
 
 
-def pole_grid(n: int = 2048, half_width: float = 8.0,
+def pole_grid(n: int = PROFILE_N, half_width: float = PROFILE_HALF_WIDTH,
               offset: float = 0.05) -> GridFunction:
     """Boundary value of 1/(y + i offset): holomorphic in the lower half
     plane, singular at y = 0 from above.  At offset 0 a sample on y = 0 is

@@ -23,6 +23,7 @@ bigN_capped caps (and raises on non-log-convex tables).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,9 +78,20 @@ class WeightSequence:
             return float(np.exp(np.max(lr[1:] / ks))) if self.K_max >= 2 \
                 else 1.0
 
-    @property
+    @cached_property
     def log_M(self) -> np.ndarray:
-        return self.log_m + self.lfact
+        """log(M_k) = log_m[k] + lfact[k]; built on first use, read-only,
+        so tables that never reach the envelope allocate nothing more."""
+        out = self.log_m + self.lfact
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _log_M_increments(self) -> np.ndarray:
+        """log(M_{k+1}) - log(M_k): the envelope argmin's increments."""
+        out = np.diff(self.log_M)
+        out.flags.writeable = False
+        return out
 
 
 def make_sequence(kind: str = "gevrey", s: float = 2.0, K_max: int = 64,
@@ -310,7 +322,7 @@ def _log_envelope(seq: WeightSequence, A, lam) -> tuple:
     log_A, log_M, log_lam = np.log(A)[..., None], seq.log_M, np.log(lam)
     # no tie shift: at lam/A = M_{k+1}/M_k either index attains E, and
     # moving to the lower one would change E in its last bits
-    idx, hit = _argmin(seq, log_M, np.diff(log_M), log_lam - log_A,
+    idx, hit = _argmin(seq, log_M, seq._log_M_increments, log_lam - log_A,
                        shift_ties=False)
     return (idx + 1) * log_A + log_M[idx] - idx * log_lam, hit
 

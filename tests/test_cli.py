@@ -305,6 +305,28 @@ def test_fbi_sign_fixture(tmp_path):
     assert all(r[5] == "false" for r in rows)
 
 
+@pytest.mark.parametrize("fixture", ["gaussian", "sign", "pole"])
+@pytest.mark.parametrize("scan, n", [
+    # the sampling guard at lambda = 64 over half-width 8 needs 2609
+    pytest.param({}, 2609, id="default-scan"),
+    # lambdas up to 32 need fewer than the fixtures' own 2048
+    pytest.param({"lambdas": {"lo": 4.0, "hi": 32.0, "n": 6,
+                              "spacing": "log"}}, 2048, id="lambda-32"),
+])
+def test_fbi_profile_without_n_takes_the_guard_n(tmp_path, fixture, scan, n):
+    rc, derived = run(tmp_path, ["fbi"], {"grid": {"fixture": fixture},
+                                          "scan": scan}, out="derived")
+    assert rc == 0
+    rc, pinned = run(tmp_path, ["fbi"], {"grid": {"fixture": fixture, "n": n},
+                                         "scan": scan}, out="pinned")
+    assert rc == 0
+    assert (derived / "fbi.csv").read_bytes() == \
+        (pinned / "fbi.csv").read_bytes()
+    results = [json.loads((out / "fbi.json").read_text())["results"]
+               for out in (derived, pinned)]
+    assert results[0] == results[1]
+
+
 def test_fbi_reads_saved_grid(tmp_path):
     path = tmp_path / "sign.bin"
     sign_grid(n=4096).save(str(path))
@@ -455,30 +477,48 @@ def test_wf_radius_beyond_the_ceiling_fails_in_one_line(tmp_path, capsys,
 @pytest.mark.parametrize("command, cfg", [
     pytest.param("wf-experiment", {"solution": {"fixture": "conormal"},
                                    "n": 512, "base": [0.1, 0.1],
-                                   "scan": {"a_threshold": 1e-3}}, id="wf"),
+                                   "scan": {"a_threshold": 0.25}}, id="wf"),
     pytest.param("fbi", {"grid": {"fixture": "conormal", "n": 512},
-                         "scan": {"a_threshold": 1e-3}}, id="fbi"),
+                         "scan": {"a_threshold": 0.25}}, id="fbi"),
 ])
 def test_scan_failing_every_direction_has_no_verdict(tmp_path, capsys,
                                                      command, cfg):
-    # all 64 directions fail, so no band stands out against a regular one
+    # every direction fits at A >= 0.5, so at the certified threshold 0.25
+    # all 64 fail and no band stands out against a regular one
     rc, out = run(tmp_path, [command], cfg)
     assert rc == 1 and one_line_error(capsys)
     assert not out.exists()
 
 
-def test_fbi_a_threshold_below_the_certified_levels_fails_in_one_line(
-        tmp_path, capsys):
+def _below_the_certified_levels(monkeypatch, tmp_path, capsys, command,
+                                cfg):
     # the table certifies the envelope at lambda <= 64 from A = 2^-6 up, so
-    # the envelope column at a_threshold 1e-3 has no certified value
-    cfg = {"grid": {"fixture": "sign", "n": 4096},
-           "scan": {"a_threshold": 1e-3}}
-    rc, out = run(tmp_path, ["fbi"], cfg)
-    err = capsys.readouterr().err
-    assert rc == 1 and err.startswith("error: envelope minimizer hit "
-                                      "K_max=64 at lambda=")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # no verdict and no envelope column at a_threshold 1e-3 is certified:
+    # a config error before any grid is built
+    from carleman import fbi
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+    monkeypatch.setattr(fbi.GridFunction, "from_function", no_grid)
+    rc, out = run(tmp_path, [command], {**cfg, "scan": {"a_threshold": 1e-3}})
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: scan.a_threshold 0.001 lies below 0.015625, the lowest level "
+        "the seq table certifies at lambda = 64; enlarge K_max (now 64)\n")
     assert not out.exists()
+
+
+def test_fbi_a_threshold_below_the_certified_levels_fails_in_one_line(
+        monkeypatch, tmp_path, capsys):
+    _below_the_certified_levels(monkeypatch, tmp_path, capsys, "fbi",
+                                {"grid": {"fixture": "sign", "n": 4096}})
+
+
+def test_wf_a_threshold_below_the_certified_levels_fails_in_one_line(
+        monkeypatch, tmp_path, capsys):
+    _below_the_certified_levels(monkeypatch, tmp_path, capsys,
+                                "wf-experiment",
+                                {"solution": {"fixture": "conormal"}})
 
 
 def test_wf_mismatched_model_fails(tmp_path):

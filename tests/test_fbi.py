@@ -17,7 +17,7 @@ from carleman.fixtures import (WAVE_SOLUTIONS, conormal_grid,
                                gaussian_fbi_closed_form, gaussian_grid,
                                holomorphic_grid, lower_trace, pole_grid,
                                sign_fbi_closed_form, sign_grid, smooth_step,
-                               upper_trace)
+                               upper_trace, windowed_grid)
 from carleman.pde import RhsModel, wf_inclusion_experiment
 from carleman.weights import make_sequence
 
@@ -121,21 +121,28 @@ def test_grid_build_peak_memory(build):
     assert peak <= 1.25 * gf.values.nbytes
 
 
-@pytest.mark.parametrize("step", ["check_sampling", "save"])
-def test_grid_passes_stream_in_row_blocks(tmp_path, step):
-    # the guards' max|values| and the complex64 file payload are taken one
-    # row block at a time, not as whole-grid temporaries
-    gf = conormal_grid(1024)
-    run = {"check_sampling": lambda: _check_sampling(
-               gf, [0.0, 0.0], np.geomspace(4.0, 64.0, 12)),
-           "save": lambda: gf.save(tmp_path / "grid.bin")}[step]
+@pytest.mark.parametrize("step, share", [
+    pytest.param("check_sampling", 0.1, id="check_sampling"),
+    pytest.param("save", 0.1, id="save"),
+    pytest.param("scan", 0.2, id="scan")])
+def test_grid_passes_stream_in_row_blocks(tmp_path, step, share):
+    # the guards' max|values|, the complex64 file payload and the scan's
+    # real and imaginary planes are taken one row block at a time, not as
+    # whole-grid temporaries; the scan's one cos/sin table grows with one
+    # axis only
+    gf = holomorphic_grid(2048) if step == "scan" else conormal_grid(1024)
+    lams = np.geomspace(4.0, 64.0, 12)
+    run = {"check_sampling": lambda: _check_sampling(gf, [0.0, 0.0], lams),
+           "save": lambda: gf.save(tmp_path / "grid.bin"),
+           "scan": lambda: fbi_direction_scan(
+               gf, [0.0, 0.0], _circle_directions(64), lams)}[step]
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.1 * gf.values.nbytes
+    assert peak <= share * gf.values.nbytes
 
 
 def test_smooth_step_profile():
@@ -283,6 +290,92 @@ def test_direction_scan_partly_complex_matches_oracle(monkeypatch, rows):
     gf = _partly_complex_grid()
     monkeypatch.setattr(fbi, "_SCAN_BLOCK_ELEMENTS", rows * gf.n[1])
     _assert_matches_oracle(gf, (0.1, -0.05), _circle_directions(64))
+
+
+def _smooth_2d(n0: int = 384, n1: int = 384) -> GridFunction:
+    # no exact zero anywhere, so every product runs over every column
+    def fn(y0, y1):
+        return np.exp(-30.0 * (y0 * y0 + y1 * y1)) * (1.0 + 0.3j * y0)
+    return GridFunction.from_function(fn, [-1.0, -1.0], [1.0, 1.0], [n0, n1])
+
+
+def _zero_rows_grid(n: int = 384) -> GridFunction:
+    # the windowed holomorphic grid with its first 60 and last 40 rows set
+    # to exact zeros: in blocks of 7 rows, whole blocks hold only zeros
+    gf = holomorphic_grid(n)
+    vals = gf.values.copy()
+    vals[:60] = vals[-40:] = 0.0
+    return GridFunction(gf.lo, gf.hi, vals)
+
+
+def _banded_grid(n: int = 384) -> GridFunction:
+    # nonzero only on the columns |y_2 - 0.1| < 0.3, with a jump there: the
+    # first and last column of every block's nonzero span carry weight
+    def fn(y0, y1):
+        return np.exp(-30.0 * y0 * y0) * (np.abs(y1 - 0.1) < 0.3) * (1 + y1)
+    return GridFunction.from_function(fn, [-1.0, -1.0], [1.0, 1.0], n)
+
+
+_FAN = _circle_directions(64)
+# name: (grid, base point, directions, whether both axes share one
+# cos/sin table, rows per scan block or None for the default)
+_SCAN_CASES = {
+    "conormal-origin": (lambda: conormal_grid(384), (0.0, 0.0), _FAN,
+                        True, None),
+    "holomorphic-diagonal": (lambda: holomorphic_grid(384), (0.1, 0.1),
+                             _FAN, True, None),
+    "off-diagonal": (lambda: conormal_grid(384), (0.1, -0.05), _FAN, False,
+                     None),
+    "n0-ne-n1": (lambda: windowed_grid(WAVE_SOLUTIONS["holomorphic"].u,
+                                       [384, 320]), (0.0, 0.0), _FAN, False,
+                 None),
+    "fan-63": (lambda: conormal_grid(384), (0.0, 0.0),
+               _circle_directions(63), False, None),
+    "no-zero-margins": (_smooth_2d, (0.0, 0.0), _FAN, True, None),
+    "no-zero-margins-n0-ne-n1": (lambda: _smooth_2d(384, 352), (0.05, -0.1),
+                                 _FAN, False, None),
+    "jump-at-the-span-ends": (_banded_grid, (0.0, 0.0), _FAN, True, None),
+    "zero-row-blocks": (_zero_rows_grid, (0.0, 0.0), _FAN, True, 7),
+    "partly-complex-shared": (_partly_complex_grid, (0.0, 0.0), _FAN, True,
+                              7),
+    "1d-gaussian": (lambda: gaussian_grid(n=4096), 0.2, _DIRS_1D, False,
+                    None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+def test_direction_scan_shares_the_table_iff_the_axes_match(monkeypatch,
+                                                           case):
+    build, x, dirs, shared, rows = _SCAN_CASES[case]
+    gf = build()
+    if rows is not None:
+        monkeypatch.setattr(fbi, "_SCAN_BLOCK_ELEMENTS", rows * gf.n[-1])
+    calls = []
+    phase_columns = fbi._phase_columns
+
+    def counted(*args):
+        calls.append(args)
+        return phase_columns(*args)
+    monkeypatch.setattr(fbi, "_phase_columns", counted)
+    _assert_matches_oracle(gf, x, dirs)
+    assert len(calls) == (1 if shared else 2)
+
+
+@pytest.mark.parametrize("fixture", ["conormal", "holomorphic"])
+@pytest.mark.parametrize("b", [-0.25, 0.25])
+def test_wavefront_verdicts_match_oracle_at_the_benchmark_bases(
+        monkeypatch, g2, fixture, b):
+    # the windowed grid of wf-experiment at its derived n about (b, b)
+    gf = windowed_grid(WAVE_SOLUTIONS[fixture].u, 368, (b, b))
+    got = wavefront_scan(gf, (b, b), g2)
+    monkeypatch.setattr(fbi, "fbi_direction_scan",
+                        scan_oracle.direction_scan)
+    want = wavefront_scan(gf, (b, b), g2)
+    assert got.failed_indices == want.failed_indices
+    assert got.singular_indices == want.singular_indices
+    assert [(r.A_fit, r.passed) for r in got.reports] == \
+        [(r.A_fit, r.passed) for r in want.reports]
+    assert np.max(np.abs(got.samples - want.samples)) <= 1e-13
 
 
 @pytest.mark.parametrize("fixture", ["conormal", "holomorphic"])

@@ -66,6 +66,20 @@ def test_tables_are_read_only(g2):
             arr[0] = 0.5
 
 
+def test_envelope_log_table_is_built_once_on_first_use():
+    seq = make_sequence("gevrey", s=2.0, K_max=64)
+    assert "log_M" not in vars(seq)             # nothing built up front
+    fbi_envelope(seq, [0.5, 1.0], np.geomspace(4.0, 64.0, 12))
+    log_M, incs = seq.log_M, seq._log_M_increments
+    assert np.array_equal(log_M, seq.log_m + seq.lfact)
+    assert np.array_equal(incs, np.diff(seq.log_m + seq.lfact))
+    envelope_certified(seq, 1.0, 64.0)
+    assert seq.log_M is log_M and seq._log_M_increments is incs
+    for arr in (log_M, incs):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
 def test_c_bound_gevrey2(g2):
     # sup (m_{k+1}/m_k)^{1/k} = (k+1)^{1/k}, maximized at k = 1
     assert g2.c_bound == pytest.approx(2.0, rel=1e-12)
