@@ -210,7 +210,8 @@ def _parse(kind, v, path: str = ""):
     for key in v:
         if key not in known:
             import difflib              # only on the error path
-            near = difflib.get_close_matches(key, every, n=1)
+            near = difflib.get_close_matches(
+                key, [k for k in every if k != key], n=1)
             raise ConfigError(f"unknown key {path}.{key}".replace(" .", " ")
                               + (f"; did you mean {near[0]}?" if near else ""))
     if out is None:
@@ -238,10 +239,11 @@ _JET_KEYS = {"n_x": (int, _REQUIRED), "n_zeta": (int, _REQUIRED),
              "D": (int, _REQUIRED), "base_point": (list, None),
              "coeffs": (list, _REQUIRED)}
 _JET = (("file", None, {"file": (str, _REQUIRED)}), (None, None, _JET_KEYS))
-# fixture keys: n and noise; half_width on the 1-D traces, offset on the pole
+# fixture keys: n; noise and half_width on the 1-D traces, offset on the
+# pole (noise a scan resolves trips a windowed 2-D grid's box-edge guard)
 _SAMPLES = range(2, 2 ** 63)          # grid samples per axis
-_SAMPLED = {"n": (_SAMPLES, None), "noise": (float, 0.0)}
-_TRACE = {**_SAMPLED, "half_width": (float, None)}
+_SAMPLED = {"n": (_SAMPLES, None)}
+_TRACE = {**_SAMPLED, "noise": (float, 0.0), "half_width": (float, None)}
 _GRID = (("file", None, {"file": (str, _REQUIRED)}),) + tuple(
     ("fixture", name, keys) for name, keys in zip(_FIXTURE_GRIDS, (
         _TRACE, _TRACE, {**_TRACE, "offset": (float, None)},
@@ -358,7 +360,7 @@ def _fixture_grid(spec: dict, seed: int, top: float):
         gf = getattr(fixtures, f"{spec['fixture']}_grid")(**kwargs)
     except ValueError as e:             # half_width <= 0
         raise ConfigError(f"bad grid spec: {e}")
-    if spec["noise"] > 0.0:
+    if spec.get("noise", 0.0) > 0.0:
         rng = np.random.default_rng(seed)
         scale = spec["noise"] * float(np.max(np.abs(gf.values)))
         gf.values = gf.values + scale * (

@@ -25,7 +25,7 @@ from .errors import (ArityMismatch, FitFailed, GuardExceeded,
                      QuadratureTooCoarse)
 from .jets import (EvalBox, FormalSeries, VectorFieldJet, formal_solution,
                    growth_fit, jet_constant, jet_eval)
-from .weights import WeightSequence, assoc, bigN_capped, snap_up
+from .weights import WeightSequence, _FIT_CAP, assoc, bigN_capped, snap_up
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +52,16 @@ class DiskKernel:
     residual: float          # |moment_0 - 1| + sum of low moment magnitudes
 
 
-def make_kernel(epsilon: float = 0.5, n_r: int = 64, n_theta: int = 64,
-                tol: float = 1e-10) -> DiskKernel:
+_MOMENT_TOL = 1e-10         # bound on the kernel moment residual
+
+
+def make_kernel(epsilon: float = 0.5, n_r: int = 64,
+                n_theta: int = 64) -> DiskKernel:
     """Gauss-Legendre (radius) x trapezoid (angle) nodes on |w| <= epsilon
     with the normalized bump weight.
 
     The residual tracks how well the discrete measure integrates to one and
-    kills the first four moments; both are required to tol, otherwise the
+    kills the first four moments; both are required to 1e-10, otherwise the
     grid cannot reproduce polynomials and we refuse it.
     """
     if not 0.0 < epsilon < 1.0 or n_theta < 1:
@@ -80,9 +83,9 @@ def make_kernel(epsilon: float = 0.5, n_r: int = 64, n_theta: int = 64,
 
     moments = np.array([np.sum(weights * nodes ** k) for k in range(5)])
     residual = float(abs(moments[0] - 1.0) + np.sum(np.abs(moments[1:])))
-    if residual > tol:
+    if residual > _MOMENT_TOL:
         raise QuadratureTooCoarse(
-            f"kernel moment residual {residual:.3g} exceeds {tol:.3g} "
+            f"kernel moment residual {residual:.3g} exceeds {_MOMENT_TOL:.3g} "
             f"at n_r={n_r}, n_theta={n_theta}")
     return DiskKernel(epsilon, n_r, n_theta, nodes, weights, norm, residual)
 
@@ -239,15 +242,14 @@ class FlatnessFit:
     skipped_Q: list
 
 
-def flatness_fit(t_values, sup_values, seq: WeightSequence, q_grid=None,
-                 a_cap: float = 2.0 ** 16) -> FlatnessFit:
-    """Fit sup(t) <= A h(Q|t|) over a Q grid, A snapped to quarter powers.
+def flatness_fit(t_values, sup_values, seq: WeightSequence) -> FlatnessFit:
+    """Fit sup(t) <= A h(Q|t|) over _Q_GRID, A snapped to quarter powers.
 
     Larger Q only helps (h is nondecreasing), so with A floored at 1 the
     minimal snapped A is attained on a tail of the grid; we report the
     smallest Q attaining it.  Q values whose h evaluation is uncertified
     (table guard) or underflows below a positive sup are skipped; if every
-    Q is skipped or needs A beyond a_cap, the fit fails.
+    Q is skipped or needs A beyond 2^16, the fit fails.
     """
     t = np.abs(np.asarray(t_values, dtype=float))
     sup = np.asarray(sup_values, dtype=float)
@@ -257,11 +259,9 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence, q_grid=None,
         raise ValueError("flatness is measured at t != 0")
     if not np.isfinite(sup).all():
         raise FitFailed("sup |L u| is not finite at every t")
-    q_grid = _Q_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
-
     best = None
     skipped = []
-    for Q in q_grid:
+    for Q in _Q_GRID:
         try:
             hv = np.atleast_1d(assoc(seq, "h", Q * t))
         except GuardExceeded:
@@ -270,12 +270,12 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence, q_grid=None,
         if np.any((hv == 0.0) & (sup > 0.0)):
             skipped.append(float(Q))
             continue
-        # a ratio past the largest float is inf, above any a_cap
+        # a ratio past the largest float is inf, above any cap
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             ratios = np.where(sup > 0.0, sup / hv, 0.0)
         a_raw = float(np.max(ratios))
         A = 0.0 if a_raw == 0.0 else snap_up(a_raw)
-        if A > a_cap:
+        if A > _FIT_CAP:
             skipped.append(float(Q))
             continue
         if best is None or (A, Q) < (best.A, best.Q):
@@ -283,25 +283,24 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence, q_grid=None,
             best = FlatnessFit(float(Q), A, ratio, t, sup, hv, [])
     if best is None:
         raise FitFailed(
-            f"no Q in [{q_grid[0]:.3g}, {q_grid[-1]:.3g}] admits a certified "
-            f"fit below A={a_cap:.3g}")
+            f"no Q in [{_Q_GRID[0]:.3g}, {_Q_GRID[-1]:.3g}] admits a "
+            f"certified fit below A={_FIT_CAP:.3g}")
     best.skipped_Q = skipped
     return best
 
 
 def measure_flatness(sol: ApproxSolution, x_values, t_values,
-                     factor: float = 1.0, dx: float = 1e-4, q_grid=None,
-                     a_cap: float = 2.0 ** 16) -> FlatnessFit:
+                     factor: float = 1.0) -> FlatnessFit:
     """Fit the decay of sup_x |L u(x, t)| (times factor) against h(Q|t|).
 
-    The u_k are evaluated on the x stencil once; each time adds only its
-    moment sums."""
+    The u_k are evaluated on the x stencil of step 1e-4 once; each time
+    adds only its moment sums."""
     # values past the float range reach the fit as inf or nan, which fails
     with np.errstate(over="ignore", invalid="ignore"):
-        stencil = _Stencil(sol, x_values, dx)
+        stencil = _Stencil(sol, x_values, 1e-4)
         sups = [factor * float(np.max(np.abs(stencil.apply_L(float(tv)))))
                 for tv in t_values]
-    return flatness_fit(t_values, sups, sol.seq, q_grid=q_grid, a_cap=a_cap)
+    return flatness_fit(t_values, sups, sol.seq)
 
 
 # ---------------------------------------------------------------------------

@@ -593,20 +593,19 @@ class PhaseBoundReport:
     omega0: np.ndarray
     C0: float
     half_angle: float
-    omegas: np.ndarray
     c_values: np.ndarray
 
 
-def phase_bound_check(z_samples, t_values, y_values, omegas=None,
-                      c_floor: float = 2.0 ** -10) -> PhaseBoundReport:
+def phase_bound_check(z_samples, t_values, y_values) -> PhaseBoundReport:
     """Concavity constants for Q(y, Z) = i omega.(y-Z) - <y-Z>^2 along a
     trace t -> Z(t).
 
-    For each candidate direction omega the largest dyadic C with
-    Re Q <= -(C/2) t over all samples is recorded; directions below
-    c_floor carry no cone.  <v>^2 is the bilinear square sum v_d^2, not
-    |v|^2: its real part changes sign off the reals, which is the whole
-    point.  Raises NoCone when no direction qualifies.
+    For each candidate direction omega, +-1 in one dimension and 16 on the
+    circle in two, the largest dyadic C with Re Q <= -(C/2) t over all
+    samples is recorded; directions below 2^-10 carry no cone.  <v>^2 is
+    the bilinear square sum v_d^2, not |v|^2: its real part changes sign
+    off the reals, which is the whole point.  Raises NoCone when no
+    direction qualifies.
     """
     t = np.asarray(t_values, dtype=float)
     if np.any(t <= 0.0):
@@ -623,10 +622,8 @@ def phase_bound_check(z_samples, t_values, y_values, omegas=None,
     if y.shape[1] != dim:
         raise ValueError("y sample dimension does not match the trace")
 
-    if omegas is None:
-        omegas = np.array([[1.0], [-1.0]]) if dim == 1 \
-            else _circle_directions(16)
-    omegas = np.atleast_2d(np.asarray(omegas, dtype=float))
+    omegas = np.array([[1.0], [-1.0]]) if dim == 1 \
+        else _circle_directions(16)
 
     # v[s, a, d] = y[a, d] - Z[s, d]
     v = y[None, :, :] - z[:, None, :]
@@ -637,7 +634,7 @@ def phase_bound_check(z_samples, t_values, y_values, omegas=None,
         req = -np.imag(v @ om) - sq
         ratios = -2.0 * req / t[:, None]
         m = float(np.min(ratios))
-        if m >= c_floor:
+        if m >= 2.0 ** -10:
             c_values[k] = 2.0 ** np.floor(np.log2(m))
             raw[k] = m
     if np.all(c_values == 0.0):
@@ -657,4 +654,4 @@ def phase_bound_check(z_samples, t_values, y_values, omegas=None,
             # a single direction still subtends half the angular step
             half_angle = np.pi / omegas.shape[0]
     return PhaseBoundReport(omega0, float(c_values[best]), half_angle,
-                            omegas, c_values)
+                            c_values)

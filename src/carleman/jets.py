@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArityMismatch, BudgetExhausted, FitFailed
-from .weights import WeightSequence, snap_up
+from .weights import WeightSequence, _FIT_CAP, snap_up
 
 
 class _Basis:
@@ -433,12 +433,12 @@ def _grid_sup(jet: Jet, xs, zs) -> float:
 
 
 def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
-               deriv_order: int = 0, c_cap: float = 2.0 ** 16) -> GrowthEstimate:
+               deriv_order: int = 0) -> GrowthEstimate:
     """Fit C in sup |d^alpha u_k| <= C^{1+|alpha|+k} M_{|alpha|+k}/k! over the
     box (alpha runs over x derivatives up to deriv_order; the default 0
     reduces the right side to C^{1+k} m_k), and B in the truncation bound
     (n+1) sup |u_{n+1}| <= B^{n+1} m_n.  Both are snapped up to the
-    {2^{j/4}} grid; FitFailed when C would exceed c_cap.
+    {2^{j/4}} grid; FitFailed when C would exceed 2^16.
     """
     need_k = series.n_max + deriv_order
     if seq.K_max < need_k:
@@ -464,8 +464,9 @@ def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
                              (np.log(s) - bound_log) / (1.0 + a_len + k))
 
     C_fit = 1.0 if log_c_need == -np.inf else snap_up(float(np.exp(log_c_need)))
-    if C_fit > c_cap:
-        raise FitFailed(f"growth fit needs C ~ {np.exp(log_c_need):.3g} > cap {c_cap:.3g}")
+    if C_fit > _FIT_CAP:
+        raise FitFailed(f"growth fit needs C ~ {np.exp(log_c_need):.3g} > cap "
+                        f"{_FIT_CAP:.3g}")
 
     log_b_need = max([(np.log((n + 1) * sups[n + 1]) - seq.log_m[n]) / (n + 1.0)
                       for n in range(series.n_max) if sups[n + 1] > 0.0],

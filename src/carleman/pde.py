@@ -32,6 +32,13 @@ from .weights import WeightSequence
 # ---------------------------------------------------------------------------
 # the model and sampled solutions
 
+def _central(u, dx: float, dt: float):
+    """Central differences du/dx, du/dt of (x, t) samples u at steps dx, dt,
+    on the interior of the grid."""
+    return ((u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * dx),
+            (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * dt))
+
+
 @dataclass(eq=False)
 class RhsModel:
     """Right side f(x, zeta_0, zeta_1..zeta_n) of du/dt = f(x, u, grad u).
@@ -81,11 +88,8 @@ class SolutionSamples:
 
     def interior(self):
         """x grid, u, du/dx, du/dt on the interior points."""
-        u = self.u
-        ui = u[1:-1, 1:-1]
-        ux = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * self.dx)
-        ut = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * self.dt)
-        return self.x[1:-1], ui, ux, ut
+        ux, ut = _central(self.u, self.dx, self.dt)
+        return self.x[1:-1], self.u[1:-1, 1:-1], ux, ut
 
     def trusted_interior(self, model: RhsModel):
         """interior() with x broadcast to the interior grid, after checking
@@ -156,19 +160,17 @@ def hamiltonian_lift(model: RhsModel) -> VectorFieldJet:
     """
     f = model.jet
     n = model.n_x
-    a = [jet_scale(jet_diff(f, n + 1 + j), -1.0) for j in range(n)]
+    fz = [jet_diff(f, n + 1 + j) for j in range(n)]
+    z = [jet_variable(n + 1 + j, f.n_x, f.n_zeta, f.degree, f.base_x,
+                      f.base_zeta) for j in range(n)]
     h0 = f
-    for j in range(n):
-        zj = jet_variable(n + 1 + j, f.n_x, f.n_zeta, f.degree,
-                          f.base_x, f.base_zeta)
-        h0 = jet_add(h0, jet_scale(jet_mul(zj, jet_diff(f, n + 1 + j)), -1.0))
-    b = [h0]
+    for zj, fzj in zip(z, fz):
+        h0 = jet_add(h0, jet_scale(jet_mul(zj, fzj), -1.0))
     fz0 = jet_diff(f, n)
-    for j in range(n):
-        zj = jet_variable(n + 1 + j, f.n_x, f.n_zeta, f.degree,
-                          f.base_x, f.base_zeta)
-        b.append(jet_add(jet_diff(f, j), jet_mul(zj, fz0)))
-    return VectorFieldJet(a=a, b=b)
+    return VectorFieldJet(
+        a=[jet_scale(fzj, -1.0) for fzj in fz],
+        b=[h0] + [jet_add(jet_diff(f, j), jet_mul(zj, fz0))
+                  for j, zj in enumerate(z)])
 
 
 def hamiltonian_apply(H: VectorFieldJet, phi: Jet) -> Jet:
@@ -178,38 +180,33 @@ def hamiltonian_apply(H: VectorFieldJet, phi: Jet) -> Jet:
 
 @dataclass
 class ChainIdentityReport:
-    steps: list
     errors: list                 # max interior |L^w(phi o w) - (H phi) o w|
     ratios: list                 # consecutive error ratios, ~4 at 2nd order
 
 
-def chain_identity_check(model: RhsModel, u_fn, phi: Jet, x_box=(-0.5, 0.5),
-                         t_box=(-0.2, 0.2), steps=(0.02, 0.01),
-                         ux_fn=None, anisotropy: float = 1.0) -> ChainIdentityReport:
+def chain_identity_check(model: RhsModel, u_fn, phi: Jet, ux_fn,
+                         anisotropy: float = 1.0) -> ChainIdentityReport:
     """Check L^u(phi(x, u, grad u)) = (H phi)(x, u, grad u) by finite
     differences against the exact jet computation, one spatial variable.
 
-    u_fn(x, t) must solve the model on the box; ux_fn defaults to a central
-    difference of u_fn.  Second order in the step when the composite is
-    curved, identically small when it is affine.  anisotropy scales the x
-    step relative to the t step; matched steps make the two difference
-    quotients of a wave profile g(x + t) read the same table twice and
-    cancel exactly, so a value below 1 keeps the truncation error visible.
+    u_fn(x, t) must solve the model on the box |x| <= 0.5, |t| <= 0.2, and
+    ux_fn(x, t) is its exact du/dx.  The t step is 0.02, then 0.01: second
+    order in the step when the composite is curved, identically small when
+    it is affine.  anisotropy scales the x step relative to the t step;
+    matched steps make the two difference quotients of a wave profile
+    g(x + t) read the same table twice and cancel exactly, so a value below
+    1 keeps the truncation error visible.
     """
     if model.n_x != 1:
         raise ArityMismatch("the identity check covers one spatial variable")
-    hphi = _apply_coeffs(hamiltonian_lift(model), phi)
+    hphi = hamiltonian_apply(hamiltonian_lift(model), phi)
     fz = jet_diff(model.jet, 2)
 
-    if ux_fn is None:
-        def ux_fn(x, t, _h=1e-6):
-            return (u_fn(x + _h, t) - u_fn(x - _h, t)) / (2.0 * _h)
-
     errors = []
-    for h in steps:
+    for h in (0.02, 0.01):
         hx = anisotropy * h
-        x = np.arange(x_box[0], x_box[1] + 0.5 * hx, hx)
-        t = np.arange(t_box[0], t_box[1] + 0.5 * h, h)
+        x = np.arange(-0.5, 0.5 + 0.5 * hx, hx)
+        t = np.arange(-0.2, 0.2 + 0.5 * h, h)
         xg = x[:, None] + 0.0 * t[None, :]
         u = np.asarray(u_fn(x[:, None], t[None, :]), dtype=complex)
         ux = np.asarray(ux_fn(x[:, None], t[None, :]), dtype=complex)
@@ -218,35 +215,31 @@ def chain_identity_check(model: RhsModel, u_fn, phi: Jet, x_box=(-0.5, 0.5),
             val = np.asarray(jet_eval(jet, x=xg, zeta=[u, ux]), dtype=complex)
             return np.broadcast_to(val, xg.shape)
 
-        phi_w = on_w(phi)
-        dphi_t = (phi_w[1:-1, 2:] - phi_w[1:-1, :-2]) / (2.0 * h)
-        dphi_x = (phi_w[2:, 1:-1] - phi_w[:-2, 1:-1]) / (2.0 * hx)
+        dphi_x, dphi_t = _central(on_w(phi), hx, h)
         lhs = dphi_t - on_w(fz)[1:-1, 1:-1] * dphi_x
         rhs = on_w(hphi)[1:-1, 1:-1]
         errors.append(float(np.max(np.abs(lhs - rhs))))
     ratios = [e0 / e1 for e0, e1 in zip(errors, errors[1:]) if e1 > 0.0]
-    return ChainIdentityReport(list(steps), errors, ratios)
+    return ChainIdentityReport(errors, ratios)
 
 
 # ---------------------------------------------------------------------------
 # transport coefficients from complex traces
 
-def renormalize(z_samples, dx: float, dt: float,
-                cond_cap: float = 1e6) -> np.ndarray:
+def renormalize(z_samples, dx: float, dt: float) -> np.ndarray:
     """Recover b in Z_t + b Z_x = 0 from samples of Z on an (x, t) grid by
     central differences: b = -Z_t / Z_x on the interior.
 
     A trace transported by d/dt + b d/dx returns the coefficient field b
     itself.  A spatial derivative whose magnitude vanishes or varies by
-    more than cond_cap leaves the division ill-posed and raises.
+    more than a factor 1e6 leaves the division ill-posed and raises.
     """
     z = np.asarray(z_samples, dtype=complex)
     if z.ndim != 2 or min(z.shape) < 3:
         raise ValueError("need a 2d sample grid with at least 3 points per axis")
-    zx = (z[2:, 1:-1] - z[:-2, 1:-1]) / (2.0 * dx)
-    zt = (z[1:-1, 2:] - z[1:-1, :-2]) / (2.0 * dt)
+    zx, zt = _central(z, dx, dt)
     mags = np.abs(zx)
-    if np.min(mags) == 0.0 or np.max(mags) / np.min(mags) > cond_cap:
+    if np.min(mags) == 0.0 or np.max(mags) / np.min(mags) > 1e6:
         raise SingularJacobian(
             "spatial derivative of the trace is singular on the box")
     return -zt / zx
@@ -346,15 +339,8 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
                            seq, config)
 
     step = 2.0 * np.pi / scan.directions.shape[0]
-    covs = []
-    dists = []
-    for j in scan.singular_indices:
-        om = scan.directions[j]
-        cov = np.array([om[1], om[0]])
-        covs.append(cov)
-        dists.append(cs.distance(cov))
-    covectors = np.asarray(covs).reshape(-1, 2)
-    distances = np.asarray(dists)
+    covectors = scan.directions[scan.singular_indices][:, ::-1]
+    distances = np.array([cs.distance(cov) for cov in covectors])
     included = distances <= step + 1e-12
     return WfInclusionReport(scan, a0, covectors, distances, step, included,
                              n)

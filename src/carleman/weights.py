@@ -142,53 +142,51 @@ def make_sequence(kind: str = "gevrey", s: float = 2.0, K_max: int = 64,
 class RegularityReport:
     passed: bool
     failures: list          # (condition tag in {a, b, c, d}, first offending index)
-    c_bound: float
-    d_threshold: float
-    c_threshold: float
 
 
-def check_regularity(seq: WeightSequence, d_threshold: float = 4.0,
-                     c_threshold: float = 64.0, tol: float = 1e-12) -> RegularityReport:
+_REGULARITY_TOL = 1e-12       # slack of the log-table comparisons
+
+
+def check_regularity(seq: WeightSequence) -> RegularityReport:
     """Test conditions a)-d) over the materialized range.
 
     a) m_0 = m_1 = 1;  b) m_k^2 <= m_{k-1} m_{k+1};  c) (m_{k+1}/m_k)^{1/k}
-    bounded, tested against c_threshold;  d) m_k^{1/k} -> infinity, tested as
-    the finite proxy m_{K_max}^{1/K_max} >= d_threshold together with
-    monotone growth of m_k^{1/k} over the top quartile of indices.
+    bounded, tested as <= 64;  d) m_k^{1/k} -> infinity, tested as the
+    finite proxy m_{K_max}^{1/K_max} >= 4 together with monotone growth of
+    m_k^{1/k} over the top quartile of indices.
     """
     failures = []
     log_m = seq.log_m
     K = seq.K_max
 
     for idx in (0, 1):
-        if abs(log_m[idx]) > tol:
+        if abs(log_m[idx]) > _REGULARITY_TOL:
             failures.append(("a", idx))
             break
 
     lr = seq.increments
     d2 = np.diff(lr)                       # d2[i] vs center index i+1
-    bad = np.nonzero(d2 < -tol)[0]
+    bad = np.nonzero(d2 < -_REGULARITY_TOL)[0]
     if bad.size:
         failures.append(("b", int(bad[0]) + 1))
 
     ks = np.arange(1, K)
     ratio_roots = lr[1:] / ks              # log (m_{k+1}/m_k)^{1/k}
-    bad = np.nonzero(ratio_roots > np.log(c_threshold))[0]
+    bad = np.nonzero(ratio_roots > np.log(64.0))[0]
     if bad.size:
         failures.append(("c", int(bad[0]) + 1))
 
     roots = log_m[1:] / np.arange(1, K + 1)    # log m_k^{1/k}
-    if roots[-1] < np.log(d_threshold):
+    if roots[-1] < np.log(4.0):
         failures.append(("d", K))
     else:
         lo = max(1, (3 * K) // 4)
         top = roots[lo - 1:]
-        bad = np.nonzero(np.diff(top) < -tol)[0]
+        bad = np.nonzero(np.diff(top) < -_REGULARITY_TOL)[0]
         if bad.size:
             failures.append(("d", lo + int(bad[0])))
 
-    return RegularityReport(not failures, failures, seq.c_bound,
-                            d_threshold, c_threshold)
+    return RegularityReport(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +356,10 @@ def envelope_certified(seq: WeightSequence, A, lam):
 # ---------------------------------------------------------------------------
 # fitted constants: snapping and absorption
 
+# the largest constant absorption_fit, growth_fit and flatness_fit report
+_FIT_CAP = 2.0 ** 16
+
+
 def snap_up(value: float) -> float:
     """value rounded up to the grid {2^(j/4) : j >= 0} on which fitted
     constants are reported; the 1e-9 slack absorbs rounding."""
@@ -378,13 +380,13 @@ class AbsorptionFit:
 
 
 def absorption_fit(seq: WeightSequence, n: int, r_values,
-                   q_grid=None, c_cap: float = 2.0 ** 16) -> AbsorptionFit:
+                   q_grid=None) -> AbsorptionFit:
     """Fit constants in r^{-n} h(r) <= C h(Q r) over the sampled r.
 
     Q runs over powers of two; for each Q the smallest admissible C comes
     from the log-space supremum, and the Q minimizing that C wins.  C is
     snapped up to the {2^{j/4}} grid.  FitFailed when even the best Q needs
-    C > c_cap.
+    C > 2^16.
     """
     rr = np.asarray(r_values, dtype=float)
     if q_grid is None:
@@ -398,10 +400,10 @@ def absorption_fit(seq: WeightSequence, n: int, r_values,
             best = (float(Q), float(need))
     Q, log_c = best
     # compared in logs first: exp(log_c) overflows for large n
-    C = snap_up(np.exp(log_c)) if log_c <= np.log(c_cap) else np.inf
-    if C > c_cap:
+    C = snap_up(np.exp(log_c)) if log_c <= np.log(_FIT_CAP) else np.inf
+    if C > _FIT_CAP:
         raise FitFailed(f"absorption with n={n} needs C ~ e^{log_c:.4g} > cap "
-                        f"{c_cap:.3g}")
+                        f"{_FIT_CAP:.3g}")
     return AbsorptionFit(int(n), Q, C, True)
 
 

@@ -81,11 +81,10 @@ def apply_L_numeric(sol: ApproxSolution, x, t: float, dx: float = 1e-4,
 
 
 def measure_flatness(sol: ApproxSolution, x_values, t_values,
-                     factor: float = 1.0, dx: float = 1e-4, q_grid=None,
-                     a_cap: float = 2.0 ** 16):
+                     factor: float = 1.0, dx: float = 1e-4):
     """Fit the decay of sup_x |L u(x, t)| (times factor) against h(Q|t|)."""
     sups = []
     for tv in t_values:
         lu = apply_L_numeric(sol, x_values, float(tv), dx=dx)
         sups.append(factor * float(np.max(np.abs(lu))))
-    return flatness_fit(t_values, sups, sol.seq, q_grid=q_grid, a_cap=a_cap)
+    return flatness_fit(t_values, sups, sol.seq)

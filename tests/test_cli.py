@@ -764,6 +764,11 @@ def test_fbi_grid_file_takes_no_fixture_key(tmp_path, capsys, extra):
     pytest.param("jets", dict(JETS_CFG, datum={"fil": "u.json"}),
                  "unknown key datum.fil; did you mean file?",
                  id="jets.datum.fil"),
+    # a windowed 2-D fixture takes no noise; the hint, drawn from every
+    # variant, does not offer the 1-D fixtures' noise key back
+    pytest.param("fbi", {"grid": {"fixture": "conormal", "n": 512,
+                                  "noise": 1e-10}},
+                 "unknown key grid.noise", id="fbi.grid.conormal.noise"),
 ])
 def test_unknown_key_is_config_error_naming_its_path(tmp_path, capsys,
                                                      command, cfg, message):

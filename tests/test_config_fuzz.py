@@ -85,8 +85,7 @@ CONFIGS = [
     ("fbi", dict(_grid(fixture="pole", n=2048, half_width=8.0, offset=0.5,
                        noise=0.0),
                  scan={"lambdas": _LAMBDAS})),
-    ("fbi", dict(_grid(fixture="conormal", n=256, noise=0.0),
-                 scan=_SCAN2D)),
+    ("fbi", dict(_grid(fixture="conormal", n=256), scan=_SCAN2D)),
     ("fbi", dict(_grid(fixture="holomorphic", n=256), scan=_SCAN2D)),
     ("wf-experiment", {"solution": {"fixture": "holomorphic"}, "n": 256,
                        "base": [0.0, 0.0], "radius": 1.0,

@@ -199,7 +199,8 @@ def test_chain_identity_anisotropic_steps_expose_truncation():
 def test_chain_identity_multidim_rejected():
     f2 = jet_variable(3, 2, 3, 8)
     with pytest.raises(ArityMismatch):
-        chain_identity_check(RhsModel(f2), lambda x, t: x, _z0())
+        chain_identity_check(RhsModel(f2), lambda x, t: x, _z0(),
+                             ux_fn=lambda x, t: 1.0 + 0.0 * x)
 
 
 # ---------------------------------------------------------------------------

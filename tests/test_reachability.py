@@ -8,15 +8,24 @@ a name imported from a sibling module, or an attribute of one
 (fixtures.pole_grid, acceptance.CRITERIA).  A reached class brings in all
 of its methods and field defaults.  cli._FIXTURE_GRIDS selects the
 fixtures.<name>_grid functions by name, so those count as reached with it.
+
+Every defaulted parameter of a public function, or of a public method of a
+public class, is passed by some call in src/ or tests/, by keyword or by
+position; a call with ** sets every parameter.  A call is matched to a
+definition by its name alone.  cli._fixture_grid's getattr(fixtures, ...)
+call stands for a call of each fixtures.<name>_grid of cli._FIXTURE_GRIDS.
 """
 
 import ast
 import collections
+import math
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "carleman"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "carleman"
 
 ALLOWED = set()
+ALLOWED_UNSET = set()
 
 
 def _definitions(tree) -> dict:
@@ -107,3 +116,71 @@ def test_public_names_are_defined_once():
             if not n.startswith("_"):
                 where[n].append(m)
     assert {n: ms for n, ms in where.items() if len(ms) > 1} == {}
+
+
+def _optional_parameters(defs):
+    """(definition, callee name, parameter, position) for every defaulted
+    parameter of a public function or a public method of a public class;
+    position is None for a keyword-only parameter and skips a method's
+    self or cls."""
+    for m, d in defs.items():
+        for n, node in d.items():
+            if n.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                fns = [(f"{m}.{n}", node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(f"{m}.{n}.{f.name}", f, 1) for f in node.body
+                       if isinstance(f, ast.FunctionDef)
+                       and not f.name.startswith("_")]
+            else:
+                continue
+            for qual, fn, skip in fns:
+                a = fn.args
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                for i, arg in enumerate(pos[first:], first):
+                    yield qual, fn.name, arg.arg, i - skip
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield qual, fn.name, arg.arg, None
+
+
+def _calls(defs):
+    """(callee name, positional count, keywords) for every call in src/ and
+    tests/; the count is inf after a *, and keywords None after a **."""
+    grids = [f"{name}_grid" for name in
+             ast.literal_eval(defs["cli"]["_FIXTURE_GRIDS"].value)]
+    for path in [*SRC.glob("*.py"), *TESTS.glob("**/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                names = [f.id]
+            elif isinstance(f, ast.Attribute):
+                names = [f.attr]
+            elif isinstance(f, ast.Call) and isinstance(f.func, ast.Name) \
+                    and f.func.id == "getattr":
+                names = grids
+            else:
+                continue
+            npos = math.inf if any(isinstance(a, ast.Starred)
+                                   for a in node.args) else len(node.args)
+            kws = None if any(k.arg is None for k in node.keywords) \
+                else {k.arg for k in node.keywords}
+            for name in names:
+                yield name, npos, kws
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    defs, _ = _package()
+    calls = collections.defaultdict(list)
+    for name, npos, kws in _calls(defs):
+        calls[name].append((npos, kws))
+    unset = {f"{qual}.{param}"
+             for qual, name, param, i in _optional_parameters(defs)
+             if not any(kws is None or param in kws
+                        or i is not None and i < npos
+                        for npos, kws in calls[name])}
+    assert unset == ALLOWED_UNSET
