@@ -150,18 +150,19 @@ def _report(config: dict, results: dict) -> dict:
 # ---------------------------------------------------------------------------
 # config schema
 #
-# One table per command, key -> (kind, default).  A kind is int, float,
-# bool, str or list (passed on unread) for a JSON value of that type, a
-# range of integers, a set of strings, a leaf function (value, path), a dict
-# of keys for a JSON object, [kind] for a JSON list, or a tuple of variants
+# One table per command, key -> (kind, default).  A kind is int, float
+# (finite: JSON's 1e400, Infinity and NaN are refused), bool, str or list
+# (passed on unread) for a JSON value of that type, a range of integers, a
+# set of strings, a leaf function (value, path), a dict of keys for a JSON
+# object, [kind] for a JSON list, or a tuple of variants
 # (key, value, keys): the first whose key holds value (value None: whose key
 # is present; key None: any) gives the keys.  _REQUIRED makes a key
 # required; None leaves it out when absent or null, so the library's or the
 # command's own default applies; any other default is parsed as if given.
 
 _REQUIRED = object()
-_TYPES = {int: "a 64-bit integer", float: "a number", bool: "true or false",
-          str: "a string", list: "a list"}
+_TYPES = {int: "a 64-bit integer", float: "a finite number",
+          bool: "true or false", str: "a string", list: "a list"}
 
 
 def _bad(path: str, what: str, v) -> ConfigError:
@@ -174,11 +175,22 @@ def _pair(v, path: str) -> list:
     return _parse([float], v, path)
 
 
+def _limit(v, path: str) -> float:
+    """A finite number, or Infinity for no limit at all."""
+    if type(v) is float and v == math.inf:
+        return v
+    try:
+        return _parse(float, v, path)
+    except ConfigError:
+        raise _bad(path, "a number or Infinity", v) from None
+
+
 def _parse(kind, v, path: str = ""):
     """v checked against kind and converted, or a one-line ConfigError that
     names the dotted path of an unknown key, a missing key or a wrong type."""
     if isinstance(kind, type):
         if type(v) is kind and (kind is not int or -2 ** 63 <= v < 2 ** 63) \
+                and (kind is not float or math.isfinite(v)) \
                 or kind is float and type(v) is int and abs(v) < 2 ** 1023:
             return float(v) if kind is float else v
         raise _bad(path, _TYPES[kind], v)
@@ -276,7 +288,7 @@ _SCHEMAS = {
             "x0": ([float], None), "scan": (_SCAN, {})},
     "wf-experiment": {
         "solution": ({"fixture": (set(_WF_FIXTURES), "conormal")}, {}),
-        "model": (_JET, None), "trust_radius": (float, float("inf")),
+        "model": (_JET, None), "trust_radius": (_limit, math.inf),
         "seq": (_SEQ, _GEVREY2), "base": (_pair, [0.0, 0.0]),
         "radius": (float, 1.0), "n": (_SAMPLES, None), "scan": (_SCAN, {})},
     "acceptance": {"criteria": ([int], [])},

@@ -147,11 +147,11 @@ class ApproxSolution:
         W = self.kernel.weights
         G = np.zeros(self.series.n_max + 1, dtype=complex)
         zp = np.ones_like(z)
-        for k in range(self.series.n_max + 1):
-            keep = K >= k
-            if not np.any(keep):
-                break
-            G[k] = np.sum(W[keep] * zp[keep])
+        every = K.min()
+        for k in range(K.max() + 1):
+            Wz = W * zp
+            # every node keeps k up to min K_i: the sum over all of them
+            G[k] = np.sum(Wz) if k <= every else np.sum(Wz[K >= k])
             zp = zp * z
         return G
 

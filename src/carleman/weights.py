@@ -18,6 +18,12 @@ table.  It also reports when the minimizer sits on the table boundary with
 the terms still decreasing, and each caller sets its policy for that case:
 h, h1, N and fbi_envelope raise, envelope_certified reports it, and
 bigN_capped caps (and raises on non-log-convex tables).
+
+Building a table costs one pass over its entries for each array it keeps:
+log_m, lfact and the increments of log_m, plus the raw M_k of a table
+kind.  The log-convexity test at construction also records where
+condition b) first fails, and one maximum over the increments serves both
+c_bound and condition c).  m and log_M are built on first use only.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import FitFailed, GuardExceeded
 _BRUTE_MAX = 8192
 # argmin terms held at once by that scan: 8 MB
 _BRUTE_TERMS = 1 << 20
-_CONVEX_TOL = 1e-12
+_TOL = 1e-12                  # slack of the log-table comparisons
 
 
 @dataclass(eq=False)
@@ -41,27 +47,32 @@ class WeightSequence:
     """Materialized weight sequence m_k = M_k/k!, k = 0..K_max.
 
     kind is "gevrey" (m_k = (k!)^(s-1)) or "table" (M_k given explicitly).
-    m may overflow to inf for large k; log_m is the working representation.
-    lfact[k] = log(k!), so log(M_k) = log_m[k] + lfact[k].
+    Every table keeps three read-only arrays: log_m, the working
+    representation; lfact[k] = log(k!), so log(M_k) = log_m[k] + lfact[k];
+    and the increments of log_m.  A table kind also keeps its raw M_k in
+    values.  m itself, which may overflow to inf for large k, and log_M are
+    built on first use.
     """
 
     kind: str
     K_max: int
     s: float | None
-    m: np.ndarray
     log_m: np.ndarray
     lfact: np.ndarray
     values: np.ndarray | None = None     # table kind only: the raw M_k
     log_convex: bool = field(init=False, default=False)
     _increments: np.ndarray = field(init=False, repr=False)
+    # the least k with m_k^2 > m_{k-1} m_{k+1} beyond the slack, else None
+    _nonconvex_at: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self._increments = np.diff(self.log_m)
-        self.log_convex = bool(
-            self.K_max < 2 or np.all(np.diff(self._increments) >= -_CONVEX_TOL))
+        bad = np.flatnonzero(np.diff(self._increments) < -_TOL)
+        self._nonconvex_at = int(bad[0]) + 1 if bad.size else None
+        self.log_convex = self._nonconvex_at is None
         # increments are cached from log_m; read-only arrays keep the
         # cache from going stale
-        for arr in (self.m, self.log_m, self.lfact, self._increments):
+        for arr in (self.log_m, self.lfact, self._increments):
             arr.flags.writeable = False
 
     @property
@@ -69,14 +80,31 @@ class WeightSequence:
         """lr[k] = log(m_{k+1}) - log(m_k), nondecreasing iff log-convex."""
         return self._increments
 
+    @cached_property
+    def m(self) -> np.ndarray:
+        """m_k; built on first use, read-only, inf past the float range.
+        A Gevrey cumprod keeps small-k entries exact (m_2 = 2 at s = 2)."""
+        with np.errstate(over="ignore"):
+            out = np.exp(self.log_m) if self.kind == "table" else \
+                np.cumprod(np.r_[1.0, np.arange(1.0, self.K_max + 1)
+                                 ** (self.s - 1.0)])
+        out.flags.writeable = False
+        return out
+
+    def _ratio_roots(self) -> np.ndarray:
+        """log (m_{k+1}/m_k)^{1/k} = lr[k]/k, k = 1..K_max-1."""
+        roots = np.arange(1.0, self.K_max)
+        return np.divide(self._increments[1:], roots, out=roots)
+
+    @cached_property
+    def _log_c_bound(self):
+        return np.max(self._ratio_roots())
+
     @property
     def c_bound(self) -> float:
         """Empirical sup over the table of (m_{k+1}/m_k)^(1/k), k >= 1."""
-        lr = self.increments
-        ks = np.arange(1, self.K_max)
         with np.errstate(over="ignore"):        # inf past the float range
-            return float(np.exp(np.max(lr[1:] / ks))) if self.K_max >= 2 \
-                else 1.0
+            return float(np.exp(self._log_c_bound))
 
     @cached_property
     def log_M(self) -> np.ndarray:
@@ -99,38 +127,37 @@ def make_sequence(kind: str = "gevrey", s: float = 2.0, K_max: int = 64,
     """Materialize a weight sequence.
 
     kind="gevrey": M_k = (k!)^s, requires s > 1.  kind="table": values are
-    the M_k themselves, need at least K_max+1 positive entries.
-    Construction never rejects a sequence for failing the regularity
-    conditions; run check_regularity for that.
+    the M_k themselves, need at least K_max+1 positive entries, every entry
+    finite.  Construction never rejects a sequence for failing the
+    regularity conditions; run check_regularity for that.
     """
     K_max = int(K_max)
     if K_max < 8:
         raise ValueError(f"K_max must be >= 8, got {K_max}")
-    karr = np.arange(1, K_max + 1, dtype=float)
-    lfact = np.concatenate([[0.0], np.cumsum(np.log(karr))])
+    lfact = np.empty(K_max + 1)
+    lfact[0] = 0.0
+    logs = np.arange(1, K_max + 1, dtype=float)
+    np.cumsum(np.log(logs, out=logs), out=lfact[1:])
 
     if kind == "gevrey":
         s = float(s)
         if not s > 1.0:
             raise ValueError(f"Gevrey exponent must be > 1, got {s}")
-        log_m = (s - 1.0) * lfact
-        # cumprod keeps small-k entries exact (m_2 = 2 exactly for s = 2);
-        # the tail overflows to inf harmlessly, log_m is what gets used.
-        with np.errstate(over="ignore"):
-            m = np.concatenate([[1.0], np.cumprod(karr ** (s - 1.0))])
-        return WeightSequence("gevrey", K_max, s, m, log_m, lfact)
+        return WeightSequence("gevrey", K_max, s, (s - 1.0) * lfact, lfact)
 
     if kind == "table":
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size < K_max + 1:
             raise ValueError(f"table needs >= {K_max + 1} values, got {vals.shape}")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"table value values[{bad[0]}] = {vals[bad[0]]} "
+                             "is not finite")
         vals = vals[:K_max + 1].copy()
         if not np.all(vals > 0.0):
             raise ValueError("table values must be positive")
-        log_m = np.log(vals) - lfact
-        with np.errstate(over="ignore"):
-            m = np.exp(log_m)
-        return WeightSequence("table", K_max, None, m, log_m, lfact, values=vals)
+        return WeightSequence("table", K_max, None, np.log(vals) - lfact,
+                              lfact, values=vals)
 
     raise ValueError(f"unknown sequence kind {kind!r}")
 
@@ -144,45 +171,37 @@ class RegularityReport:
     failures: list          # (condition tag in {a, b, c, d}, first offending index)
 
 
-_REGULARITY_TOL = 1e-12       # slack of the log-table comparisons
-
-
 def check_regularity(seq: WeightSequence) -> RegularityReport:
     """Test conditions a)-d) over the materialized range.
 
     a) m_0 = m_1 = 1;  b) m_k^2 <= m_{k-1} m_{k+1};  c) (m_{k+1}/m_k)^{1/k}
     bounded, tested as <= 64;  d) m_k^{1/k} -> infinity, tested as the
     finite proxy m_{K_max}^{1/K_max} >= 4 together with monotone growth of
-    m_k^{1/k} over the top quartile of indices.
+    m_k^{1/k} over the top quartile of indices.  b) is read from the
+    table's log-convexity test and c) from the maximum behind c_bound.
     """
     failures = []
     log_m = seq.log_m
     K = seq.K_max
 
     for idx in (0, 1):
-        if abs(log_m[idx]) > _REGULARITY_TOL:
+        if abs(log_m[idx]) > _TOL:
             failures.append(("a", idx))
             break
 
-    lr = seq.increments
-    d2 = np.diff(lr)                       # d2[i] vs center index i+1
-    bad = np.nonzero(d2 < -_REGULARITY_TOL)[0]
-    if bad.size:
-        failures.append(("b", int(bad[0]) + 1))
+    if seq._nonconvex_at is not None:
+        failures.append(("b", seq._nonconvex_at))
 
-    ks = np.arange(1, K)
-    ratio_roots = lr[1:] / ks              # log (m_{k+1}/m_k)^{1/k}
-    bad = np.nonzero(ratio_roots > np.log(64.0))[0]
-    if bad.size:
-        failures.append(("c", int(bad[0]) + 1))
+    if seq._log_c_bound > np.log(64.0):
+        bad = np.argmax(seq._ratio_roots() > np.log(64.0))
+        failures.append(("c", int(bad) + 1))
 
-    roots = log_m[1:] / np.arange(1, K + 1)    # log m_k^{1/k}
-    if roots[-1] < np.log(4.0):
+    if log_m[K] / K < np.log(4.0):          # log m_K^{1/K}
         failures.append(("d", K))
     else:
         lo = max(1, (3 * K) // 4)
-        top = roots[lo - 1:]
-        bad = np.nonzero(np.diff(top) < -_REGULARITY_TOL)[0]
+        top = log_m[lo:] / np.arange(lo, K + 1)
+        bad = np.flatnonzero(np.diff(top) < -_TOL)
         if bad.size:
             failures.append(("d", lo + int(bad[0])))
 

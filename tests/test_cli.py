@@ -777,6 +777,46 @@ def test_unknown_key_is_config_error_naming_its_path(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    # Python's json reads 1e400 as inf, and Infinity and NaN as given
+    pytest.param("weights", '{"seq": {"kind": "table", "values": '
+                 '[1, 1, 2, 6, 24, 120, 720, 5040, 1e400]}}',
+                 "seq.values[8] must be a finite number, not Infinity",
+                 id="weights.seq.values-1e400"),
+    pytest.param("weights", '{"seq": {"kind": "table", "values": '
+                 '[1, 1, 2, 6, 24, 120, 720, 5040, NaN]}}',
+                 "seq.values[8] must be a finite number, not NaN",
+                 id="weights.seq.values-nan"),
+    pytest.param("weights", '{"seq": {"kind": "gevrey", "s": -Infinity}}',
+                 "seq.s must be a finite number, not -Infinity",
+                 id="weights.seq.s"),
+    pytest.param("wf-experiment", '{"radius": Infinity}',
+                 "radius must be a finite number, not Infinity",
+                 id="wf.radius"),
+    pytest.param("wf-experiment", '{"trust_radius": NaN}',
+                 "trust_radius must be a number or Infinity, not NaN",
+                 id="wf.trust_radius-nan"),
+    pytest.param("wf-experiment", '{"trust_radius": -Infinity}',
+                 "trust_radius must be a number or Infinity, not -Infinity",
+                 id="wf.trust_radius-minus-infinity"),
+])
+def test_non_finite_number_is_config_error_naming_its_path(
+        tmp_path, capsys, command, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(config), "--out", str(out)])
+    assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_trust_radius_alone_takes_infinity():
+    def parse(**cfg):
+        return cli._parse(cli._SCHEMAS["wf-experiment"], cfg)["trust_radius"]
+    assert parse() == parse(trust_radius=float("inf")) == float("inf")
+    assert parse(trust_radius=2) == 2.0 and parse(trust_radius=1e-9) == 1e-9
+
+
 def test_jet_file_is_checked_as_an_inline_jet(tmp_path, capsys):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(dict(JETS_CFG["datum"], coefs=[])))

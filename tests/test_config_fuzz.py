@@ -7,9 +7,10 @@ Each command starts from small configs that run clean, which between them
 use every key and variant of the command's schema table (a jet or a grid
 given inline and as a file included).  A value mutation replaces the value
 at one path of a config (a key of an object or an entry of a list, at any
-depth) with a value from a fixed pool of wrong types and out-of-range
-numbers.  A key mutation renames one key to a near miss, which must be a
-config error that names the key's dotted path.
+depth) with a value from a fixed pool of wrong types, out-of-range
+numbers and the non-finite numbers JSON's Infinity and NaN read as.  A
+key mutation renames one key to a near miss, which must be a config error
+that names the key's dotted path.
 """
 
 import atexit
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from carleman import cli
 from carleman.fixtures import gaussian_grid
 
-POOL = (0, -1, "x", [], {}, None, 1e300)
+POOL = (0, -1, "x", [], {}, None, 1e300, float("inf"), float("nan"))
 
 _JET = {"n_x": 1, "n_zeta": 0, "D": 8, "coeffs": [[[2], 1.0, 0.0]]}
 _SEQ = {"kind": "gevrey", "s": 2.0, "K_max": 256}

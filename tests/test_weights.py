@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,12 +59,45 @@ def test_construction_validation():
         make_sequence("nope")
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_non_finite_table_value_is_rejected(bad):
+    values = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0, bad]
+    with pytest.raises(ValueError, match=r"values\[8\] = .* is not finite"):
+        make_sequence("table", K_max=8, values=values)
+    # past K_max too: the table is refused, not truncated around it
+    with pytest.raises(ValueError, match=r"values\[9\]"):
+        make_sequence("table", K_max=8, values=values[:8] + [40320.0, bad])
+
+
 def test_tables_are_read_only(g2):
     assert np.array_equal(g2.increments, np.diff(g2.log_m))
     assert g2.increments is g2.increments       # stored, not recomputed
     for arr in (g2.m, g2.log_m, g2.lfact, g2.increments):
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+def test_m_is_built_once_on_first_use():
+    seq = make_sequence("gevrey", s=2.0, K_max=64)
+    assert "m" not in vars(seq)                 # nothing built up front
+    assert seq.m is seq.m
+
+
+def test_table_build_and_regularity_peak_within_six_table_widths():
+    # the tables a 2^21-entry Gevrey run keeps and the temporaries of its
+    # construction, regularity check and c_bound, at most 6 arrays of
+    # K_max + 1 floats at once
+    K = 2 ** 21
+    tracemalloc.start()
+    try:
+        seq = make_sequence("gevrey", 1.5, K)
+        rep = check_regularity(seq)
+        c = seq.c_bound
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and c == pytest.approx(2.0 ** 0.5, rel=1e-12)
+    assert peak <= 6 * 8 * (K + 1), f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_envelope_log_table_is_built_once_on_first_use():
