@@ -40,12 +40,12 @@ class AcceptanceResult:
                 f"{self.elapsed:7.2f} s  {self.detail}")
 
 
-def _x_jet(degree, n_zeta=0):
-    return jet_variable(0, 1, n_zeta, degree)
+def _x_jet(degree):
+    return jet_variable(0, 1, 0, degree)
 
 
-def _z1_jet(degree=8):
-    return jet_variable(2, 1, 2, degree)
+def _z1_jet():
+    return jet_variable(2, 1, 2, 8)
 
 
 # ---------------------------------------------------------------------------

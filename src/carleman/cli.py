@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 failed check or I/O error, 2 usage or config error.
 
 Numeric imports happen after --threads is applied to the BLAS environment,
 so keep this module free of top-level numpy.  All floating point output is
-printed with 17 significant digits and no timestamps; rerunning a command
-with the same config reproduces every payload byte for byte.
+printed with 17 significant digits and no timestamps, except that JSON
+payloads write Infinity, -Infinity and NaN, the tokens json.load reads;
+rerunning a command with the same config reproduces every payload byte
+for byte.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ def _fmt(v: float) -> str:
     return "%.17g" % float(v)
 
 
+def _json_float(v: float) -> str:
+    """_fmt, or the token json.dumps writes and json.load reads for an
+    infinite or NaN value: Infinity, -Infinity or NaN."""
+    return _fmt(v) if math.isfinite(v) else json.dumps(v)
+
+
 def _json_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if hasattr(obj, "item") and not hasattr(obj, "__len__"):
@@ -51,8 +59,8 @@ def _json_text(obj, indent: int = 0) -> str:
             return "[]"
         # exactly int or float (never bool or a numpy scalar): one join
         if all(type(v) is float or type(v) is int for v in items):
-            rows = [pad + "  " + (_fmt(v) if type(v) is float else str(v))
-                    for v in items]
+            rows = [pad + "  " + (_json_float(v) if type(v) is float
+                                  else str(v)) for v in items]
         else:
             rows = [f"{pad}  {_json_text(v, indent + 1)}" for v in items]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
@@ -65,7 +73,7 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, complex):
         return _json_text([obj.real, obj.imag], indent)
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _json_float(obj)
     return json.dumps(str(obj))
 
 
@@ -484,7 +492,6 @@ def _cmd_extend(args) -> int:
 
     from .dynkin import almost_analytic_extend, make_kernel, measure_flatness
     from .jets import EvalBox
-    from .weights import assoc
     raw, cfg = _load_config(args)
     datum = _jet(cfg["datum"], "datum")
     seq, x = _sequence(cfg["seq"]), _grid1d(cfg["x"], "x")
@@ -510,10 +517,9 @@ def _cmd_extend(args) -> int:
             f"validity radius; it spans [{np.min(t):.6g}, {np.max(t):.6g}]")
     fit = measure_flatness(sol, x, t)
 
-    hq = assoc(sol.seq, "h", fit.Q * np.abs(t))
     rows = [(float(tv), float(sv), float(hv),
              float(sv / (fit.A * hv)) if fit.A > 0 and hv > 0 else 0.0)
-            for tv, sv, hv in zip(fit.t, fit.sup, hq)]
+            for tv, sv, hv in zip(fit.t, fit.sup, fit.h)]
     _write(args, "extend.csv",
            _csv_text(["t", "sup_abs_Lu", "h_Q_t", "ratio"], rows))
 

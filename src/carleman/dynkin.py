@@ -44,11 +44,8 @@ def _bump_profile(s):
 @dataclass(eq=False)
 class DiskKernel:
     epsilon: float
-    n_r: int
-    n_theta: int
     nodes: np.ndarray        # complex w_i, flattened product grid
     weights: np.ndarray      # area weight times normalized bump at w_i
-    norm: float
     residual: float          # |moment_0 - 1| + sum of low moment magnitudes
 
 
@@ -87,7 +84,7 @@ def make_kernel(epsilon: float = 0.5, n_r: int = 64,
         raise QuadratureTooCoarse(
             f"kernel moment residual {residual:.3g} exceeds {_MOMENT_TOL:.3g} "
             f"at n_r={n_r}, n_theta={n_theta}")
-    return DiskKernel(epsilon, n_r, n_theta, nodes, weights, norm, residual)
+    return DiskKernel(epsilon, nodes, weights, residual)
 
 
 def kernel_apply_poly(kernel: DiskKernel, coeffs, t: float) -> complex:
@@ -205,13 +202,13 @@ class _Stencil:
             self.axes.append((terms(xp), terms(xm),
                               jet_eval(ai, x=xs if fld.n_x > 1 else xs[0])))
 
-    def apply_L(self, t: float, dt: float | None = None):
+    def apply_L(self, t: float):
         """The field at time t, both time stencil points inside delta."""
         sol = self.sol
         cap = 0.45 * (sol.delta - abs(t))
         if cap <= 0.0:
             raise ValueError("t at or beyond the validity radius, no room to difference")
-        ht = min(dt, cap) if dt is not None else min(1e-4 * (1.0 + abs(t)), cap)
+        ht = min(1e-4 * (1.0 + abs(t)), cap)
 
         def ev(V, G):
             return np.asarray(_average(V.__getitem__, G))
@@ -289,16 +286,15 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence) -> FlatnessFit:
     return best
 
 
-def measure_flatness(sol: ApproxSolution, x_values, t_values,
-                     factor: float = 1.0) -> FlatnessFit:
-    """Fit the decay of sup_x |L u(x, t)| (times factor) against h(Q|t|).
+def measure_flatness(sol: ApproxSolution, x_values, t_values) -> FlatnessFit:
+    """Fit the decay of sup_x |L u(x, t)| against h(Q|t|).
 
     The u_k are evaluated on the x stencil of step 1e-4 once; each time
     adds only its moment sums."""
     # values past the float range reach the fit as inf or nan, which fails
     with np.errstate(over="ignore", invalid="ignore"):
         stencil = _Stencil(sol, x_values, 1e-4)
-        sups = [factor * float(np.max(np.abs(stencil.apply_L(float(tv)))))
+        sups = [float(np.max(np.abs(stencil.apply_L(float(tv)))))
                 for tv in t_values]
     return flatness_fit(t_values, sups, sol.seq)
 
@@ -315,7 +311,7 @@ def almost_analytic_extend(f, seq: WeightSequence, kernel: DiskKernel,
     Returns (values, sol): U evaluated at the given complex points (Re z is
     the spatial variable, Im z the time), and the ApproxSolution for
     further probing.  dbar U = (i/2) (d/dt - i d/dx) U, so the extension's
-    dbar decay is factor-1/2 the field decay that measure_flatness fits.
+    dbar decay is half the field decay that measure_flatness fits.
     """
     if f.n_x != 1 or f.n_zeta != 0:
         raise ArityMismatch("extension is defined for one real variable")

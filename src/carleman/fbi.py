@@ -398,9 +398,6 @@ def certified_levels(seq: WeightSequence, lam: float) -> np.ndarray:
 class DecayReport:
     passed: bool
     A_fit: float             # inf when no grid value certifies the decay
-    lambda_min: float
-    floor: float
-    n_tail: int
 
 
 def _tail(lams: np.ndarray, lambda_min: float) -> np.ndarray:
@@ -427,8 +424,7 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
     floor = floor_rel * scale
 
     tail = _tail(lams, lambda_min)
-    n_tail = int(np.sum(tail))
-    if n_tail == 0:
+    if not tail.any():
         raise ValueError(f"no samples at or above lambda_min={lambda_min}")
     lt, mt = lams[tail], mags[tail]
 
@@ -441,7 +437,7 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
     env = fbi_envelope(seq, levels, lt)         # one row per level
     ok = np.all(mt <= np.maximum(env, floor), axis=1)
     A_fit = float(levels[np.argmax(ok)]) if ok.any() else np.inf
-    return DecayReport(bool(ok.any()), A_fit, lambda_min, floor, n_tail)
+    return DecayReport(bool(ok.any()), A_fit)
 
 
 def decay_margin(lambdas, samples, seq: WeightSequence, A: float,
@@ -593,7 +589,6 @@ class PhaseBoundReport:
     omega0: np.ndarray
     C0: float
     half_angle: float
-    c_values: np.ndarray
 
 
 def phase_bound_check(z_samples, t_values, y_values) -> PhaseBoundReport:
@@ -653,5 +648,4 @@ def phase_bound_check(z_samples, t_values, y_values) -> PhaseBoundReport:
         if half_angle == 0.0:
             # a single direction still subtends half the angular step
             half_angle = np.pi / omegas.shape[0]
-    return PhaseBoundReport(omega0, float(c_values[best]), half_angle,
-                            c_values)
+    return PhaseBoundReport(omega0, float(c_values[best]), half_angle)

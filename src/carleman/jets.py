@@ -25,7 +25,6 @@ the budget and marks the result lossy.
 from __future__ import annotations
 
 import functools
-import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -114,7 +113,7 @@ class Jet:
     """
 
     def __init__(self, n_x: int, n_zeta: int, degree: int, coeffs=(),
-                 base_x=(), base_zeta=(), lossy: bool = False):
+                 base_x=(), base_zeta=()):
         if not all(isinstance(n, numbers.Integral) and n >= 0
                    for n in (n_x, n_zeta, degree)):
             raise ArityMismatch("variable counts and D must be non-negative integers")
@@ -126,7 +125,7 @@ class Jet:
         self.basis = _basis(n_x + n_zeta, degree)
         self.data = self.basis.array(coeffs)
         self.data.flags.writeable = False
-        self.lossy = bool(lossy)
+        self.lossy = False
 
     @property
     def nvars(self) -> int:
@@ -325,10 +324,8 @@ class VectorFieldJet:
 @dataclass(eq=False)
 class FormalSeries:
     field: VectorFieldJet
-    datum: Jet
-    u: list                  # u[k], k = 0..n_max
+    u: list                  # u[k], k = 0..n_max; u[k] is exact to degree D - k
     n_max: int
-    valid_degree: list       # D - k, the degree to which u[k] is trustworthy
     # residual_check by n, built on its first call
     residuals: list = field(default=None, init=False, repr=False)
 
@@ -362,7 +359,7 @@ def formal_solution(L: VectorFieldJet, f: Jet, n_max: int) -> FormalSeries:
             u.append(jet_scale(_apply_coeffs(L, u[-1]), -1.0 / k))
             if not np.isfinite(u[-1].data).all():
                 raise ValueError(f"u_{k} overflows the float range")
-    return FormalSeries(L, f, u, n_max, [f.degree - k for k in range(n_max + 1)])
+    return FormalSeries(L, u, n_max)
 
 
 def residual_check(series: FormalSeries, n: int) -> float:
@@ -399,70 +396,39 @@ def _residual_table(series: FormalSeries) -> list:
 
 @dataclass
 class EvalBox:
-    """Sampling region for growth fits: an interval per x variable and a
-    circle radius per zeta variable (polynomials attain their sup on the
-    circle).  n_x_samples points per interval, n_zeta_samples per circle."""
+    """Sampling region for growth fits: an interval per x variable,
+    33 points each."""
     x_intervals: list
-    zeta_radii: list = field(default_factory=list)
-    n_x_samples: int = 33
-    n_zeta_samples: int = 16
 
 
 @dataclass
 class GrowthEstimate:
     C_fit: float
     B_fit: float
-    n_max: int
-    box: EvalBox
     sup: list                # sup |u_k| over the box, k = 0..n_max
 
 
-def _box_grid(jet: Jet, box: EvalBox):
-    if len(box.x_intervals) != jet.n_x or len(box.zeta_radii) != jet.n_zeta:
-        raise ArityMismatch("box does not match jet arity")
-    ang = 2 * np.pi * np.arange(box.n_zeta_samples) / box.n_zeta_samples
-    axes = [np.linspace(lo, hi, box.n_x_samples) for lo, hi in box.x_intervals] \
-        + [zb + rho * np.exp(1j * ang)
-           for rho, zb in zip(box.zeta_radii, jet.base_zeta)]
-    grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")] if axes else []
-    return grids[:jet.n_x], grids[jet.n_x:]
+def _box_grid(jet: Jet, box: EvalBox) -> list:
+    if len(box.x_intervals) != jet.n_x or jet.n_zeta:
+        raise ArityMismatch("growth fits sample x intervals of zeta-free jets")
+    axes = [np.linspace(lo, hi, 33) for lo, hi in box.x_intervals]
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 
-def _grid_sup(jet: Jet, xs, zs) -> float:
-    return float(np.max(np.abs(jet_eval(jet, x=xs or None, zeta=zs or None))))
-
-
-def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
-               deriv_order: int = 0) -> GrowthEstimate:
-    """Fit C in sup |d^alpha u_k| <= C^{1+|alpha|+k} M_{|alpha|+k}/k! over the
-    box (alpha runs over x derivatives up to deriv_order; the default 0
-    reduces the right side to C^{1+k} m_k), and B in the truncation bound
-    (n+1) sup |u_{n+1}| <= B^{n+1} m_n.  Both are snapped up to the
-    {2^{j/4}} grid; FitFailed when C would exceed 2^16.
+def growth_fit(series: FormalSeries, seq: WeightSequence,
+               box: EvalBox) -> GrowthEstimate:
+    """Fit C in sup |u_k| <= C^{1+k} m_k over the box, and B in the
+    truncation bound (n+1) sup |u_{n+1}| <= B^{n+1} m_n.  Both are snapped
+    up to the {2^{j/4}} grid; FitFailed when C would exceed 2^16.
     """
-    need_k = series.n_max + deriv_order
-    if seq.K_max < need_k:
-        raise ValueError(f"sequence table too short: K_max={seq.K_max} < {need_k}")
-    xs, zs = _box_grid(series.u[0], box)
+    if seq.K_max < series.n_max:
+        raise ValueError(f"sequence table too short: K_max={seq.K_max} < "
+                         f"{series.n_max}")
+    xs = _box_grid(series.u[0], box)
+    sups = [float(np.max(np.abs(jet_eval(u, x=xs)))) for u in series.u]
 
-    sups = [_grid_sup(u, xs, zs) for u in series.u]
-
-    alphas = [alpha for order in range(deriv_order + 1) for alpha in
-              itertools.combinations_with_replacement(range(series.field.n_x),
-                                                      order)]
-    log_c_need = -np.inf
-    for k, u in enumerate(series.u):
-        for alpha in alphas:
-            a_len = len(alpha)
-            s = sups[k] if a_len == 0 else \
-                _grid_sup(functools.reduce(jet_diff, alpha, u), xs, zs)
-            if s <= 0.0:
-                continue
-            j = a_len + k
-            bound_log = seq.log_m[j] + seq.lfact[j] - seq.lfact[k]
-            log_c_need = max(log_c_need,
-                             (np.log(s) - bound_log) / (1.0 + a_len + k))
-
+    log_c_need = max([(np.log(s) - seq.log_m[k]) / (1.0 + k)
+                      for k, s in enumerate(sups) if s > 0.0], default=-np.inf)
     C_fit = 1.0 if log_c_need == -np.inf else snap_up(float(np.exp(log_c_need)))
     if C_fit > _FIT_CAP:
         raise FitFailed(f"growth fit needs C ~ {np.exp(log_c_need):.3g} > cap "
@@ -473,7 +439,7 @@ def growth_fit(series: FormalSeries, seq: WeightSequence, box: EvalBox,
                      default=-np.inf)
     B_fit = 1.0 if log_b_need == -np.inf else snap_up(float(np.exp(log_b_need)))
 
-    return GrowthEstimate(C_fit, B_fit, series.n_max, box, sups)
+    return GrowthEstimate(C_fit, B_fit, sups)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ h, h1, N and fbi_envelope raise, envelope_certified reports it, and
 bigN_capped caps (and raises on non-log-convex tables).
 
 Building a table costs one pass over its entries for each array it keeps:
-log_m, lfact and the increments of log_m, plus the raw M_k of a table
-kind.  The log-convexity test at construction also records where
+log_m, lfact and the increments of log_m; a table kind keeps no raw M_k.
+The log-convexity test at construction also records where
 condition b) first fails, and one maximum over the increments serves both
 c_bound and condition c).  m and log_M are built on first use only.
 """
@@ -49,9 +49,8 @@ class WeightSequence:
     kind is "gevrey" (m_k = (k!)^(s-1)) or "table" (M_k given explicitly).
     Every table keeps three read-only arrays: log_m, the working
     representation; lfact[k] = log(k!), so log(M_k) = log_m[k] + lfact[k];
-    and the increments of log_m.  A table kind also keeps its raw M_k in
-    values.  m itself, which may overflow to inf for large k, and log_M are
-    built on first use.
+    and the increments of log_m.  m itself, which may overflow to inf for
+    large k, and log_M are built on first use.
     """
 
     kind: str
@@ -59,7 +58,6 @@ class WeightSequence:
     s: float | None
     log_m: np.ndarray
     lfact: np.ndarray
-    values: np.ndarray | None = None     # table kind only: the raw M_k
     log_convex: bool = field(init=False, default=False)
     _increments: np.ndarray = field(init=False, repr=False)
     # the least k with m_k^2 > m_{k-1} m_{k+1} beyond the slack, else None
@@ -153,11 +151,10 @@ def make_sequence(kind: str = "gevrey", s: float = 2.0, K_max: int = 64,
         if bad.size:
             raise ValueError(f"table value values[{bad[0]}] = {vals[bad[0]]} "
                              "is not finite")
-        vals = vals[:K_max + 1].copy()
+        vals = vals[:K_max + 1]
         if not np.all(vals > 0.0):
             raise ValueError("table values must be positive")
-        return WeightSequence("table", K_max, None, np.log(vals) - lfact,
-                              lfact, values=vals)
+        return WeightSequence("table", K_max, None, np.log(vals) - lfact, lfact)
 
     raise ValueError(f"unknown sequence kind {kind!r}")
 
@@ -377,6 +374,8 @@ def envelope_certified(seq: WeightSequence, A, lam):
 
 # the largest constant absorption_fit, growth_fit and flatness_fit report
 _FIT_CAP = 2.0 ** 16
+# the Q values absorption_fit tries: 1, 2, 4, ..., 64
+_ABSORPTION_Q = 2.0 ** np.arange(0, 7)
 
 
 def snap_up(value: float) -> float:
@@ -398,21 +397,18 @@ class AbsorptionFit:
     passed: bool
 
 
-def absorption_fit(seq: WeightSequence, n: int, r_values,
-                   q_grid=None) -> AbsorptionFit:
+def absorption_fit(seq: WeightSequence, n: int, r_values) -> AbsorptionFit:
     """Fit constants in r^{-n} h(r) <= C h(Q r) over the sampled r.
 
-    Q runs over powers of two; for each Q the smallest admissible C comes
+    Q runs over _ABSORPTION_Q; for each Q the smallest admissible C comes
     from the log-space supremum, and the Q minimizing that C wins.  C is
     snapped up to the {2^{j/4}} grid.  FitFailed when even the best Q needs
     C > 2^16.
     """
     rr = np.asarray(r_values, dtype=float)
-    if q_grid is None:
-        q_grid = 2.0 ** np.arange(0, 7)
     log_h = _log_assoc(seq, "h", rr)
     best = None
-    for Q in q_grid:
+    for Q in _ABSORPTION_Q:
         log_hq = _log_assoc(seq, "h", Q * rr)
         need = np.max(log_h - n * np.log(rr) - log_hq)
         if best is None or need < best[1]:

@@ -55,16 +55,15 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
     floor = floor_rel * scale
 
     tail = _tail(lams, lambda_min)
-    n_tail = int(np.sum(tail))
-    if n_tail == 0:
+    if int(np.sum(tail)) == 0:
         raise ValueError(f"no samples at or above lambda_min={lambda_min}")
     lt, mt = lams[tail], mags[tail]
 
     for A in _A_GRID:
         env = partial_envelope(seq, float(A), lt)
         if np.all(mt <= np.maximum(env, floor)):
-            return DecayReport(True, float(A), lambda_min, floor, n_tail)
-    return DecayReport(False, np.inf, lambda_min, floor, n_tail)
+            return DecayReport(True, float(A))
+    return DecayReport(False, np.inf)
 
 
 def smooth_step(s):

@@ -2,13 +2,15 @@
 
 The toolkit's first writer, kept as plain functions.  It formats a payload
 one value at a time, recursing into every dict, list, tuple and ndarray,
-with floats as "%.17g"; the jets payload goes through it as the plain
-dicts of jet_to_dict.
+with finite floats as "%.17g" and the others as the JSON tokens Infinity,
+-Infinity and NaN (CSV cells keep "%.17g" for every float); the jets
+payload goes through it as the plain dicts of jet_to_dict.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from carleman.errors import ConfigError
 
@@ -42,7 +44,9 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, complex):
         return _json_text([obj.real, obj.imag], indent)
     if isinstance(obj, float):
-        return _fmt(obj)
+        if math.isnan(obj):
+            return "NaN"
+        return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(obj, _fmt(obj))
     return json.dumps(str(obj))
 
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the carleman command line driver."""
 
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -815,6 +816,31 @@ def test_trust_radius_alone_takes_infinity():
         return cli._parse(cli._SCHEMAS["wf-experiment"], cfg)["trust_radius"]
     assert parse() == parse(trust_radius=float("inf")) == float("inf")
     assert parse(trust_radius=2) == 2.0 and parse(trust_radius=1e-9) == 1e-9
+
+
+@pytest.mark.parametrize("command, text, keys", [
+    # no certified level: the sign fixture fails at A = inf
+    pytest.param("fbi", '{"grid": {"fixture": "sign"}, "seq": {"kind": '
+                 '"table", "values": [1, 1, 1e-300, 1e-200, 1e-100, 1, 1e100, '
+                 '1e200, 1e300]}}', ["results", "per_direction", 0, "A_fit"],
+                 id="fbi.A_fit"),
+    # finite values whose increments pass log(max float)
+    pytest.param("weights", '{"seq": {"kind": "table", "values": [1, 5e-324, '
+                 '1e308, 1e308, 1e308, 1e308, 1e308, 1e308, 1e308]}}',
+                 ["results", "c_bound"], id="weights.c_bound"),
+    pytest.param("wf-experiment", '{"trust_radius": Infinity}',
+                 ["config", "trust_radius"], id="wf.trust_radius"),
+])
+def test_infinite_payload_value_reads_back_as_inf(tmp_path, command, text,
+                                                  keys):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    value = json.loads((out / f"{command}.json").read_text())
+    for key in keys:
+        value = value[key]
+    assert value == math.inf
 
 
 def test_jet_file_is_checked_as_an_inline_jet(tmp_path, capsys):

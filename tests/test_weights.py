@@ -198,14 +198,19 @@ def test_table_tie_guard():
     assert bigN(seq, 0.5) == 1
 
 
-def _bumpy_table():
-    """A locally non-convex but increasing table: the direct-scan branch."""
+def _bumpy_values():
+    """M_k, k = 0..16, of a locally non-convex but increasing table."""
     K = 16
     log_m = np.zeros(K + 1)
     log_m[2:] = np.cumsum(np.array([0.3, 0.8, 0.5, 0.9, 1.1, 1.0, 1.3, 1.2,
                                     1.5, 1.4, 1.7, 1.6, 1.9, 1.8, 2.1]))
     lfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, K + 1)))])
-    return make_sequence("table", K_max=K, values=np.exp(log_m + lfact))
+    return np.exp(log_m + lfact)
+
+
+def _bumpy_table():
+    """The table of _bumpy_values: the direct-scan branch."""
+    return make_sequence("table", K_max=16, values=_bumpy_values())
 
 
 def test_nonconvex_table_brute_path():
@@ -362,10 +367,11 @@ def test_absorption_fit():
 
 
 def test_absorption_fit_failure():
+    # the best Q of the default grid still needs C ~ e^110.2 > 2^16
     seq = make_sequence("gevrey", s=2.0, K_max=4096)
     r = np.geomspace(1e-3, 1.0, 20)
-    with pytest.raises(FitFailed):
-        absorption_fit(seq, 40, r, q_grid=[1.0])
+    with pytest.raises(FitFailed, match="e\\^110.2"):
+        absorption_fit(seq, 40, r)
 
 
 def test_absorption_fit_overflow_is_fit_failure():
@@ -386,8 +392,9 @@ def test_round_trip_json(g2):
 
     K = 12
     lfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, K + 1)))])
-    tab = make_sequence("table", K_max=K, values=np.exp(2.0 * lfact))
-    d = {"kind": "table", "values": [float(v) for v in tab.values]}
+    values = np.exp(2.0 * lfact)
+    tab = make_sequence("table", K_max=K, values=values)
+    d = {"kind": "table", "values": [float(v) for v in values]}
     back = seq_from_dict(json.loads(json.dumps(d)))
     assert back.kind == "table" and back.K_max == K
     assert np.allclose(back.log_m, tab.log_m, rtol=1e-12)
@@ -505,10 +512,11 @@ ORACLE_RTOL = 1e-10
 ORACLE_TIE = 1e-13
 
 
+# make_sequence arguments per oracle table
 ORACLE_TABLES = {
-    "gevrey1.5": lambda: make_sequence("gevrey", s=1.5, K_max=128),
-    "gevrey2": lambda: make_sequence("gevrey", s=2.0, K_max=64),
-    "bumpy": _bumpy_table,
+    "gevrey1.5": {"kind": "gevrey", "s": 1.5, "K_max": 128},
+    "gevrey2": {"kind": "gevrey", "s": 2.0, "K_max": 64},
+    "bumpy": {"kind": "table", "K_max": 16, "values": _bumpy_values()},
 }
 
 
@@ -519,12 +527,13 @@ def mp():
         yield mpmath
 
 
-def mp_log_M(mp, seq):
-    """log M_k, k = 0..K_max, at working precision."""
-    ks = range(seq.K_max + 1)
-    if seq.kind == "gevrey":
-        return [mp.mpf(seq.s) * mp.loggamma(k + 1) for k in ks]
-    return [mp.log(mp.mpf(float(v))) for v in seq.values]
+def mp_log_M(mp, spec):
+    """log M_k, k = 0..K_max, of the table make_sequence(**spec) builds,
+    at working precision from the arguments themselves."""
+    if spec["kind"] == "gevrey":
+        return [mp.mpf(spec["s"]) * mp.loggamma(k + 1)
+                for k in range(spec["K_max"] + 1)]
+    return [mp.log(mp.mpf(float(v))) for v in spec["values"]]
 
 
 def mp_argmin(terms, k0=0):
@@ -551,8 +560,8 @@ def oracle_rs(mp, seq, log_m):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
 def test_h_h1_N_match_mpmath(mp, name):
-    seq = ORACLE_TABLES[name]()
-    log_M = mp_log_M(mp, seq)
+    seq = make_sequence(**ORACLE_TABLES[name])
+    log_M = mp_log_M(mp, ORACLE_TABLES[name])
     log_m = [lM - mp.loggamma(k + 1) for k, lM in enumerate(log_M)]
     rs, breaks = oracle_rs(mp, seq, log_m)
     raised = 0
@@ -590,8 +599,8 @@ def test_h_h1_N_match_mpmath(mp, name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
 def test_envelope_matches_mpmath(mp, name):
-    seq = ORACLE_TABLES[name]()
-    log_M = mp_log_M(mp, seq)
+    seq = make_sequence(**ORACLE_TABLES[name])
+    log_M = mp_log_M(mp, ORACLE_TABLES[name])
     K = seq.K_max
     raised = 0
     for A in (0.25, 1.0, 2.0 ** 1.5):
