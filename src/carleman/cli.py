@@ -250,7 +250,7 @@ _GRID1D = (("values", None, {"values": ([float], _REQUIRED)}),
            (None, None, {"lo": (float, _REQUIRED), "hi": (float, _REQUIRED),
                          "n": (int, _REQUIRED),
                          "spacing": ({"linear", "log"}, "linear")}))
-# K_max defaults in seq_from_dict: 64 for gevrey, every table value
+# K_max defaults in make_sequence: 64 for gevrey, every table value
 _SEQ = (("kind", "gevrey", {"s": (float, _REQUIRED), "K_max": (int, None)}),
         ("kind", "table", {"values": ([float], _REQUIRED),
                            "K_max": (int, None)}))
@@ -339,9 +339,9 @@ def _grid1d(spec: dict, path: str):
 
 
 def _sequence(spec: dict):
-    from .weights import seq_from_dict
+    from .weights import make_sequence
     try:
-        return seq_from_dict(spec)
+        return make_sequence(**spec)
     except ValueError as e:
         raise ConfigError(f"bad sequence spec: {e}")
 
@@ -433,11 +433,11 @@ def _cmd_weights(args) -> int:
         nn = bigN_capped(seq, r, seq.K_max)
         if "absorption" in cfg:
             rr = _grid1d(cfg["absorption"]["r"], "absorption.r")
-            fits = []
+            fits = []       # a fit that fails raises FitFailed: passed is true
             for n in cfg["absorption"]["n"]:
                 fit = absorption_fit(seq, n, rr)
                 fits.append({"n": n, "Q": float(fit.Q), "C": float(fit.C),
-                             "passed": bool(fit.passed)})
+                             "passed": True})
             results["absorption"] = fits
     except ValueError as e:
         raise ConfigError(f"bad weights config: {e}")
@@ -491,7 +491,6 @@ def _cmd_extend(args) -> int:
     import numpy as np
 
     from .dynkin import almost_analytic_extend, make_kernel, measure_flatness
-    from .jets import EvalBox
     raw, cfg = _load_config(args)
     datum = _jet(cfg["datum"], "datum")
     seq, x = _sequence(cfg["seq"]), _grid1d(cfg["x"], "x")
@@ -504,7 +503,7 @@ def _cmd_extend(args) -> int:
         _, sol = almost_analytic_extend(
             datum, seq, kernel, x.astype(complex),
             n_max=cfg["n_max"], C_star=cfg.get("C_star"),
-            growth_box=None if gbox is None else EvalBox([tuple(gbox)]))
+            growth_box=None if gbox is None else [tuple(gbox)])
     except ValueError as e:
         raise ConfigError(f"bad extend config: {e}")
 

@@ -23,7 +23,7 @@ from scipy.special import roots_legendre
 
 from .errors import (ArityMismatch, FitFailed, GuardExceeded,
                      QuadratureTooCoarse)
-from .jets import (EvalBox, FormalSeries, VectorFieldJet, formal_solution,
+from .jets import (FormalSeries, VectorFieldJet, formal_solution,
                    growth_fit, jet_constant, jet_eval)
 from .weights import WeightSequence, _FIT_CAP, assoc, bigN_capped, snap_up
 
@@ -312,6 +312,8 @@ def almost_analytic_extend(f, seq: WeightSequence, kernel: DiskKernel,
     the spatial variable, Im z the time), and the ApproxSolution for
     further probing.  dbar U = (i/2) (d/dt - i d/dx) U, so the extension's
     dbar decay is half the field decay that measure_flatness fits.
+    Without C_star, growth_fit gives it over growth_box, [(lo, hi)], by
+    default the span of Re z widened by 1/2 on each side.
     """
     if f.n_x != 1 or f.n_zeta != 0:
         raise ArityMismatch("extension is defined for one real variable")
@@ -322,10 +324,10 @@ def almost_analytic_extend(f, seq: WeightSequence, kernel: DiskKernel,
     z = np.asarray(z_values, dtype=complex)
     zf = z.ravel()
     if C_star is None:
-        lo = float(zf.real.min()) - 0.5
-        hi = float(zf.real.max()) + 0.5
-        box = growth_box if growth_box is not None else EvalBox([(lo, hi)])
-        C_star = growth_fit(series, seq, box).C_fit
+        if growth_box is None:
+            growth_box = [(float(zf.real.min()) - 0.5,
+                           float(zf.real.max()) + 0.5)]
+        C_star = growth_fit(series, seq, growth_box).C_fit
     sol = ApproxSolution(series, seq, kernel, C_star)
 
     out = np.empty(zf.shape, dtype=complex)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardExceeded, NonFiniteSamples, NoCone, \
-    NoRegularDirection, Undersampled
+from .errors import CarlemanError, GuardExceeded, NonFiniteSamples, \
+    NoCone, NoRegularDirection, Undersampled
 from .weights import WeightSequence, envelope_certified, fbi_envelope
 
 _BOUNDARY_TOL = 1e-12
@@ -533,7 +533,8 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
     lambda is about 1/sqrt(lambda) wide, so a failed band spans several
     neighbors and the per-band envelope-excess peak names the direction.
     A two-dimensional fan in which every direction fails has no regular
-    direction to set a band against and raises NoRegularDirection.
+    direction to set a band against and raises NoRegularDirection.  A
+    transform that vanishes in every direction raises CarlemanError.
     """
     cfg = config or ScanConfig()
     lams = np.asarray(cfg.lambdas, dtype=float)
@@ -547,7 +548,8 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
     raw = np.abs(fbi_direction_scan(gf, x, dirs, lams))
     norm = float(np.max(raw))
     if norm <= 0.0:
-        raise ValueError("transform vanished identically; nothing to classify")
+        raise CarlemanError("transform vanished identically; nothing to "
+                            "classify")
     samples = raw / norm
 
     if cfg.lambda_min is None:

@@ -147,14 +147,3 @@ def conormal_covectors() -> np.ndarray:
     v = np.array([1.0, -1.0]) / np.sqrt(2.0)
     return np.array([v, -v])
 
-
-# ---------------------------------------------------------------------------
-# complex traces for phase bounds
-
-def upper_trace(x: float, t_values) -> np.ndarray:
-    """Z(t) = x + i t."""
-    return x + 1j * np.asarray(t_values, dtype=float)
-
-
-def lower_trace(x: float, t_values) -> np.ndarray:
-    return x - 1j * np.asarray(t_values, dtype=float)

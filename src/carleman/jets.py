@@ -138,22 +138,6 @@ class Jet:
         return dict(zip(map(tuple, self.basis.exps[nz].tolist()),
                         self.data[nz].tolist()))
 
-    def __add__(self, other):
-        return jet_add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return jet_mul(self, other)
-        return jet_scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return jet_add(self, jet_scale(other, -1.0))
-
-    def __neg__(self):
-        return jet_scale(self, -1.0)
-
 
 def _like(a: Jet, data: np.ndarray, lossy: bool) -> Jet:
     """A jet over a's variables, base point and basis holding data."""
@@ -395,31 +379,26 @@ def _residual_table(series: FormalSeries) -> list:
 # growth fitting
 
 @dataclass
-class EvalBox:
-    """Sampling region for growth fits: an interval per x variable,
-    33 points each."""
-    x_intervals: list
-
-
-@dataclass
 class GrowthEstimate:
     C_fit: float
     B_fit: float
     sup: list                # sup |u_k| over the box, k = 0..n_max
 
 
-def _box_grid(jet: Jet, box: EvalBox) -> list:
-    if len(box.x_intervals) != jet.n_x or jet.n_zeta:
+def _box_grid(jet: Jet, box: list) -> list:
+    """33 points on each (lo, hi) interval of box, one per x variable."""
+    if len(box) != jet.n_x or jet.n_zeta:
         raise ArityMismatch("growth fits sample x intervals of zeta-free jets")
-    axes = [np.linspace(lo, hi, 33) for lo, hi in box.x_intervals]
+    axes = [np.linspace(lo, hi, 33) for lo, hi in box]
     return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 
 def growth_fit(series: FormalSeries, seq: WeightSequence,
-               box: EvalBox) -> GrowthEstimate:
-    """Fit C in sup |u_k| <= C^{1+k} m_k over the box, and B in the
-    truncation bound (n+1) sup |u_{n+1}| <= B^{n+1} m_n.  Both are snapped
-    up to the {2^{j/4}} grid; FitFailed when C would exceed 2^16.
+               box: list) -> GrowthEstimate:
+    """Fit C in sup |u_k| <= C^{1+k} m_k over the box, a (lo, hi) interval
+    per x variable, and B in the truncation bound (n+1) sup |u_{n+1}| <=
+    B^{n+1} m_n.  Both are snapped up to the {2^{j/4}} grid; FitFailed when
+    C would exceed 2^16.
     """
     if seq.K_max < series.n_max:
         raise ValueError(f"sequence table too short: K_max={seq.K_max} < "
@@ -429,7 +408,7 @@ def growth_fit(series: FormalSeries, seq: WeightSequence,
 
     log_c_need = max([(np.log(s) - seq.log_m[k]) / (1.0 + k)
                       for k, s in enumerate(sups) if s > 0.0], default=-np.inf)
-    C_fit = 1.0 if log_c_need == -np.inf else snap_up(float(np.exp(log_c_need)))
+    C_fit = snap_up(float(np.exp(log_c_need)))
     if C_fit > _FIT_CAP:
         raise FitFailed(f"growth fit needs C ~ {np.exp(log_c_need):.3g} > cap "
                         f"{_FIT_CAP:.3g}")
@@ -437,7 +416,7 @@ def growth_fit(series: FormalSeries, seq: WeightSequence,
     log_b_need = max([(np.log((n + 1) * sups[n + 1]) - seq.log_m[n]) / (n + 1.0)
                       for n in range(series.n_max) if sups[n + 1] > 0.0],
                      default=-np.inf)
-    B_fit = 1.0 if log_b_need == -np.inf else snap_up(float(np.exp(log_b_need)))
+    B_fit = snap_up(float(np.exp(log_b_need)))
 
     return GrowthEstimate(C_fit, B_fit, sups)
 

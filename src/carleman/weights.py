@@ -120,15 +120,18 @@ class WeightSequence:
         return out
 
 
-def make_sequence(kind: str = "gevrey", s: float = 2.0, K_max: int = 64,
-                  values=None) -> WeightSequence:
+def make_sequence(kind: str = "gevrey", s: float = 2.0,
+                  K_max: int | None = None, values=None) -> WeightSequence:
     """Materialize a weight sequence.
 
-    kind="gevrey": M_k = (k!)^s, requires s > 1.  kind="table": values are
-    the M_k themselves, need at least K_max+1 positive entries, every entry
-    finite.  Construction never rejects a sequence for failing the
-    regularity conditions; run check_regularity for that.
+    kind="gevrey": M_k = (k!)^s, requires s > 1; K_max is 64 by default.
+    kind="table": values are the M_k themselves, need at least K_max+1
+    positive entries, every entry finite; K_max is by default the last
+    index of values.  Construction never rejects a sequence for failing
+    the regularity conditions; run check_regularity for that.
     """
+    if K_max is None:
+        K_max = np.size(values) - 1 if kind == "table" else 64
     K_max = int(K_max)
     if K_max < 8:
         raise ValueError(f"K_max must be >= 8, got {K_max}")
@@ -391,10 +394,8 @@ def snap_up(value: float) -> float:
 
 @dataclass
 class AbsorptionFit:
-    n: int
     Q: float
     C: float
-    passed: bool
 
 
 def absorption_fit(seq: WeightSequence, n: int, r_values) -> AbsorptionFit:
@@ -419,17 +420,4 @@ def absorption_fit(seq: WeightSequence, n: int, r_values) -> AbsorptionFit:
     if C > _FIT_CAP:
         raise FitFailed(f"absorption with n={n} needs C ~ e^{log_c:.4g} > cap "
                         f"{_FIT_CAP:.3g}")
-    return AbsorptionFit(int(n), Q, C, True)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def seq_from_dict(d: dict) -> WeightSequence:
-    kind = d.get("kind")
-    if kind == "gevrey":
-        return make_sequence("gevrey", s=d["s"], K_max=d.get("K_max", 64))
-    if kind == "table":
-        vals = d["values"]
-        return make_sequence("table", K_max=d.get("K_max", len(vals) - 1), values=vals)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    return AbsorptionFit(Q, C)

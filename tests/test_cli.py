@@ -404,6 +404,20 @@ def test_fbi_non_finite_grid_fails_in_one_line(tmp_path, capsys, grid, size):
     assert not (out / "fbi.json").exists()
 
 
+@pytest.mark.parametrize("shape, half", [((4096,), 8.0), ((512, 512), 1.0)],
+                         ids=["1d", "2d"])
+def test_fbi_all_zero_grid_fails_in_one_line(tmp_path, capsys, shape, half):
+    # both grids pass the sampling guard; the transform vanishes everywhere,
+    # which main reports in one line instead of letting it escape
+    path = tmp_path / "zeros.bin"
+    GridFunction.from_function(lambda *ys: 0.0 * sum(ys), [-half] * len(shape),
+                               [half] * len(shape), shape[0]).save(str(path))
+    rc, out = run(tmp_path, ["fbi"], {"grid": {"file": str(path)}})
+    assert rc == 1 and capsys.readouterr().err == (
+        "error: transform vanished identically; nothing to classify\n")
+    assert not (out / "fbi.json").exists()
+
+
 def test_fbi_three_dimensional_grid_is_config_error(tmp_path, capsys):
     path = tmp_path / "gauss3.bin"
     GridFunction.from_function(lambda a, b, c: np.exp(-a * a - b * b - c * c),
