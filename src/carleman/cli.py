@@ -2,6 +2,7 @@
 
 Subcommands: weights, jets, extend, fbi, wf-experiment, acceptance.
 Common flags: --config <json>, --out <dir>, --threads <n>, --seed <u64>.
+Each writes <command>.csv (all but acceptance) and <command>.json to --out.
 Exit codes: 0 success, 1 failed check or I/O error, 2 usage or config error.
 
 Numeric imports happen after --threads is applied to the BLAS environment,
@@ -133,26 +134,25 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(args, name: str, text: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
-    return path
-
-
-def _versions() -> dict:
+def write_payload(args, config: dict, results: dict, table=None) -> None:
+    """Write <command>.csv from table, a (header, rows) pair, when one is
+    given, then <command>.json as {config, results, versions}, each under
+    --out with a `wrote <path>` line: the only writer of this module."""
     import numpy
     import scipy
 
     from . import __version__
-    return {"carleman": __version__, "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
-
-
-def _report(config: dict, results: dict) -> dict:
-    return {"config": config, "results": results, "versions": _versions()}
+    versions = {"carleman": __version__, "numpy": numpy.__version__,
+                "scipy": scipy.__version__}
+    texts = [] if table is None else [("csv", _csv_text(*table))]
+    texts.append(("json", _json_text({"config": config, "results": results,
+                                      "versions": versions}) + "\n"))
+    os.makedirs(args.out, exist_ok=True)
+    for ext, text in texts:
+        path = os.path.join(args.out, f"{args.command}.{ext}")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,7 @@ _SCHEMAS = {
     "weights": {
         "seq": (_SEQ, _GEVREY2),
         "r": (_GRID1D, None),       # from the table: see _cmd_weights
-        "absorption": ({"r": (_GRID1D, {"lo": 1e-3, "hi": 1.0, "n": 40,
-                                        "spacing": "log"}),
+        "absorption": ({"r": (_GRID1D, None),   # from the table as well
                         "n": ([int], [1, 2, 3])}, None)},
     "jets": {
         "field": ({"a": ([_JET], []), "b": ([_JET], []),
@@ -420,9 +419,11 @@ def _cmd_weights(args) -> int:
     from .weights import absorption_fit, assoc, bigN_capped, check_regularity
     raw, cfg = _load_config(args)
     seq = _sequence(cfg["seq"])
-    # by default r starts at the least r the table certifies, or at 0.01
-    r = _grid1d(cfg.get("r", {"lo": max(0.01, math.exp(-seq.increments[-1])),
-                              "hi": 10.0, "n": 50, "spacing": "log"}), "r")
+    # by default r and absorption.r start at the least r the table
+    # certifies, or at 0.01 and 1e-3
+    least = math.exp(-seq.increments[-1])
+    r = _grid1d(cfg.get("r", {"lo": max(0.01, least), "hi": 10.0, "n": 50,
+                              "spacing": "log"}), "r")
     reg = check_regularity(seq)
     results = {"regular": bool(reg.passed), "c_bound": float(seq.c_bound),
                "K_max": int(seq.K_max), "log_convex": bool(seq.log_convex)}
@@ -432,7 +433,9 @@ def _cmd_weights(args) -> int:
         h1 = assoc(seq, "h1", r)
         nn = bigN_capped(seq, r, seq.K_max)
         if "absorption" in cfg:
-            rr = _grid1d(cfg["absorption"]["r"], "absorption.r")
+            rr = _grid1d(cfg["absorption"].get("r", {
+                "lo": max(1e-3, least), "hi": 1.0, "n": 40,
+                "spacing": "log"}), "absorption.r")
             fits = []       # a fit that fails raises FitFailed: passed is true
             for n in cfg["absorption"]["n"]:
                 fit = absorption_fit(seq, n, rr)
@@ -443,8 +446,7 @@ def _cmd_weights(args) -> int:
         raise ConfigError(f"bad weights config: {e}")
     rows = [(float(rv), float(hv), float(h1v), int(nv))
             for rv, hv, h1v, nv in zip(r, h, h1, nn)]
-    _write(args, "weights.csv", _csv_text(["r", "h", "h1", "bigN"], rows))
-    _write(args, "weights.json", _json_text(_report(raw, results)) + "\n")
+    write_payload(args, raw, results, (["r", "h", "h1", "bigN"], rows))
     return 0
 
 
@@ -474,8 +476,6 @@ def _cmd_jets(args) -> int:
     except (ArityMismatch, ValueError) as e:    # arity or overflow
         raise ConfigError(f"bad jets config: {e}")
     rows = [(n, float(residual_check(series, n))) for n in range(n_res + 1)]
-    _write(args, "jets.csv", _csv_text(["n", "residual"], rows))
-
     # the t-coefficients of u(x, t), read off the diagonal s = t when t
     # was an x slot
     u = restrict_diagonal(series) if timed else series.u
@@ -483,7 +483,7 @@ def _cmd_jets(args) -> int:
                "lossy": bool(any(uk.lossy for uk in series.u)),
                "max_residual": max(r for _, r in rows),
                "u": [jet_to_dict(uk, rows=_CoeffRows(uk)) for uk in u]}
-    _write(args, "jets.json", _json_text(_report(raw, results)) + "\n")
+    write_payload(args, raw, results, (["n", "residual"], rows))
     return 0
 
 
@@ -519,15 +519,13 @@ def _cmd_extend(args) -> int:
     rows = [(float(tv), float(sv), float(hv),
              float(sv / (fit.A * hv)) if fit.A > 0 and hv > 0 else 0.0)
             for tv, sv, hv in zip(fit.t, fit.sup, fit.h)]
-    _write(args, "extend.csv",
-           _csv_text(["t", "sup_abs_Lu", "h_Q_t", "ratio"], rows))
-
     results = {"A": float(fit.A), "Q": float(fit.Q),
                "delta": float(sol.delta),
                "sup_ratio": float(fit.sup_ratio), "passed": True,
                "C_star": float(sol.C_star),
                "skipped_Q": [float(q) for q in fit.skipped_Q]}
-    _write(args, "extend.json", _json_text(_report(raw, results)) + "\n")
+    write_payload(args, raw, results,
+                  (["t", "sup_abs_Lu", "h_Q_t", "ratio"], rows))
     return 0
 
 
@@ -551,7 +549,7 @@ def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
                "failed_indices": [int(j) for j in scan.failed_indices],
                "singular_indices": [int(j) for j in scan.singular_indices],
                "per_direction": per_dir}
-    return header, rows, summary
+    return (header, rows), summary
 
 
 def _cmd_fbi(args) -> int:
@@ -568,10 +566,9 @@ def _cmd_fbi(args) -> int:
         raise _bad("x0", f"a list of {gf.dim} numbers", raw["x0"])
     scan = wavefront_scan(gf, x0, seq, scfg)
 
-    header, rows, summary = _scan_payload(scan, seq, scfg.a_threshold,
-                                          scfg.floor_rel)
-    _write(args, "fbi.csv", _csv_text(header, rows))
-    _write(args, "fbi.json", _json_text(_report(raw, summary)) + "\n")
+    table, summary = _scan_payload(scan, seq, scfg.a_threshold,
+                                   scfg.floor_rel)
+    write_payload(args, raw, summary, table)
     return 0
 
 
@@ -594,8 +591,8 @@ def _cmd_wf_experiment(args) -> int:
     except (ArityMismatch, ValueError) as e:
         raise ConfigError(f"bad wf-experiment config: {e}")
 
-    header, rows, summary = _scan_payload(rep.scan, seq, scfg.a_threshold,
-                                          scfg.floor_rel)
+    table, summary = _scan_payload(rep.scan, seq, scfg.a_threshold,
+                                   scfg.floor_rel)
     ok = bool(rep.included.all())
     results = {"pass": ok, "n": rep.n,
                "a0": [[float(v.real), float(v.imag)] for v in rep.a0],
@@ -605,9 +602,7 @@ def _cmd_wf_experiment(args) -> int:
                "char_distances": [float(d) for d in rep.distances],
                "included": [bool(v) for v in rep.included],
                "scan": summary}
-    _write(args, "wf-experiment.csv", _csv_text(header, rows))
-    _write(args, "wf-experiment.json",
-           _json_text(_report(raw, results)) + "\n")
+    write_payload(args, raw, results, table)
     return 0 if ok else 1
 
 
@@ -631,8 +626,7 @@ def _cmd_acceptance(args) -> int:
                "results": [{"number": r.number, "name": r.name,
                             "passed": r.passed, "detail": r.detail}
                            for r in results]}
-    _write(args, "acceptance.json",
-           _json_text(_report({"criteria": numbers}, payload)) + "\n")
+    write_payload(args, {"criteria": numbers}, payload)
     return 0 if all(r.passed for r in results) else 1
 
 

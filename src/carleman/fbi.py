@@ -117,8 +117,10 @@ class GridFunction:
         if self.values.ndim != self.lo.size:
             raise ValueError(
                 f"values have {self.values.ndim} axes for {self.lo.size} bounds")
-        if np.any(self.hi <= self.lo):
-            raise ValueError("need hi > lo in every dimension")
+        if not np.all(np.isfinite(self.lo) & np.isfinite(self.hi)
+                      & (self.hi > self.lo)):
+            raise ValueError("need finite bounds with hi > lo in every "
+                             "dimension")
         if min(self.values.shape) < 2:
             raise ValueError("need at least two samples per axis")
 

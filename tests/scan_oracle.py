@@ -7,7 +7,8 @@ omega_d} of every direction along each axis and contracts the grid against
 them: one complex matrix product per lambda, with no sharing between
 directions and no use of a real grid.  fbi_transform is the toolkit's first
 transform: one covector at a time, one tensor contraction per axis.  The
-sampling guards are the toolkit's own.
+sampling guards are the toolkit's own.  gaussian_2d is the closed-form
+transform of e^{-|y|^2}, which owes nothing to any quadrature.
 """
 
 from __future__ import annotations
@@ -58,3 +59,19 @@ def direction_scan(gf: GridFunction, x, directions, lambdas) -> np.ndarray:
             m = gf.values @ planes[1]
             out[:, li] = np.einsum("ad,ad->d", planes[0], m)
     return out
+
+
+def _gaussian_axis(x, eta, lam):
+    """G(x, eta, lam) = sqrt(pi/(1+lam)) exp((2x + i eta)^2/(4(1+lam)) - x^2):
+    the 1-D transform of e^{-y^2} at frequency eta and kernel width lam."""
+    return (np.sqrt(np.pi / (1.0 + lam))
+            * np.exp((2.0 * x + 1j * eta) ** 2 / (4.0 * (1.0 + lam)) - x * x))
+
+
+def gaussian_2d(x, dirs, lams) -> np.ndarray:
+    """F(x, lam omega) of e^{-|y|^2} for every direction (rows) and lambda
+    (columns).  The kernel e^{i(x-y).xi - |xi||x-y|^2} splits per axis with
+    the common width lam = |xi|, so F is the product of G(x_d, lam omega_d,
+    lam) over the two axes."""
+    return (_gaussian_axis(x[0], lams * dirs[:, :1], lams)
+            * _gaussian_axis(x[1], lams * dirs[:, 1:], lams))

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -119,6 +120,27 @@ def test_weights_default_r_starts_where_the_table_certifies(tmp_path, capsys,
     r = [float(row[0]) for row in rows]
     assert len(r) == 50 and r[0] == lo and r[-1] == 10.0
     assert lo == pytest.approx(1.0 / 64.0, rel=1e-12) or lo == 0.01
+
+
+@pytest.mark.parametrize("s, lo", [(2.0, 1.0 / 64.0), (1.5, 0.125)],
+                         ids=["gevrey-2", "gevrey-1.5"])
+def test_weights_default_absorption_r_starts_where_the_table_certifies(
+        tmp_path, capsys, s, lo):
+    # K_max 64 certifies r from m_63/m_64 = 64^-(s-1) up, above the 1e-3
+    # the default absorption grid starts at on a long table
+    seq = {"kind": "gevrey", "s": s}
+    rc, out = run(tmp_path, ["weights"], {"seq": seq,
+                                          "absorption": {"n": [1, 2, 3]}})
+    assert rc == 0 and capsys.readouterr().err == ""
+    fits = json.loads((out / "weights.json").read_text())["results"]
+    least = float(np.exp(-make_sequence("gevrey", s=s).increments[-1]))
+    assert least == pytest.approx(lo, rel=1e-12)
+    explicit = {"lo": least, "hi": 1.0, "n": 40, "spacing": "log"}
+    rc, again = run(tmp_path, ["weights"], {"seq": seq, "absorption": {
+        "n": [1, 2, 3], "r": explicit}}, out="explicit")
+    assert rc == 0
+    assert json.loads((again / "weights.json").read_text())["results"] == fits
+    assert [f["n"] for f in fits["absorption"]] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +438,32 @@ def test_fbi_all_zero_grid_fails_in_one_line(tmp_path, capsys, shape, half):
     assert rc == 1 and capsys.readouterr().err == (
         "error: transform vanished identically; nothing to classify\n")
     assert not (out / "fbi.json").exists()
+
+
+@pytest.mark.parametrize("shape, bound, value", [
+    ((4096,), 0, math.nan),         # 1-D lo: scanned as "singular" before
+    ((4096,), 1, math.nan),
+    ((256, 256), 2, math.nan),      # 2-D second-axis lo
+    ((4096,), 0, -math.inf),
+    ((4096,), 1, math.inf),
+    ((256, 256), 3, math.inf),
+], ids=["1d-nan-lo", "1d-nan-hi", "2d-nan-lo", "1d-minus-inf-lo",
+        "1d-inf-hi", "2d-inf-hi"])
+def test_fbi_non_finite_grid_bounds_are_config_errors(tmp_path, capsys, shape,
+                                                      bound, value):
+    # the header holds u4 dim, u4 n per axis, then f8 (lo, hi) per axis
+    path = tmp_path / "bounds.bin"
+    GridFunction.from_function(lambda *ys: np.exp(-sum(y * y for y in ys)),
+                               [-8.0] * len(shape), [8.0] * len(shape),
+                               shape[0]).save(str(path))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, 4 + 4 * len(shape) + 8 * bound, value)
+    path.write_bytes(bytes(data))
+    rc, out = run(tmp_path, ["fbi"], {"grid": {"file": str(path)}})
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read grid file {path}: ")
+    assert not out.exists()
 
 
 def test_fbi_three_dimensional_grid_is_config_error(tmp_path, capsys):

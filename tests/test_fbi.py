@@ -241,31 +241,22 @@ def test_direction_scan_2d_matches_pointwise():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _gaussian_axis(x, eta, lam):
-    """G(x, eta, lam) = sqrt(pi/(1+lam)) exp((2x + i eta)^2/(4(1+lam)) - x^2):
-    the 1-D transform of e^{-y^2} at frequency eta and kernel width lam."""
-    return (np.sqrt(np.pi / (1.0 + lam))
-            * np.exp((2.0 * x + 1j * eta) ** 2 / (4.0 * (1.0 + lam)) - x * x))
-
-
 @pytest.mark.parametrize("half, lams, share", [
     (5.0, np.geomspace(4.0, 16.0, 12), 1.0),    # n = 460
     (5.0, np.geomspace(4.0, 16.0, 12), 0.5),    # n = 918
     (7.0, _LAMS, 1.0),                          # n = 2141
 ], ids=["hw5-lam16", "hw5-lam16-derived", "hw7-lam64"])
 def test_direction_scan_2d_matches_gaussian_closed_form(half, lams, share):
-    # e^{-|y|^2} under the kernel e^{i(x-y).xi - |xi||x-y|^2} splits per
-    # axis with the common width lam = |xi|: F(x, lam om) is the product of
-    # G(x_d, lam om_d, lam), independent of the scan's own quadrature.
-    # share 1 is the guard's coarsest grid, 0.5 the n wf-experiment derives
+    # e^{-|y|^2} against its closed form, independent of the scan's own
+    # quadrature.  share 1 is the guard's coarsest grid, 0.5 the n
+    # wf-experiment derives
     n = fbi.guard_n(float(lams.max()), half, share)
     gf = GridFunction.from_function(lambda a, b: np.exp(-a * a - b * b),
                                     [-half] * 2, [half] * 2, n)
     dirs = _circle_directions(64)
     for x0 in ((0.0, 0.0), (0.3, -0.5)):
         got = fbi_direction_scan(gf, x0, dirs, lams)
-        want = (_gaussian_axis(x0[0], lams * dirs[:, :1], lams)
-                * _gaussian_axis(x0[1], lams * dirs[:, 1:], lams))
+        want = scan_oracle.gaussian_2d(x0, dirs, lams)
         # measured: at most 1.4e-15 of max |F|
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

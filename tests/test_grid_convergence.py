@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import scan_oracle
 from carleman import fbi, fixtures, pde
 from carleman.errors import Undersampled
 from carleman.fbi import _check_steps, guard_n
@@ -126,3 +127,26 @@ def test_rescan_disagreement_is_undersampled(g2, k, message):
         _check_steps([2.0 / 256] * 2, [1.0, 1.0], lam)
     with pytest.raises(Undersampled, match=message):
         wf_inclusion_experiment(RhsModel(holo.rhs), _aliased(k), g2, n=257)
+
+
+def test_rescan_grid_sits_within_the_rescan_tolerance_of_a_closed_form():
+    # _RESCAN_TOL bounds the gap between the scan's and the rescan's
+    # normalized |F|, which stands in for the quadrature error of the
+    # coarser grid.  Pin that error where a closed form exists: e^{-|y|^2}
+    # over half-width 5 (e^{-25} at the box edge) at the default lambdas,
+    # at the sample count the rescan takes for that box (1767 = 2650 / 1.5;
+    # guard_n alone gives 1326).  Measured: 7.8e-16 at (0, 0) and 1.0e-15
+    # at (0.3, -0.5), about 1e7 below the tolerance.
+    lams, half = fbi.ScanConfig().lambdas, 5.0
+    top = float(np.max(lams))
+    m = max(math.ceil(guard_n(top, half, 0.5) / pde._RESCAN),
+            guard_n(top, half))
+    assert m == 1767
+    gf = fbi.GridFunction.from_function(lambda a, b: np.exp(-a * a - b * b),
+                                        [-half] * 2, [half] * 2, m)
+    dirs = fbi._circle_directions(64)
+    for x0 in ((0.0, 0.0), (0.3, -0.5)):
+        got = np.abs(fbi.fbi_direction_scan(gf, x0, dirs, lams))
+        want = np.abs(scan_oracle.gaussian_2d(x0, dirs, lams))
+        gap = np.max(np.abs(got / got.max() - want / want.max()))
+        assert gap <= 1e-3 * pde._RESCAN_TOL

@@ -1,5 +1,7 @@
 """The payload writer against the recursive writer in json_oracle.
 
+One writer: every command writes its files through cli.write_payload,
+once, and nothing else lands in --out.
 Parity: random payload trees, and the jets payload, whose coeffs rows
 cli writes straight from Jet.data, give the oracle's text byte for byte.
 Round trip: a jets payload read back through jet_from_dict gives the
@@ -11,8 +13,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
+import carleman
 import json_oracle
 from carleman import cli
 from carleman.errors import ConfigError
@@ -146,8 +150,11 @@ def test_jets_payload_matches_oracle(tmp_path, name):
                "lossy": bool(any(u.lossy for u in series.u)),
                "max_residual": max(r for _, r in rows),
                "u": [jet_to_dict(u) for u in series.u]}
+    versions = {"carleman": carleman.__version__, "numpy": np.__version__,
+                "scipy": scipy.__version__}
     text = (out / "jets.json").read_text()
-    assert text == json_oracle._json_text(cli._report(cfg, results)) + "\n"
+    assert text == json_oracle._json_text(
+        {"config": cfg, "results": results, "versions": versions}) + "\n"
     assert (out / "jets.csv").read_text() == \
         json_oracle._csv_text(["n", "residual"], rows)
     # the rows are the nonzero coefficients in lexicographic order
@@ -171,3 +178,48 @@ def test_jets_payload_round_trip(tmp_path, name):
     again = run_jets(tmp_path, cfg, "again")
     for name in ("jets.json", "jets.csv"):
         assert (out / name).read_bytes() == (again / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one writer for every command
+
+_GEVREY2 = {"kind": "gevrey", "s": 2.0, "K_max": 64}
+_X2 = {"n_x": 1, "n_zeta": 0, "D": 8, "coeffs": [[[2], 1.0, 0.0]]}
+# command: (flags, config or None, whether it writes a CSV table)
+WRITER_CASES = {
+    "weights": ([], {"seq": _GEVREY2}, True),
+    "jets": ([], {"field": {"a": [{"n_x": 1, "n_zeta": 0, "D": 8,
+                                   "coeffs": [[[0], 1.0, 0.0]]}]},
+                  "datum": _X2, "n_max": 4}, True),
+    "extend": ([], {"datum": _X2, "n_max": 6,
+                    "x": {"lo": -0.5, "hi": 0.5, "n": 5},
+                    "t": {"lo": 1e-3, "n": 6}}, True),
+    "fbi": ([], {"grid": {"fixture": "gaussian"},
+                 "seq": _GEVREY2}, True),
+    "wf-experiment": (["--fixture", "holomorphic"], None, True),
+    "acceptance": ([], {"criteria": [1]}, False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITER_CASES))
+def test_every_command_writes_once_through_write_payload(
+        tmp_path, monkeypatch, capsys, command):
+    flags, cfg, tabled = WRITER_CASES[command]
+    calls = []
+    write_payload = cli.write_payload
+
+    def spy(args, config, results, table=None):
+        calls.append((args.command, table is not None))
+        write_payload(args, config, results, table)
+    monkeypatch.setattr(cli, "write_payload", spy)
+    if cfg is not None:
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        flags = [*flags, "--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    assert cli.main([command, *flags, "--out", str(out)]) == 0
+    assert calls == [(command, tabled)]
+    names = [f"{command}.csv"] * tabled + [f"{command}.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [f"wrote {out / name}" for name in names]
