@@ -2,7 +2,9 @@
 
 Subcommands: weights, jets, extend, fbi, wf-experiment, acceptance.
 Common flags: --config <json>, --out <dir>, --threads <n>, --seed <u64>.
-Each writes <command>.csv (all but acceptance) and <command>.json to --out.
+Each writes <command>.csv (all but acceptance) and <command>.json to --out,
+each as <command>.<ext>.part renamed into place once complete; the JSON
+text is streamed to its file piece by piece as it is made.
 Exit codes: 0 success, 1 failed check or I/O error, 2 usage or config error.
 
 Numeric imports happen after --threads is applied to the BLAS environment,
@@ -16,6 +18,7 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -42,44 +45,56 @@ def _json_float(v: float) -> str:
     return _fmt(v) if math.isfinite(v) else json.dumps(v)
 
 
-def _json_text(obj, indent: int = 0) -> str:
+def _write_json(obj, write, indent: int = 0) -> None:
+    """Write the JSON text of obj through write, piece by piece as it is
+    made: openers, keys, separators, scalars, whole flat number lists and
+    one jet's coeffs rows, so no nesting level is ever held as one string."""
     pad = "  " * indent
     if hasattr(obj, "item") and not hasattr(obj, "__len__"):
         obj = obj.item()
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{pad}  {json.dumps(str(k))}: {_json_text(v, indent + 1)}'
-                for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if type(obj) is _CoeffRows:
-        return _coeff_rows_text(obj.jet, indent)
-    if isinstance(obj, (list, tuple)) or type(obj).__name__ == "ndarray":
+    if isinstance(obj, dict) and not obj:
+        write("{}")
+    elif isinstance(obj, dict):
+        sep = "{\n"
+        for k, v in obj.items():
+            write(f'{sep}{pad}  {json.dumps(str(k))}: ')
+            _write_json(v, write, indent + 1)
+            sep = ",\n"
+        write(f"\n{pad}}}")
+    elif type(obj) is _CoeffRows:
+        write(_coeff_rows_text(obj.jet, indent))
+    elif isinstance(obj, (list, tuple)) or type(obj).__name__ == "ndarray":
         items = list(obj)
         if not items:
-            return "[]"
+            write("[]")
         # exactly int or float (never bool or a numpy scalar): one join
-        if all(type(v) is float or type(v) is int for v in items):
-            rows = [pad + "  " + (_json_float(v) if type(v) is float
-                                  else str(v)) for v in items]
+        elif all(type(v) is float or type(v) is int for v in items):
+            write("[\n" + ",\n".join([
+                pad + "  " + (_json_float(v) if type(v) is float else str(v))
+                for v in items]) + f"\n{pad}]")
         else:
-            rows = [f"{pad}  {_json_text(v, indent + 1)}" for v in items]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, complex):
-        return _json_text([obj.real, obj.imag], indent)
-    if isinstance(obj, float):
-        return _json_float(obj)
-    return json.dumps(str(obj))
+            sep = "[\n"
+            for v in items:
+                write(f"{sep}{pad}  ")
+                _write_json(v, write, indent + 1)
+                sep = ",\n"
+            write(f"\n{pad}]")
+    elif isinstance(obj, complex):
+        _write_json([obj.real, obj.imag], write, indent)
+    elif isinstance(obj, bool):
+        write("true" if obj else "false")
+    elif obj is None:
+        write("null")
+    elif isinstance(obj, int):
+        write(str(obj))
+    elif isinstance(obj, float):
+        write(_json_float(obj))
+    else:
+        write(json.dumps(str(obj)))
 
 
 class _CoeffRows:
-    """Stand-in for the coeffs rows of jet_to_dict(jet), which _json_text
+    """Stand-in for the coeffs rows of jet_to_dict(jet), which _write_json
     writes straight from Jet.data."""
     __slots__ = ("jet",)
 
@@ -88,31 +103,31 @@ class _CoeffRows:
 
 
 @functools.cache
-def _row_heads(basis, indent: int) -> list:
-    """Per basis slot, the text of a coeffs row at this indent up to its
-    real part: the row's opening and its exponent list."""
+def _row_templates(basis, indent: int) -> list:
+    """Per basis slot, the text of a coeffs row at this indent with a
+    %.17g field for its real and its imaginary part."""
     row, inner = "  " * (indent + 1), "  " * (indent + 2)
-    heads = []
+    tail = f"%.17g,\n{inner}%.17g\n{row}]"
+    templates = []
     for e in basis.exps.tolist():
         exponent = "[\n" + ",\n".join([f"{inner}  {p}" for p in e]) + \
             f"\n{inner}]" if e else "[]"
-        heads.append(f"{row}[\n{inner}{exponent},\n{inner}")
-    return heads
+        templates.append(f"{row}[\n{inner}{exponent},\n{inner}{tail}")
+    return templates
 
 
 def _coeff_rows_text(jet, indent: int) -> str:
-    """_json_text of the coeffs rows of jet_to_dict(jet), row by row from
-    the nonzero slots in coeff_slots order."""
+    """The JSON text of the coeffs rows of jet_to_dict(jet): one % over the
+    row templates of the nonzero slots in coeff_slots order."""
     from .jets import coeff_slots
     slots = coeff_slots(jet)
     if not slots.size:
         return "[]"
-    heads = _row_heads(jet.basis, indent)
-    row, inner = "  " * (indent + 1), "  " * (indent + 2)
-    tail = "%.17g,\n" + inner + "%.17g\n" + row + "]"
-    rows = [heads[i] + tail % (c.real, c.imag)
-            for i, c in zip(slots.tolist(), jet.data[slots].tolist())]
-    return "[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]"
+    templates = _row_templates(jet.basis, indent)
+    rows = [templates[i] for i in slots.tolist()]
+    rows[0] = "[\n" + rows[0]
+    rows[-1] += "\n" + "  " * indent + "]"
+    return ",\n".join(rows) % tuple(jet.data[slots].view(float).tolist())
 
 
 def _cell(v) -> str:
@@ -134,25 +149,44 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
+def _part_file(path: str):
+    """The open file path + ".part", renamed to path once the block ends,
+    with a `wrote <path>` line; on any exception the .part file is removed,
+    so no truncated payload is left under either name."""
+    part = path + ".part"
+    try:
+        with open(part, "w", newline="") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+    print(f"wrote {path}")
+
+
 def write_payload(args, config: dict, results: dict, table=None) -> None:
     """Write <command>.csv from table, a (header, rows) pair, when one is
     given, then <command>.json as {config, results, versions}, each under
-    --out with a `wrote <path>` line: the only writer of this module."""
+    --out with a `wrote <path>` line: the only writer of this module.  The
+    JSON text is streamed to its file as it is made."""
     import numpy
     import scipy
 
     from . import __version__
     versions = {"carleman": __version__, "numpy": numpy.__version__,
                 "scipy": scipy.__version__}
-    texts = [] if table is None else [("csv", _csv_text(*table))]
-    texts.append(("json", _json_text({"config": config, "results": results,
-                                      "versions": versions}) + "\n"))
+    csv = None if table is None else _csv_text(*table)
     os.makedirs(args.out, exist_ok=True)
-    for ext, text in texts:
-        path = os.path.join(args.out, f"{args.command}.{ext}")
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
+    path = os.path.join(args.out, args.command)
+    if csv is not None:
+        with _part_file(path + ".csv") as fh:
+            fh.write(csv)
+    with _part_file(path + ".json") as fh:
+        _write_json({"config": config, "results": results,
+                     "versions": versions}, fh.write)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +394,8 @@ def _jet(spec: dict, path: str):
 def _fixture_grid(spec: dict, seed: int, top: float):
     """The grid a parsed grid section names.  A 1-D fixture without n takes
     the fewest samples the scan's sampling guard passes at its top lambda
-    top, at least the fixture's default and at most GRID_N."""
+    top, at least the fixture's default and at most GRID_N ** 2, the
+    sample count of a 2-D fixture grid."""
     import numpy as np
 
     from . import fixtures
@@ -374,7 +409,8 @@ def _fixture_grid(spec: dict, seed: int, top: float):
     half = spec.get("half_width", fixtures.PROFILE_HALF_WIDTH)
     # a half_width <= 0 is left to the fixture's config error below
     if spec["fixture"] in _PROFILES and "n" not in spec and half > 0.0:
-        kwargs["n"] = min(max(fixtures.PROFILE_N, guard_n(top, half)), GRID_N)
+        kwargs["n"] = min(max(fixtures.PROFILE_N, guard_n(top, half)),
+                          GRID_N ** 2)
     try:
         gf = getattr(fixtures, f"{spec['fixture']}_grid")(**kwargs)
     except ValueError as e:             # half_width <= 0

@@ -335,6 +335,9 @@ def test_fbi_sign_fixture(tmp_path):
     # lambdas up to 32 need fewer than the fixtures' own 2048
     pytest.param({"lambdas": {"lo": 4.0, "hi": 32.0, "n": 6,
                               "spacing": "log"}}, 2048, id="lambda-32"),
+    # lambdas up to 128 need more than GRID_N = 2752, less than GRID_N ** 2
+    pytest.param({"lambdas": {"lo": 4.0, "hi": 128.0, "n": 12,
+                              "spacing": "log"}}, 4453, id="lambda-128"),
 ])
 def test_fbi_profile_without_n_takes_the_guard_n(tmp_path, fixture, scan, n):
     rc, derived = run(tmp_path, ["fbi"], {"grid": {"fixture": fixture},

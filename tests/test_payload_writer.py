@@ -3,13 +3,18 @@
 One writer: every command writes its files through cli.write_payload,
 once, and nothing else lands in --out.
 Parity: random payload trees, and the jets payload, whose coeffs rows
-cli writes straight from Jet.data, give the oracle's text byte for byte.
+cli writes straight from Jet.data, give the oracle's text byte for byte;
+every command's JSON file is the oracle's text of its own parse.
 Round trip: a jets payload read back through jet_from_dict gives the
 series' coefficients bit for bit, and a rerun writes the same bytes.
+Streaming: writing the jets payload holds less than one copy of its text,
+and a write that fails leaves neither the payload nor its .part file.
 """
 
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,10 +55,17 @@ trees = st.recursive(
     max_leaves=30)
 
 
+def json_text(obj, indent=0):
+    """The text cli._write_json streams for obj, gathered in one string."""
+    buf = io.StringIO()
+    cli._write_json(obj, buf.write, indent)
+    return buf.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(trees, st.integers(0, 3))
 def test_json_text_matches_oracle(tree, indent):
-    assert cli._json_text(tree, indent) == json_oracle._json_text(tree, indent)
+    assert json_text(tree, indent) == json_oracle._json_text(tree, indent)
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,7 +147,7 @@ def special_jets():
 def test_special_jet_rows_match_oracle(name):
     jet = special_jets()[name]
     for indent in range(4):
-        got = cli._json_text(jet_to_dict(jet, rows=cli._CoeffRows(jet)), indent)
+        got = json_text(jet_to_dict(jet, rows=cli._CoeffRows(jet)), indent)
         assert got == json_oracle._json_text(jet_to_dict(jet), indent)
     assert (jet_to_dict(jet)["coeffs"] == []) == (name == "all zero")
 
@@ -178,6 +190,45 @@ def test_jets_payload_round_trip(tmp_path, name):
     again = run_jets(tmp_path, cfg, "again")
     for name in ("jets.json", "jets.csv"):
         assert (out / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_jets_payload_streams_in_less_than_its_size(tmp_path, monkeypatch):
+    peaks = []
+    write_payload = cli.write_payload
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            write_payload(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    monkeypatch.setattr(cli, "write_payload", traced)
+    out = run_jets(tmp_path, jets_config("five-variable", 1))
+    size = (out / "jets.json").stat().st_size
+    assert size > 2 ** 20            # the payload dwarfs the fixed costs
+    assert peaks[0] < size
+
+
+def test_a_failed_write_leaves_no_payload(tmp_path, monkeypatch, capsys):
+    rows_text = cli._coeff_rows_text
+    calls = []
+
+    def fail_on_third(jet, indent):
+        calls.append(jet)
+        if len(calls) == 3:
+            assert (tmp_path / "out" / "jets.json.part").exists()
+            raise OSError("No space left on device")
+        return rows_text(jet, indent)
+    monkeypatch.setattr(cli, "_coeff_rows_text", fail_on_third)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(jets_config("three-variable", 1)))
+    assert cli.main(["jets", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert len(calls) == 3
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    # the table was complete and is renamed into place before the JSON
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["jets.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +274,18 @@ def test_every_command_writes_once_through_write_payload(
     wrote = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("wrote ")]
     assert wrote == [f"wrote {out / name}" for name in names]
+
+
+@pytest.mark.parametrize("command", sorted(WRITER_CASES))
+def test_every_payload_is_the_oracle_text_of_its_parse(tmp_path, command):
+    flags, cfg, _ = WRITER_CASES[command]
+    if cfg is not None:
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        flags = [*flags, "--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    cli.main([command, *flags, "--out", str(out)])
+    text = (out / f"{command}.json").read_text()
+    # "%.17g" writes the float -0.0 as -0, which json reads as the int 0
+    parsed = json.loads(text,
+                        parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    assert text == json_oracle._json_text(parsed) + "\n"
