@@ -296,6 +296,7 @@ _JET = (("file", None, {"file": (str, _REQUIRED)}), (None, None, _JET_KEYS))
 # fixture keys: n; noise and half_width on the 1-D traces, offset on the
 # pole (noise a scan resolves trips a windowed 2-D grid's box-edge guard)
 _SAMPLES = range(2, 2 ** 63)          # grid samples per axis
+_COUNT = range(1, 2 ** 63)            # series terms, kernel nodes per axis
 _SAMPLED = {"n": (_SAMPLES, None)}
 _TRACE = {**_SAMPLED, "noise": (float, 0.0), "half_width": (float, None)}
 _GRID = (("file", None, {"file": (str, _REQUIRED)}),) + tuple(
@@ -315,12 +316,12 @@ _SCHEMAS = {
     "jets": {
         "field": ({"a": ([_JET], []), "b": ([_JET], []),
                    "time_dependent": (bool, False)}, _REQUIRED),
-        "datum": (_JET, _REQUIRED), "n_max": (range(1, 2 ** 63), 8),
+        "datum": (_JET, _REQUIRED), "n_max": (_COUNT, 8),
         "residual_n": (range(2 ** 63), None)},
     "extend": {
         "datum": (_JET, _REQUIRED), "seq": (_SEQ, {**_GEVREY2, "K_max": 4096}),
-        "kernel": ({"epsilon": (float, None), "n_r": (int, None),
-                    "n_theta": (int, None)}, {}),
+        "kernel": ({"epsilon": (float, None), "n_r": (_COUNT, None),
+                    "n_theta": (_COUNT, None)}, {}),
         "C_star": (float, None), "growth_box": (_pair, None),
         "x": (_GRID1D, {"lo": -0.5, "hi": 0.5, "n": 21}),
         "t": ({"lo": (float, 1e-3), "hi": (float, None), "n": (int, 24)}, {}),

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import ArityMismatch, SingularJacobian, TrustBoxExceeded, \
     Undersampled
@@ -141,11 +140,15 @@ class CharSet:
 
 
 def char_set(a0) -> CharSet:
-    """The null space of tau = Re a0 . xi and Im a0 . xi = 0."""
+    """The null space of tau = Re a0 . xi and Im a0 . xi = 0, by the full
+    SVD and the rank rule of scipy.linalg.null_space: singular values above
+    max(shape) * eps times the largest count toward the rank."""
     a0 = np.atleast_1d(np.asarray(a0, dtype=complex))
-    return CharSet(null_space(np.vstack([
-        np.concatenate([[1.0], -a0.real]),
-        np.concatenate([[0.0], a0.imag])])))
+    a = np.vstack([np.concatenate([[1.0], -a0.real]),
+                   np.concatenate([[0.0], a0.imag])])
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > s.max() * max(a.shape) * np.finfo(float).eps))
+    return CharSet(vh[rank:].T)
 
 
 # ---------------------------------------------------------------------------

@@ -758,6 +758,9 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
                  id="jets.field.a-overflow"),
     pytest.param("extend", dict(EXTEND_CFG, kernel={"n_theta": 0}),
                  id="extend.kernel.n_theta-0"),
+    *[pytest.param("extend", dict(EXTEND_CFG, kernel={key: value}),
+                   id=f"extend.kernel.{key}{value}")
+      for key in ("n_r", "n_theta") for value in (0, -3)],
     pytest.param("fbi", {"grid": {"fixture": "sign", "half_width": 0}},
                  id="fbi.grid.half_width-0"),
     pytest.param("fbi", {"grid": {"fixture": "sign", "n": 1e300}},
@@ -794,6 +797,15 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, cfg):
     rc, out = run(tmp_path, [command], cfg)
     assert rc == 2 and one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n_r", "n_theta"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_kernel_count_below_one_names_its_key(tmp_path, capsys, key, value):
+    rc, out = run(tmp_path, ["extend"], dict(EXTEND_CFG, kernel={key: value}))
+    assert rc == 2 and capsys.readouterr().err == (
+        f"error: kernel.{key} must be a 64-bit integer >= 1, not {value}\n")
     assert not out.exists()
 
 

@@ -2,9 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from carleman import dynkin
 from carleman.dynkin import (ApproxSolution, almost_analytic_extend,
                              flatness_fit, kernel_apply_poly, make_kernel,
                              measure_flatness)
@@ -67,6 +70,38 @@ def test_coarse_kernel_refused():
 def test_kernel_epsilon_validated():
     with pytest.raises(ValueError):
         make_kernel(epsilon=1.5)
+
+
+def _quad_bump_mass(epsilon):
+    """int_0^eps e^{-1/(1-(r/eps)^2)} r dr by adaptive quadrature, the
+    kernel's normalization before the closed form replaced it."""
+    ref, _ = quad(lambda r: np.exp(-1.0 / (1.0 - (r / epsilon) ** 2)) * r,
+                  0.0, epsilon, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return ref
+
+
+def test_e2_of_one_matches_mpmath():
+    with mpmath.workdps(30):
+        want = mpmath.expint(2, 1)
+        ulp = np.spacing(float(want))
+        assert abs(mpmath.mpf(dynkin._E2_1) - want) <= ulp
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_closed_form_bump_mass_matches_quad(epsilon):
+    ref = _quad_bump_mass(epsilon)
+    closed = epsilon * epsilon * dynkin._E2_1 / 2.0
+    assert abs(closed - ref) <= 4 * np.finfo(float).eps * ref
+
+
+def test_default_kernel_equals_the_quad_normalized_kernel(kernel,
+                                                          monkeypatch):
+    # at epsilon = 0.5 the closed form eps^2 E / 2 is E / 8 exactly, so
+    # E = 8 * ref rebuilds the kernel on quad's normalization bit for bit
+    monkeypatch.setattr(dynkin, "_E2_1", 8.0 * _quad_bump_mass(0.5))
+    old = make_kernel(epsilon=0.5, n_r=64, n_theta=64)
+    assert np.array_equal(kernel.nodes, old.nodes)
+    assert np.array_equal(kernel.weights, old.weights)
 
 
 # ---------------------------------------------------------------------------

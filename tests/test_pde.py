@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import null_space
 
 from carleman.errors import ArityMismatch, SingularJacobian, TrustBoxExceeded
 from carleman.jets import jet_diff, jet_eval, jet_mul, jet_scale, \
@@ -125,6 +127,35 @@ def test_char_two_space_dims():
     assert cs.basis.shape == (3, 2)
     assert cs.distance([1.0 / ROOT2, -1.0 / ROOT2, 0.0]) <= 1e-12
     assert cs.distance([1.0 / ROOT2, 1.0 / ROOT2, 0.0]) == pytest.approx(1.0)
+
+
+_PART = st.floats(-10.0, 10.0, allow_nan=False)
+_A0 = st.one_of(
+    st.lists(_PART, min_size=1, max_size=3),                        # real
+    st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=3),
+    st.lists(_PART.map(lambda y: 1j * y), min_size=1, max_size=3),  # imag
+    st.integers(1, 3).map(lambda n: [0.0] * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a0=_A0, data=st.data())
+def test_char_set_matches_scipy_null_space(a0, data):
+    """The SVD null space agrees with scipy.linalg.null_space on the same
+    2 x (1 + n) matrix: same dimension, orthonormal columns, the same
+    projector, and the same distances."""
+    a = np.asarray(a0, dtype=complex)
+    want = null_space(np.vstack([np.concatenate([[1.0], -a.real]),
+                                 np.concatenate([[0.0], a.imag])]))
+    cs = char_set(a0)
+    got = cs.basis
+    assert got.shape == want.shape
+    assert np.max(np.abs(got.T @ got - np.eye(got.shape[1])),
+                  initial=0.0) <= 1e-14
+    assert np.max(np.abs(got @ got.T - want @ want.T)) <= 1e-14
+    covector = np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=a.size + 1, max_size=a.size + 1)))
+    ref = np.linalg.norm(covector - want @ (want.T @ covector))
+    assert abs(cs.distance(covector) - ref) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
