@@ -669,12 +669,24 @@ def _cmd_acceptance(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _thread_cap(text: str) -> int:
+    """The value of --threads: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"need an integer of at least 1, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=int,
-                        help="thread cap for BLAS and the grid pool, applied "
+    common.add_argument("--threads", type=_thread_cap,
+                        help="thread cap for BLAS (at least 1), applied "
                              "before numpy loads")
     common.add_argument("--seed", type=int, default=0,
                         help="RNG seed for fixture noise")

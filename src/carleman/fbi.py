@@ -14,12 +14,9 @@ batched product per lambda against the first-axis columns.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +30,8 @@ _BOUNDARY_TOL = 1e-12
 # benchmark's grid-file check pins, and the ceiling on the grid size the
 # wave front experiment derives from the sampling guard
 GRID_N = 2752
-# samples per block of leading-axis rows when a grid is written or read,
-# and in flight over all workers when a grid or a scan's cos/sin table is
-# built, or a grid checked
+# samples per block of leading-axis rows when a grid is built, checked,
+# written or read, and when a scan's cos/sin table is built
 _BLOCK_ELEMENTS = 1 << 15
 # samples per block of grid rows in a direction scan: the real product
 # against the shared cos/sin matrix runs nearer the BLAS peak on taller
@@ -51,54 +47,6 @@ def _row_blocks(shape, elements: int = _BLOCK_ELEMENTS) -> list:
     """Slices of leading-axis rows holding about `elements` samples each."""
     rows = max(1, elements // math.prod(shape[1:]))
     return [slice(i, i + rows) for i in range(0, shape[0], rows)]
-
-
-def _pool_workers() -> int:
-    """Threads for the elementwise grid passes: the CPUs this process may
-    run on, capped by OMP_NUM_THREADS, which the CLI's --threads sets."""
-    try:
-        n = len(os.sched_getaffinity(0))
-    except AttributeError:                  # no affinity mask on this OS
-        n = os.cpu_count() or 1
-    try:
-        cap = int(os.environ.get("OMP_NUM_THREADS", ""))
-    except ValueError:
-        cap = 0
-    return max(1, min(n, cap) if cap > 0 else n)
-
-
-def _map_row_blocks(fn, shape) -> list:
-    """[fn(b) for b in the row blocks of shape], run on a thread pool.
-
-    numpy releases the GIL in its elementwise loops, so the workers share
-    the work: worker w takes blocks w, w + workers, ..., and blocks of
-    _BLOCK_ELEMENTS // workers samples keep the samples in flight at
-    _BLOCK_ELEMENTS.  Each worker runs in a copy of the caller's context,
-    where numpy keeps its errstate; an exception raised by fn stops the
-    other workers at their next block and reaches the caller unchanged."""
-    workers = _pool_workers()
-    blocks = _row_blocks(shape, _BLOCK_ELEMENTS // workers)
-    if workers == 1 or len(blocks) == 1:
-        return [fn(b) for b in blocks]
-    failed = threading.Event()
-
-    def part(w):
-        out = []
-        for b in blocks[w::workers]:
-            if failed.is_set():
-                break
-            try:
-                out.append(fn(b))
-            except BaseException:
-                failed.set()
-                raise
-        return out
-
-    with ThreadPoolExecutor(workers) as pool:
-        parts = [pool.submit(contextvars.copy_context().run, part, w)
-                 for w in range(workers)]
-        done = [p.result() for p in parts]
-    return [done[i % workers][i // workers] for i in range(len(blocks))]
 
 
 @dataclass(eq=False)
@@ -157,8 +105,7 @@ class GridFunction:
         """Samples of fn at n points per axis (one count or one per axis).
 
         fn must be pointwise and broadcast over its arguments: it is called
-        on blocks of leading-axis rows of the sparse meshgrid axes, from
-        several threads at once (see _map_row_blocks)."""
+        on blocks of leading-axis rows of the sparse meshgrid axes."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         nn = np.atleast_1d(np.asarray(n, dtype=int))
@@ -167,10 +114,8 @@ class GridFunction:
         axes = [np.linspace(lo[d], hi[d], nn[d]) for d in range(lo.size)]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         gf = cls(lo, hi, np.empty(tuple(nn), dtype=complex))
-
-        def fill(b):
+        for b in _row_blocks(gf.n):
             gf.values[b] = fn(grids[0][b], *grids[1:])
-        _map_row_blocks(fill, gf.n)
         return gf
 
     def save(self, path):
@@ -262,7 +207,7 @@ def _check_sampling(gf: GridFunction, x, lams):
         raise Undersampled(f"base point {x} outside the grid box")
     half = 0.5 * (gf.hi - gf.lo)
     steps = gf.steps()
-    tops, bad = zip(*_map_row_blocks(lambda b: _abs_max(gf.values[b]), gf.n))
+    tops, bad = zip(*[_abs_max(gf.values[b]) for b in _row_blocks(gf.n)])
     if sum(bad):
         raise NonFiniteSamples(f"grid holds NaN or infinite samples: "
                                f"{sum(bad)} of {gf.values.size}")
@@ -293,16 +238,14 @@ def _axis_window(gf: GridFunction, x, d: int, lams):
 def _phase_columns(v, g, lams, w) -> np.ndarray:
     """g cos(lambda v w) and g sin(lambda v w) for every offset v, lambda
     and frequency factor w; shape (n_v, n_lambdas, 2, n_w).  Built in
-    blocks of offsets on the grid pool, each in place."""
+    blocks of offsets, each in place."""
     out = np.empty((v.size, lams.size, 2, w.size))
-
-    def fill(b):
+    for b in _row_blocks(out.shape):
         arg = np.multiply(lams[:, None], v[b, None, None] * w,
                           out=out[b, :, 1])
         np.cos(arg, out=out[b, :, 0])
         np.sin(arg, out=arg)
         out[b] *= g[b, :, None, None]
-    _map_row_blocks(fill, out.shape)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import re
 import struct
@@ -647,6 +648,47 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_usage_error(tmp_path, monkeypatch, capsys,
+                                          threads):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["weights", "--threads", threads, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --threads" in capsys.readouterr().err
+    assert all(os.environ[var] == "1" for var in _THREAD_VARS)
+    assert not list(tmp_path.iterdir())
+
+
+def test_threads_leave_payloads_unchanged(tmp_path):
+    # each setting in a fresh interpreter, where --threads caps BLAS before
+    # numpy loads; without the flag BLAS takes its own default
+    cfg = tmp_path / "fbi.json"
+    cfg.write_text(json.dumps({"grid": {"fixture": "conormal", "n": 300}}))
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    payloads = []
+    for flag in ([], ["--threads", "1"], ["--threads", "2"]):
+        out = tmp_path / f"threads{''.join(flag[1:])}"
+        runs = [argv + flag + ["--out", str(out)]
+                for argv in (["fbi", "--config", str(cfg)],
+                             ["wf-experiment", "--fixture", "holomorphic"])]
+        code = ("from carleman import cli\n"
+                f"for argv in {runs!r}:\n"
+                "    assert cli.main(argv) == 0, argv")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        payloads.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(payloads[0]) == ["fbi.csv", "fbi.json", "wf-experiment.csv",
+                                   "wf-experiment.json"]
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
 
 
 def test_config_must_parse(tmp_path):

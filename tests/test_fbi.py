@@ -1,6 +1,7 @@
 """FBI transform oracles, decay classification, scans, phase bounds."""
 
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 import scan_oracle
 from carleman import fbi
-from carleman.errors import NoCone, NoRegularDirection, Undersampled
+from carleman.errors import NoCone, NonFiniteSamples, NoRegularDirection, \
+    Undersampled
 from carleman.fbi import (GridFunction, ScanConfig, _check_sampling,
                           _circle_directions, decay_classify,
                           fbi_direction_scan, phase_bound_check,
@@ -143,6 +145,48 @@ def test_grid_passes_stream_in_row_blocks(tmp_path, step, share):
     finally:
         tracemalloc.stop()
     assert peak <= share * gf.values.nbytes
+
+
+def _divide(y1, y2):
+    return 1.0 / (y1 - y2)      # divides by zero on the diagonal
+
+
+def test_build_keeps_the_callers_errstate():
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            GridFunction.from_function(_divide, [-1.0, -1.0], [1.0, 1.0], 257)
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(divide="ignore"):
+        warnings.simplefilter("always")
+        gf = GridFunction.from_function(_divide, [-1.0, -1.0], [1.0, 1.0], 257)
+    assert not caught
+    assert np.isinf(gf.values[128, 128])
+
+
+def test_build_raises_the_callers_exception():
+    failure = ValueError("block three")
+    calls = []
+
+    def fn(y1, y2):
+        calls.append(y1.shape[0])
+        if len(calls) == 3:
+            raise failure
+        return y1 + y2
+
+    with pytest.raises(ValueError) as exc:
+        GridFunction.from_function(fn, [-1.0, -1.0], [1.0, 1.0], 1024)
+    assert exc.value is failure
+    assert len(calls) == 3                  # no block after the failing one
+
+
+def test_check_sampling_counts_non_finite_samples_in_every_block():
+    gf = conormal_grid(257)
+    assert len(fbi._row_blocks(gf.n)) == 3
+    gf.values[0, 5] = np.nan                # first block
+    gf.values[128, 7] = np.inf              # second
+    gf.values[256, 256] = complex(np.nan, np.inf)   # last
+    with pytest.raises(NonFiniteSamples, match="3 of 66049"):
+        _check_sampling(gf, [0.0, 0.0], [4.0])
 
 
 def test_smooth_step_profile():

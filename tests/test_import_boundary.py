@@ -1,11 +1,13 @@
-"""Which scipy modules the commands load.
+"""Which scipy modules, and whether a thread pool, the commands load.
 
 The wave-front, jets and weights paths compute nothing with scipy, so a
 fresh interpreter running them loads no scipy module beyond those that
 ``import scipy`` loads by itself (the payloads' version string needs the
-top-level package).  ``extend`` needs ``scipy.special`` for its
-Gauss-Legendre nodes and ``scipy.linalg``, which those nodes need, both
-loaded with ``carleman.dynkin``; it needs nothing from ``scipy.integrate``.
+top-level package).  They build, check and scan grids on the calling
+thread, so they load no ``concurrent.futures`` either.  ``extend`` needs
+``scipy.special`` for its Gauss-Legendre nodes and ``scipy.linalg``, which
+those nodes need, both loaded with ``carleman.dynkin``; it needs nothing
+from ``scipy.integrate``.
 Each check runs in a subprocess, since this test session has imported
 scipy's submodules already.
 """
@@ -36,14 +38,15 @@ CONFIGS = {
     "jets": JETS_CFG,
 }
 
-# The scipy modules loaded after ``body`` runs that ``import scipy`` alone
-# does not load, as a sorted JSON list on stdout.
+# The scipy modules and concurrent.futures loaded after ``body`` runs that
+# ``import scipy`` alone does not load, as a sorted JSON list on stdout.
 _PROBE = """
 import json, sys
 import scipy
 
 def loaded():
-    return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
+    return {m for m in sys.modules if m in ("scipy", "concurrent.futures")
+            or m.startswith("scipy.")}
 
 alone = loaded()
 {body}
@@ -51,7 +54,7 @@ print(json.dumps(sorted(loaded() - alone)))
 """
 
 
-def _extra_scipy_modules(body: str, cwd) -> list:
+def _extra_modules(body: str, cwd) -> list:
     code = _PROBE.replace("{body}", body)
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -63,7 +66,7 @@ def _extra_scipy_modules(body: str, cwd) -> list:
 def test_command_modules_load_no_scipy_submodule(tmp_path):
     body = "\n".join(f"import carleman.{name}" for name in
                      ("cli", "fbi", "pde", "fixtures", "jets", "weights"))
-    assert _extra_scipy_modules(body, tmp_path) == []
+    assert _extra_modules(body, tmp_path) == []
 
 
 def test_wave_front_jets_and_weights_commands_load_no_scipy_submodule(
@@ -77,11 +80,11 @@ def test_wave_front_jets_and_weights_commands_load_no_scipy_submodule(
     body = ("from carleman import cli\n"
             f"for argv in {runs!r}:\n"
             "    assert cli.main(argv) == 0, argv")
-    assert _extra_scipy_modules(body, tmp_path) == []
+    assert _extra_modules(body, tmp_path) == []
 
 
 def test_dynkin_loads_no_scipy_integrate(tmp_path):
-    extra = _extra_scipy_modules("import carleman.dynkin", tmp_path)
+    extra = _extra_modules("import carleman.dynkin", tmp_path)
     assert {"scipy.special", "scipy.linalg"} <= set(extra)
     assert not [m for m in extra
                 if m == "scipy.integrate" or m.startswith("scipy.integrate.")]
