@@ -669,6 +669,9 @@ def _cmd_acceptance(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _thread_cap(text: str) -> int:
     """The value of --threads: an integer of at least 1."""
     try:
@@ -720,10 +723,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
     if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+        os.environ.update(dict.fromkeys(_THREAD_VARS, str(args.threads)))
     try:
         return args.handler(args)
     except ConfigError as e:
@@ -732,6 +734,13 @@ def main(argv=None) -> int:
     except (CarlemanError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        # the caller's environment as it was, on every exit path
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 if __name__ == "__main__":

@@ -112,8 +112,17 @@ def _speed(c) -> Jet:
 WAVE_SOLUTIONS = {
     # C^2 but no better across the diagonal; wave front conormal to it
     "conormal": WaveSolution(_speed(-1.0), lambda x, t: np.abs(x - t) ** 3),
-    # entire: empty wave front
-    "holomorphic": WaveSolution(_speed(1j), lambda x, t: np.exp(x + 1j * t)),
+    # entire: empty wave front.  e^{x+it} as e^x e^{it}: on the (rows, 1)
+    # x (1, n) blocks of a sparse meshgrid this takes one exponential per
+    # row and per column, not per sample.  The bytes are those of
+    # np.exp(x + 1j * t): complex exp gives (e^a cos b, e^a sin b), exactly
+    # e^a at b = 0 and (cos b, sin b) at a = 0, and (E + 0i)(c + si) rounds
+    # to (E c, E s).  The real np.exp(x) is a different kernel that differs
+    # in the last bit for some x, so x + 0j keeps the complex one.  The
+    # bit identity is held by
+    # tests/test_fbi.py::test_holomorphic_product_form_is_bit_identical.
+    "holomorphic": WaveSolution(
+        _speed(1j), lambda x, t: np.exp(x + 0j) * np.exp(1j * t)),
 }
 
 

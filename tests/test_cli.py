@@ -654,16 +654,49 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_is_usage_error(tmp_path, monkeypatch, capsys,
-                                          threads):
-    for var in _THREAD_VARS:
-        monkeypatch.setenv(var, "1")
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    # that the environment is left alone is checked in
+    # test_main_leaves_the_thread_environment_as_it_found_it
     with pytest.raises(SystemExit) as exc:
         cli.main(["weights", "--threads", threads, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "argument --threads" in capsys.readouterr().err
-    assert all(os.environ[var] == "1" for var in _THREAD_VARS)
     assert not list(tmp_path.iterdir())
+
+
+def _put_env(values):
+    """Set each variable to its value, or unset it where the value is None."""
+    for var, value in values.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
+
+
+@pytest.mark.parametrize("before", [
+    pytest.param(None, id="unset"), pytest.param("3", id="set")])
+def test_main_leaves_the_thread_environment_as_it_found_it(tmp_path, before):
+    # in process, as perfbench and library callers call main: --threads
+    # must not outlive the command, whether it passes, fails its config or
+    # is refused by argparse; the variables are set here by hand, not by
+    # monkeypatch, whose own undo would hide a leak
+    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
+    try:
+        _put_env(dict.fromkeys(_THREAD_VARS, before))
+        env = dict(os.environ)
+        cfg = tmp_path / "weights.json"
+        cfg.write_text("{}")
+        out = ["--out", str(tmp_path / "out")]
+        assert cli.main(["weights", "--threads", "1", "--config", str(cfg)]
+                        + out) == 0
+        assert dict(os.environ) == env
+        assert cli.main(["weights", "--threads", "1"] + out) == 2
+        assert dict(os.environ) == env
+        with pytest.raises(SystemExit):
+            cli.main(["weights", "--threads", "0"] + out)
+        assert dict(os.environ) == env
+    finally:
+        _put_env(saved)
 
 
 def test_threads_leave_payloads_unchanged(tmp_path):

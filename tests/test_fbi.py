@@ -111,6 +111,20 @@ def test_blocked_build_matches_dense_evaluation(monkeypatch, build, shapes):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def test_holomorphic_product_form_is_bit_identical():
+    # e^x e^{it} on sparse row blocks must give the bytes of the pointwise
+    # np.exp(x + 1j t) on the benchmark's full GRID_N axis pair; 256-row
+    # blocks keep each side at 11 MB, not 121 MB
+    u = WAVE_SOLUTIONS["holomorphic"].u
+    axis = np.linspace(-1.0, 1.0, fbi.GRID_N)
+    t = axis[None, :]
+    for i in range(0, axis.size, 256):
+        x = axis[i:i + 256, None]
+        got, want = u(x, t), np.exp(x + 1j * t)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), f"rows from {i}"
+
+
 @pytest.mark.parametrize("build", [conormal_grid, holomorphic_grid])
 def test_grid_build_peak_memory(build):
     # the build's temporaries stay within a quarter of the grid's bytes
