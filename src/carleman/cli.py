@@ -1,18 +1,16 @@
 """Batch entry point: config-driven runs of the toolkit modules.
 
 Subcommands: weights, jets, extend, fbi, wf-experiment, acceptance.
-Common flags: --config <json>, --out <dir>, --threads <n>, --seed <u64>.
+Common flags: --config <json>, --out <dir>, --seed <u64>.
 Each writes <command>.csv (all but acceptance) and <command>.json to --out,
 each as <command>.<ext>.part renamed into place once complete; the JSON
 text is streamed to its file piece by piece as it is made.
-Exit codes: 0 success, 1 failed check or I/O error, 2 usage or config error.
+Exit codes: 0 ok, 1 failed check, I/O or memory error, 2 usage/config error.
 
-Numeric imports happen after --threads is applied to the BLAS environment,
-so keep this module free of top-level numpy.  All floating point output is
-printed with 17 significant digits and no timestamps, except that JSON
-payloads write Infinity, -Infinity and NaN, the tokens json.load reads;
-rerunning a command with the same config reproduces every payload byte
-for byte.
+All floating point output is printed with 17 significant digits and no
+timestamps, except that JSON payloads write Infinity, -Infinity and NaN,
+the tokens json.load reads; rerunning a command with the same config
+reproduces every payload byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +22,9 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
+import scipy
 
 from .errors import ArityMismatch, CarlemanError, ConfigError
 
@@ -171,11 +172,8 @@ def write_payload(args, config: dict, results: dict, table=None) -> None:
     given, then <command>.json as {config, results, versions}, each under
     --out with a `wrote <path>` line: the only writer of this module.  The
     JSON text is streamed to its file as it is made."""
-    import numpy
-    import scipy
-
     from . import __version__
-    versions = {"carleman": __version__, "numpy": numpy.__version__,
+    versions = {"carleman": __version__, "numpy": np.__version__,
                 "scipy": scipy.__version__}
     csv = None if table is None else _csv_text(*table)
     os.makedirs(args.out, exist_ok=True)
@@ -357,7 +355,6 @@ def _load_config(args, raw=None) -> tuple:
 
 def _grid1d(spec: dict, path: str):
     """The points of a parsed 1-D grid: its values, or n from lo to hi."""
-    import numpy as np
     log = spec.get("spacing") == "log"
     try:
         if log and not (spec["lo"] > 0.0 and spec["hi"] > 0.0):
@@ -397,8 +394,6 @@ def _fixture_grid(spec: dict, seed: int, top: float):
     the fewest samples the scan's sampling guard passes at its top lambda
     top, at least the fixture's default and at most GRID_N ** 2, the
     sample count of a 2-D fixture grid."""
-    import numpy as np
-
     from . import fixtures
     from .fbi import GRID_N, GridFunction, guard_n
     if "file" in spec:
@@ -525,8 +520,6 @@ def _cmd_jets(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    import numpy as np
-
     from .dynkin import almost_analytic_extend, make_kernel, measure_flatness
     raw, cfg = _load_config(args)
     datum = _jet(cfg["datum"], "datum")
@@ -567,8 +560,6 @@ def _cmd_extend(args) -> int:
 
 
 def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
-    import numpy as np
-
     from .weights import fbi_envelope
     env = np.maximum(fbi_envelope(seq, a_threshold, scan.lambdas), floor_rel)
     failed = set(scan.failed_indices)
@@ -669,29 +660,18 @@ def _cmd_acceptance(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _thread_cap(text: str) -> int:
-    """The value of --threads: an integer of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"need an integer of at least 1, got {text!r}")
-    return n
+def u64(text: str) -> int:
+    """The value of --seed: an integer in [0, 2**64)."""
+    if not 0 <= int(text) < 2 ** 64:
+        raise ValueError(text)          # argparse: invalid u64 value
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=_thread_cap,
-                        help="thread cap for BLAS (at least 1), applied "
-                             "before numpy loads")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=u64, default=0,
                         help="RNG seed for fixture noise")
 
     p = argparse.ArgumentParser(
@@ -723,24 +703,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
-    if args.threads is not None:
-        os.environ.update(dict.fromkeys(_THREAD_VARS, str(args.threads)))
     try:
         return args.handler(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CarlemanError, OSError) as e:
+    except (CarlemanError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    finally:
-        # the caller's environment as it was, on every exit path
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """End-to-end checks of the carleman command line driver."""
 
+import argparse
 import json
 import math
 import os
@@ -396,7 +397,8 @@ def test_fbi_malformed_grid_file(tmp_path, capsys, case):
 def test_fbi_noise_respects_seed(tmp_path):
     cfg = {"grid": {"fixture": "sign", "n": 4096, "noise": 1e-6},
            "seq": GEVREY2, "x0": [0.0]}
-    for out, seed in (("a", "7"), ("b", "7"), ("c", "8")):
+    for out, seed in (("a", "7"), ("b", "7"), ("c", "8"),
+                      ("d", str(2 ** 64 - 1))):     # the top u64
         rc, _ = run(tmp_path, ["fbi", "--seed", seed], cfg, out=out)
         assert rc == 0
     a = (tmp_path / "a" / "fbi.csv").read_bytes()
@@ -650,78 +652,73 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, message", [
+    pytest.param(["--threads", "1"], "unrecognized arguments: --threads",
+                 id="threads"),
+    pytest.param(["--seed", "-1"], "argument --seed", id="seed-negative"),
+    pytest.param(["--seed", str(2 ** 64)], "argument --seed",
+                 id="seed-2**64"),
+])
+def test_bad_flag_is_usage_error(tmp_path, capsys, flag, message):
+    cfg = tmp_path / "weights.json"
+    cfg.write_text("{}")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["weights", "--config", str(cfg), "--out", str(out)] + flag)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_module_reads_or_writes_the_environment():
+    # BLAS takes its thread count from the caller's environment, which
+    # the package leaves as it found it
+    src = pathlib.Path(cli.__file__).parent
+    assert [p.name for p in src.glob("*.py") if "environ" in p.read_text()] \
+        == []
+
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
-    # that the environment is left alone is checked in
-    # test_main_leaves_the_thread_environment_as_it_found_it
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["weights", "--threads", threads, "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "argument --threads" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-def _put_env(values):
-    """Set each variable to its value, or unset it where the value is None."""
-    for var, value in values.items():
-        if value is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = value
-
-
-@pytest.mark.parametrize("before", [
-    pytest.param(None, id="unset"), pytest.param("3", id="set")])
-def test_main_leaves_the_thread_environment_as_it_found_it(tmp_path, before):
-    # in process, as perfbench and library callers call main: --threads
-    # must not outlive the command, whether it passes, fails its config or
-    # is refused by argparse; the variables are set here by hand, not by
-    # monkeypatch, whose own undo would hide a leak
-    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
-    try:
-        _put_env(dict.fromkeys(_THREAD_VARS, before))
-        env = dict(os.environ)
-        cfg = tmp_path / "weights.json"
-        cfg.write_text("{}")
-        out = ["--out", str(tmp_path / "out")]
-        assert cli.main(["weights", "--threads", "1", "--config", str(cfg)]
-                        + out) == 0
-        assert dict(os.environ) == env
-        assert cli.main(["weights", "--threads", "1"] + out) == 2
-        assert dict(os.environ) == env
-        with pytest.raises(SystemExit):
-            cli.main(["weights", "--threads", "0"] + out)
-        assert dict(os.environ) == env
-    finally:
-        _put_env(saved)
-
-
-def test_threads_leave_payloads_unchanged(tmp_path):
-    # each setting in a fresh interpreter, where --threads caps BLAS before
-    # numpy loads; without the flag BLAS takes its own default
+def test_blas_thread_count_leaves_payloads_unchanged(tmp_path):
+    # each thread count set in a fresh interpreter's environment, before
+    # numpy loads; with the variables unset BLAS takes its own default
     cfg = tmp_path / "fbi.json"
     cfg.write_text(json.dumps({"grid": {"fixture": "conormal", "n": 300}}))
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
     payloads = []
-    for flag in ([], ["--threads", "1"], ["--threads", "2"]):
-        out = tmp_path / f"threads{''.join(flag[1:])}"
-        runs = [argv + flag + ["--out", str(out)]
+    for threads in ({}, dict.fromkeys(_THREAD_VARS, "1"),
+                    dict.fromkeys(_THREAD_VARS, "2")):
+        out = tmp_path / f"threads{threads.get('OMP_NUM_THREADS', '')}"
+        runs = [argv + ["--out", str(out)]
                 for argv in (["fbi", "--config", str(cfg)],
                              ["wf-experiment", "--fixture", "holomorphic"])]
         code = ("from carleman import cli\n"
                 f"for argv in {runs!r}:\n"
                 "    assert cli.main(argv) == 0, argv")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**env, **threads}, capture_output=True,
+                              text=True)
         assert proc.returncode == 0, proc.stderr
         payloads.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sorted(payloads[0]) == ["fbi.csv", "fbi.json", "wf-experiment.csv",
                                    "wf-experiment.json"]
     assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
+
+
+def test_impossible_allocation_is_one_line_error(tmp_path, capsys,
+                                                 monkeypatch):
+    # numpy's refusal of a 14.6 TiB grid, raised without allocating
+    def refuse(**kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with "
+                          "shape (1000000, 1000000) and data type complex128")
+    monkeypatch.setattr("carleman.fixtures.conormal_grid", refuse)
+    rc, out = run(tmp_path, ["fbi"],
+                  {"grid": {"fixture": "conormal", "n": 1000000}})
+    assert rc == 1 and one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_config_must_parse(tmp_path):
@@ -1023,14 +1020,16 @@ def test_console_script_help():
 
 
 # ---------------------------------------------------------------------------
-# the README's key tables
+# the README's key tables and flags
+
+_README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+
 
 def _readme_key_tables() -> dict:
     """{title: {key: fixtures cell or None}} for every table of the README
     whose first column is key; the title is the command named first in the
     paragraph above the table, or "scan" or "grid" for the shared tables."""
-    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text() \
-        .splitlines()
+    lines = _README.splitlines()
     tables = {}
     for i, line in enumerate(lines):
         if not line.startswith("| key |"):
@@ -1087,3 +1086,17 @@ def test_readme_key_tables_match_the_schemas():
         named = cli._FIXTURE_GRIDS if cell == "all" else \
             tuple(re.findall(r"`(\w+)`", cell))
         assert sorted(named) == sorted(fixtures), key
+
+
+def test_readme_common_flags_match_the_parser():
+    # the backticked flags of the "Common flags:" sentence, against the
+    # options every subcommand takes from the common parser
+    text = " ".join(_README.split())
+    sentence = re.search(r"Common flags:(.*?)\.\s", text).group(1)
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    common = set.intersection(*[
+        {s for a in p._actions for s in a.option_strings}
+        for p in sub.choices.values()]) - {"-h", "--help"}
+    flags = re.findall(r"`(--[\w-]+)", sentence)
+    assert sorted(flags) == sorted(common) == ["--config", "--out", "--seed"]
