@@ -313,9 +313,7 @@ CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
             9: criterion_9, 10: criterion_10}
 
 
-def run_all(numbers=None) -> list:
-    if numbers is None:
-        numbers = sorted(CRITERIA)
+def run_all(numbers) -> list:
     results = []
     for n in numbers:
         if n not in CRITERIA:

@@ -179,55 +179,6 @@ def _average(term, G):
     return term(0) * 0.0 if out is None else out
 
 
-class _Stencil:
-    """The t-independent half of the central-difference field application:
-    every u_k at x and at x +- dx along each axis, and the coefficients
-    a_i(x).  Each time then costs three moment sums, at t and t +- ht."""
-
-    def __init__(self, sol: ApproxSolution, x, dx: float):
-        fld = sol.series.field
-        if fld.n_zeta:
-            raise ArityMismatch("numeric field application needs zeta-free jets")
-        if isinstance(x, (list, tuple)):
-            xs = [np.asarray(xi, dtype=float) for xi in x]
-        else:
-            xs = [np.asarray(x, dtype=float)]
-        if len(xs) != fld.n_x:
-            raise ArityMismatch(f"need {fld.n_x} x components, got {len(xs)}")
-
-        def terms(xlist):
-            xv = xlist if fld.n_x > 1 else xlist[0]
-            return [jet_eval(u, x=xv) for u in sol.series.u]
-
-        self.sol, self.dx = sol, dx
-        self.V = terms(xs)
-        self.axes = []
-        for i, ai in enumerate(fld.a):
-            xp = [xi + (dx if j == i else 0.0) for j, xi in enumerate(xs)]
-            xm = [xi - (dx if j == i else 0.0) for j, xi in enumerate(xs)]
-            self.axes.append((terms(xp), terms(xm),
-                              jet_eval(ai, x=xs if fld.n_x > 1 else xs[0])))
-
-    def apply_L(self, t: float):
-        """The field at time t, both time stencil points inside delta."""
-        sol = self.sol
-        cap = 0.45 * (sol.delta - abs(t))
-        if cap <= 0.0:
-            raise ValueError("t at or beyond the validity radius, no room to difference")
-        ht = min(1e-4 * (1.0 + abs(t)), cap)
-
-        def ev(V, G):
-            return np.asarray(_average(V.__getitem__, G))
-
-        out = (ev(self.V, sol.moments(t + ht)) -
-               ev(self.V, sol.moments(t - ht))) / (2.0 * ht)
-        G = sol.moments(t)
-        for Vp, Vm, a in self.axes:
-            dudx = (ev(Vp, G) - ev(Vm, G)) / (2.0 * self.dx)
-            out = out + a * dudx
-        return out
-
-
 # ---------------------------------------------------------------------------
 # flatness fitting
 
@@ -293,15 +244,42 @@ def flatness_fit(t_values, sup_values, seq: WeightSequence) -> FlatnessFit:
 
 
 def measure_flatness(sol: ApproxSolution, x_values, t_values) -> FlatnessFit:
-    """Fit the decay of sup_x |L u(x, t)| against h(Q|t|).
+    """Fit the decay of sup_x |L u(x, t)| against h(Q|t|), for a field
+    d/dt + a(x) d/dx in one x variable.
 
-    The u_k are evaluated on the x stencil of step 1e-4 once; each time
-    adds only its moment sums."""
+    L u is read by central differences: of step 1e-4 in x, from the u_k
+    evaluated once at x and x +- 1e-4, and of step 1e-4 (1 + |t|) in t,
+    capped at 0.45 (delta - |t|) so both points stay inside delta.  Each
+    time costs three moment sums, at t - ht, t and t + ht."""
+    fld = sol.series.field
+    if fld.n_x != 1 or fld.n_zeta:
+        raise ArityMismatch(
+            f"flatness is measured for one x variable and no zeta slots, "
+            f"not {fld.n_x} and {fld.n_zeta}")
+    dx = 1e-4
+    x = np.asarray(x_values, dtype=float)
+
+    def ev(V, G):
+        return np.asarray(_average(V.__getitem__, G))
+
+    sups = []
     # values past the float range reach the fit as inf or nan, which fails
     with np.errstate(over="ignore", invalid="ignore"):
-        stencil = _Stencil(sol, x_values, 1e-4)
-        sups = [float(np.max(np.abs(stencil.apply_L(float(tv)))))
-                for tv in t_values]
+        V, Vp, Vm = ([jet_eval(u, x=xv) for u in sol.series.u]
+                     for xv in (x, x + dx, x - dx))
+        a = jet_eval(fld.a[0], x=x)
+        for tv in t_values:
+            t = float(tv)
+            cap = 0.45 * (sol.delta - abs(t))
+            if cap <= 0.0:
+                raise ValueError(
+                    "t at or beyond the validity radius, no room to difference")
+            ht = min(1e-4 * (1.0 + abs(t)), cap)
+            dudt = (ev(V, sol.moments(t + ht)) -
+                    ev(V, sol.moments(t - ht))) / (2.0 * ht)
+            G = sol.moments(t)
+            lu = dudt + a * ((ev(Vp, G) - ev(Vm, G)) / (2.0 * dx))
+            sups.append(float(np.max(np.abs(lu))))
     return flatness_fit(t_values, sups, sol.seq)
 
 

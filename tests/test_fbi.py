@@ -203,6 +203,17 @@ def test_check_sampling_counts_non_finite_samples_in_every_block():
         _check_sampling(gf, [0.0, 0.0], [4.0])
 
 
+def test_check_sampling_weighs_the_edge_against_the_largest_sample():
+    # edge 1 damped by e^{-4} at lambda = 4 from the centre: negligible
+    # against a largest sample of 1e12 in the last row block, not of 1e9
+    gf = GridFunction([-1.0, -1.0], [1.0, 1.0], np.ones((257, 257)))
+    gf.values[200, 100] = 1e12
+    _check_sampling(gf, [0.0, 0.0], [4.0])
+    gf.values[200, 100] = 1e9
+    with pytest.raises(Undersampled, match="box edge"):
+        _check_sampling(gf, [0.0, 0.0], [4.0])
+
+
 def test_smooth_step_profile():
     s = np.array([0.0, 0.5, 0.6, 0.99, 1.0, 2.0])
     v = smooth_step(s)

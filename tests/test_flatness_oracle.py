@@ -1,12 +1,12 @@
 """Factored disk-kernel evaluation against the per-call loop in
 flatness_oracle.
 
-ApproxSolution.evaluate and measure_flatness, with the field application
-it shares across times, build each u_k(x) once per x stencil and the
-moment sums once per time; the oracle rebuilds both on every call.  The
-sums are added in the same order, so
-every value matches bit for bit (compared through tobytes, which tells
-signed zeros apart), and so do the extend payloads and criterion 4.
+ApproxSolution.evaluate and measure_flatness build each u_k(x) once per
+x stencil and the moment sums once per time; the oracle rebuilds both on
+every call.  The sums are added in the same order, so every value and
+every per-time sup of |L u| matches bit for bit (compared through
+tobytes, which tells signed zeros apart), and so do the extend payloads
+and criterion 4.
 """
 
 import json
@@ -17,7 +17,7 @@ import pytest
 import flatness_oracle
 from carleman import acceptance, cli, dynkin
 from carleman.dynkin import ApproxSolution, make_kernel, measure_flatness
-from carleman.errors import GuardExceeded
+from carleman.errors import ArityMismatch, GuardExceeded
 from carleman.jets import (Jet, VectorFieldJet, formal_solution,
                            growth_fit, jet_add, jet_constant, jet_mul,
                            jet_scale, jet_variable)
@@ -25,12 +25,6 @@ from carleman.weights import make_sequence
 
 D, N_MAX = 24, 12
 GEVREY = (1.5, 2.0)
-
-
-def apply_L_numeric(sol, x, t, dx=1e-4):
-    """The field applied to sol at (x, t) through the stencil that
-    measure_flatness builds once for all times."""
-    return dynkin._Stencil(sol, x, dx).apply_L(t)
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +84,17 @@ def test_evaluate_matches_oracle(dilation, x):
         same(dilation.evaluate(x, t), flatness_oracle.evaluate(dilation, x, t))
 
 
+def oracle_sups(sol, x, t_values):
+    """max |L u| per time, from the oracle's field application."""
+    return np.array([float(np.max(np.abs(
+        flatness_oracle.apply_L_numeric(sol, x, t)))) for t in t_values])
+
+
 @pytest.mark.parametrize("x", X_VALUES.values(), ids=X_VALUES.keys())
 def test_apply_L_matches_oracle(dilation, x):
-    for t in times(dilation)[:-2]:
-        for kw in ({}, {"dx": 1e-3}):
-            same(apply_L_numeric(dilation, x, t, **kw),
-                 flatness_oracle.apply_L_numeric(dilation, x, t, **kw))
+    # every time with room to difference: t != 0 and |t| < delta
+    t = times(dilation)[2:-2]
+    same(measure_flatness(dilation, x, t).sup, oracle_sups(dilation, x, t))
 
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
@@ -114,9 +113,23 @@ def test_two_axes_match_oracle(rotation):
     x = [np.linspace(-0.5, 0.5, 7), np.linspace(0.4, -0.4, 7)]
     for t in times(rotation):
         same(rotation.evaluate(x, t), flatness_oracle.evaluate(rotation, x, t))
-    for t in times(rotation)[:-2]:
-        same(apply_L_numeric(rotation, x, t),
-             flatness_oracle.apply_L_numeric(rotation, x, t))
+
+
+def test_measure_flatness_needs_one_x_variable(rotation, kernel, monkeypatch):
+    # two x axes or a zeta slot are refused before any moment sum
+    x, z = jet_variable(0, 1, 1, 8), jet_variable(1, 1, 1, 8)
+    series = formal_solution(VectorFieldJet(a=[x], b=[z]), jet_add(x, z), 4)
+    zeta = ApproxSolution(series, make_sequence("gevrey", s=2.0, K_max=64),
+                          kernel, 2.0)
+
+    def no_sums(self, t):
+        raise AssertionError("moment sum before the arity check")
+
+    monkeypatch.setattr(ApproxSolution, "moments", no_sums)
+    x2 = [np.linspace(-0.5, 0.5, 7), np.linspace(0.4, -0.4, 7)]
+    for sol, xv in ((rotation, x2), (rotation, 0.3), (zeta, 0.3)):
+        with pytest.raises(ArityMismatch, match="one x variable"):
+            measure_flatness(sol, xv, [1e-3])
 
 
 def test_rough_table_matches_oracle_and_keeps_guard(kernel):
@@ -129,9 +142,8 @@ def test_rough_table_matches_oracle_and_keeps_guard(kernel):
     sol = ApproxSolution(formal_solution(VectorFieldJet(a=[x], b=[]), x, 6),
                          bumpy, kernel, 1.0)
     same(sol.evaluate(0.5, 0.3), flatness_oracle.evaluate(sol, 0.5, 0.3))
-    same(apply_L_numeric(sol, 0.5, 0.3),
-         flatness_oracle.apply_L_numeric(sol, 0.5, 0.3))
-    for fn in (sol.evaluate, lambda x, t: apply_L_numeric(sol, x, t)):
+    same(measure_flatness(sol, 0.5, [0.3]).sup, oracle_sups(sol, 0.5, [0.3]))
+    for fn in (sol.evaluate, lambda x, t: measure_flatness(sol, x, [t])):
         with pytest.raises(GuardExceeded):
             fn(0.5, 1e-5)
 
@@ -142,7 +154,8 @@ def test_radius_errors_match_oracle(dilation):
             dilation, x, t)):
         with pytest.raises(ValueError, match="validity radius"):
             fn(0.3, 1.01 * d)
-    for fn in (apply_L_numeric, flatness_oracle.apply_L_numeric):
+    for fn in (lambda sol, x, t: measure_flatness(sol, x, [t]),
+               flatness_oracle.apply_L_numeric):
         with pytest.raises(ValueError, match="no room to difference"):
             fn(dilation, 0.3, d)
 
