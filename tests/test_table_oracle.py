@@ -18,7 +18,8 @@ import table_oracle as oracle
 from carleman.dynkin import ApproxSolution, make_kernel
 from carleman.jets import VectorFieldJet, formal_solution, jet_constant, \
     jet_from_dict
-from carleman.weights import WeightSequence, check_regularity, make_sequence
+from carleman.weights import _BLOCK, WeightSequence, check_regularity, \
+    make_sequence
 
 
 def same(a, b) -> bool:
@@ -36,7 +37,8 @@ def assert_matches_oracle(seq, m=None):
     assert seq.log_convex is convex
     assert check_regularity(seq).failures == failures
     assert same(seq.c_bound, oracle.c_bound(seq.log_m))
-    assert same(seq.m, np.exp(seq.log_m) if m is None else m)
+    with np.errstate(over="ignore"):        # inf past the float range
+        assert same(seq.m, np.exp(seq.log_m) if m is None else m)
 
 
 # ---------------------------------------------------------------- construction
@@ -166,8 +168,9 @@ EDGE_TABLES = [
 @pytest.mark.parametrize("log_m", EDGE_TABLES)
 def test_edge_tables_match_oracle(log_m):
     K = log_m.size - 1
-    assert_matches_oracle(WeightSequence("table", K, None, log_m,
-                                         oracle.lfact(K)))
+    seq = WeightSequence("table", K, None, log_m)
+    assert same(seq.lfact, oracle.lfact(K))
+    assert_matches_oracle(seq)
 
 
 def test_edge_tables_sit_on_their_thresholds():
@@ -180,6 +183,76 @@ def test_edge_tables_sit_on_their_thresholds():
     assert c == [[], [], [("c", 1)]]
     d = [oracle.check_regularity(_d_edge(y))[1] for y in _edges(L4)]
     assert d == [[("d", 16)], [], []]
+
+
+# ------------------------------------------------------------ block boundaries
+
+# tables are built and checked a block of _BLOCK indices at a time
+BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+@pytest.mark.parametrize("K_max", BLOCK_SIZES)
+@pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -20])
+def test_gevrey_tables_across_blocks_match_oracle(s, K_max):
+    seq = make_sequence("gevrey", s=s, K_max=K_max)
+    assert same(seq.lfact, oracle.lfact(K_max))
+    assert same(seq.log_m, (s - 1.0) * oracle.lfact(K_max))
+    assert_matches_oracle(seq, oracle.eager_m("gevrey", K_max, s=s))
+
+
+@pytest.mark.parametrize("K_max", BLOCK_SIZES)
+def test_value_tables_across_blocks_match_oracle(K_max):
+    # this many M_k fit the float range only in a table that is not
+    # log-convex: these fail a) and b) at once and d) at K_max
+    values = np.random.default_rng(K_max).lognormal(0.0, 2.0, K_max + 1)
+    seq = make_sequence("table", K_max=K_max, values=values)
+    assert same(seq.lfact, oracle.lfact(K_max))
+    assert same(seq.log_m, np.log(values) - oracle.lfact(K_max))
+    assert_matches_oracle(seq, oracle.eager_m("table", K_max, values=values))
+
+
+def _convex(K):
+    # log m_k = k^2 / K^2: strictly log-convex, every root lr[k]/k below 1
+    return (np.arange(K + 1.0) / K) ** 2
+
+
+@pytest.mark.parametrize("at", [_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2,
+                                2 * _BLOCK + 1])
+def test_first_bump_across_a_block_edge_matches_oracle(at):
+    # the first second difference below -TOL is incs[at] - incs[at - 1]
+    K = 3 * _BLOCK
+    log_m = _convex(K)
+    log_m[at + 1:] -= 1e-9
+    seq = WeightSequence("table", K, None, log_m)
+    assert seq._nonconvex_at == at and not seq.log_convex
+    assert ("b", at) in oracle.check_regularity(seq.log_m)[1]
+    assert_matches_oracle(seq)
+
+
+@pytest.mark.parametrize("at", [_BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_first_c_offender_past_the_first_block_matches_oracle(at):
+    # lr[k]/k crosses log 64 first at k = at, and again further on
+    K = 3 * _BLOCK
+    log_m = _convex(K)
+    log_m[at + 1:] += 5.0 * at
+    log_m[K - 1:] += 5.0 * (K - 2)
+    seq = WeightSequence("table", K, None, log_m)
+    assert ("c", at) in oracle.check_regularity(seq.log_m)[1]
+    assert_matches_oracle(seq)
+
+
+# the top quartile of K = 4 _BLOCK + 8 starts at 3 _BLOCK + 6 and takes
+# one block and two indices
+@pytest.mark.parametrize("at", [3 * _BLOCK + 6, 4 * _BLOCK + 5,
+                                4 * _BLOCK + 6, 4 * _BLOCK + 7])
+def test_first_d_offender_past_the_first_block_matches_oracle(at):
+    # m_k^{1/k} first falls between k = at and at + 1
+    K = 4 * _BLOCK + 8
+    log_m = 2.0 * np.arange(K + 1.0)
+    log_m[at + 1:] -= 1.0
+    seq = WeightSequence("table", K, None, log_m)
+    assert ("d", at) in oracle.check_regularity(seq.log_m)[1]
+    assert_matches_oracle(seq)
 
 
 # ---------------------------------------------------------------- moment sums

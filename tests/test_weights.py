@@ -82,21 +82,32 @@ def test_m_is_built_once_on_first_use():
     assert seq.m is seq.m
 
 
-def test_table_build_and_regularity_peak_within_six_table_widths():
-    # the tables a 2^21-entry Gevrey run keeps and the temporaries of its
-    # construction, regularity check and c_bound, at most 6 arrays of
-    # K_max + 1 floats at once
+def test_table_build_keeps_two_arrays_and_checks_in_blocks():
+    # a 2^21-entry Gevrey table keeps log_m and its increments and no other
+    # whole-length array; its regularity check and c_bound go a block at
+    # a time, and log(k!) waits for its first reader
     K = 2 ** 21
     tracemalloc.start()
     try:
         seq = make_sequence("gevrey", 1.5, K)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
         rep = check_regularity(seq)
         c = seq.c_bound
-        peak = tracemalloc.get_traced_memory()[1]
+        check_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert rep.passed and c == pytest.approx(2.0 ** 0.5, rel=1e-12)
-    assert peak <= 6 * 8 * (K + 1), f"peak {peak / 2 ** 20:.1f} MiB"
+    assert build_peak <= 2 * 8 * (K + 1) + 2 ** 20, \
+        f"build peak {build_peak / 2 ** 20:.1f} MiB"
+    assert check_peak < 2 ** 20, f"check peak {check_peak / 2 ** 20:.2f} MiB"
+    assert "lfact" not in seq.__dict__
+    seq.log_M
+    assert "lfact" in seq.__dict__
+    seq = make_sequence("gevrey", 1.5, 64)
+    assert "lfact" not in seq.__dict__
+    assert seq.lfact is seq.lfact
 
 
 def test_envelope_log_table_is_built_once_on_first_use():
