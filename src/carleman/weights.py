@@ -12,21 +12,21 @@ minimizer lands on the table boundary with the terms still decreasing, the
 operation raises GuardExceeded instead of returning a wrong value.
 
 Tables can be large (10^6 entries for Gevrey exponents close to 1).  All
-infima go through one certified argmin, _argmin: a binary search over the
+infima go through one certified argmin, _argmin: a search over the
 nondecreasing increments of a log-convex table, a direct scan of any other
 table.  It also reports when the minimizer sits on the table boundary with
 the terms still decreasing, and each caller sets its policy for that case:
 h, h1, N and fbi_envelope raise, envelope_certified reports it, and
 bigN_capped caps (and raises on non-log-convex tables).
 
-A table keeps two arrays, log_m and its increments; a table kind keeps
-no raw M_k.  They are built and checked a block of _BLOCK indices at a
-time, so no other array of the table's length is ever held: log k and its
-running sum, log(k!), give each block of log_m, and the log-convexity test
-at construction walks the second differences of the increments block by
-block and records where condition b) first fails.  One maximum over the
-blocks of the ratio roots serves both c_bound and condition c).  lfact,
-m and log_M are built on first use only.
+A table keeps one array of its length, log_m, and no raw M_k; readers
+take the increments they need from it.  It is built and checked a block
+of _BLOCK indices at a time: log k and its running sum, log(k!), give
+each block of log_m, and one walk over the increments records where
+condition b) first fails, the maximum of the ratio roots behind c_bound
+and condition c), and, if they are exactly sorted, every _STRIDE-th one
+as the sample the argmin searches first.  lfact, m and log_M (with its
+sample) are built on first use only.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FitFailed, GuardExceeded
 
@@ -49,6 +50,9 @@ _TOL = 1e-12                  # slack of the log-table comparisons
 # 2 vCPUs, building and checking that table took 24 ms at this size,
 # 30 ms at 2^12 (per-block numpy calls) and 28 ms at 2^18.
 _BLOCK = 1 << 14
+# One increment in this many is kept as the sample the argmin searches
+# first; it divides _BLOCK.  A 2^21-entry table's sample takes 256 KiB.
+_STRIDE = 64
 
 
 def _spans(stop: int, start: int = 0):
@@ -73,13 +77,32 @@ def _log_factorials(K_max: int):
         yield lo, hi, block
 
 
+def _walk(log_a: np.ndarray, incs) -> tuple:
+    """One pass over the increments lr of log_a, read as incs(lo, hi) =
+    lr[lo:hi] a block at a time: (the least k with lr[k] - lr[k-1] < -_TOL
+    or None, max of lr[k]/k over k >= 1, lr[::_STRIDE] or None unless lr
+    is exactly nondecreasing)."""
+    bad, maxima, exact = [], [], True       # bad: each block's first
+    for lo, hi in _spans(log_a.size - 1):
+        first = max(lo - 1, 0)          # the pair across the lower edge
+        lr = incs(first, hi)
+        steps = lr[1:] - lr[:-1]        # second differences at first+1..
+        bad += (first + 1 + np.flatnonzero(steps < -_TOL)[:1]).tolist()
+        exact = exact and bool(np.all(steps >= 0.0))
+        k = max(lo, 1)
+        maxima.append(np.max(lr[k - first:] / np.arange(k, hi, dtype=float)))
+    return bad[0] if bad else None, np.max(maxima), \
+        log_a[1::_STRIDE] - log_a[:-1:_STRIDE] if exact else None
+
+
 @dataclass(eq=False)
 class WeightSequence:
     """Materialized weight sequence m_k = M_k/k!, k = 0..K_max.
 
     kind is "gevrey" (m_k = (k!)^(s-1)) or "table" (M_k given explicitly).
-    Every table keeps two read-only arrays: log_m, the working
-    representation, and its increments.  lfact[k] = log(k!), so that
+    Every table keeps one read-only array of its length, log_m, the working
+    representation; its increments are taken from it where they are read.
+    lfact[k] = log(k!), so that
     log(M_k) = log_m[k] + lfact[k], m itself, which may overflow to inf for
     large k, and log_M are built on first use.
     """
@@ -89,30 +112,23 @@ class WeightSequence:
     s: float | None
     log_m: np.ndarray
     log_convex: bool = field(init=False, default=False)
-    _increments: np.ndarray = field(init=False, repr=False)
     # the least k with m_k^2 > m_{k-1} m_{k+1} beyond the slack, else None
     _nonconvex_at: int | None = field(init=False, repr=False)
+    _log_c_bound: float = field(init=False, repr=False)
+    # increments[::_STRIDE], or None where they are not exactly sorted
+    _sample: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        incs = self._increments = np.diff(self.log_m)
-        self._nonconvex_at = None
-        # second differences incs[k] - incs[k-1], k = 1..K_max-1, a block
-        # at a time; each block starts on the pair across its lower edge
-        for lo, hi in _spans(self.K_max, start=1):
-            bad = np.flatnonzero(incs[lo:hi] - incs[lo - 1:hi - 1] < -_TOL)
-            if bad.size:
-                self._nonconvex_at = lo + int(bad[0])
-                break
+        # read-only, so the sample taken from it cannot go stale
+        self.log_m.flags.writeable = False
+        self._nonconvex_at, self._log_c_bound, self._sample = _walk(
+            self.log_m, self.increments)
         self.log_convex = self._nonconvex_at is None
-        # increments are cached from log_m; read-only arrays keep the
-        # cache from going stale
-        for arr in (self.log_m, self._increments):
-            arr.flags.writeable = False
 
-    @property
-    def increments(self) -> np.ndarray:
-        """lr[k] = log(m_{k+1}) - log(m_k), nondecreasing iff log-convex."""
-        return self._increments
+    def increments(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """lr[lo:hi], lr[k] = log(m_{k+1}) - log(m_k), nondecreasing iff
+        log-convex; taken from log_m on every call, never kept."""
+        return np.diff(self.log_m[lo:(self.K_max if hi is None else hi) + 1])
 
     @cached_property
     def lfact(self) -> np.ndarray:
@@ -138,11 +154,7 @@ class WeightSequence:
         """log (m_{k+1}/m_k)^{1/k} = lr[k]/k, k = 1..K_max-1, as blocks
         (first k, roots)."""
         for lo, hi in _spans(self.K_max, start=1):
-            yield lo, self._increments[lo:hi] / np.arange(lo, hi, dtype=float)
-
-    @cached_property
-    def _log_c_bound(self):
-        return np.max([np.max(roots) for _, roots in self._ratio_roots()])
+            yield lo, self.increments(lo, hi) / np.arange(lo, hi, dtype=float)
 
     @property
     def c_bound(self) -> float:
@@ -159,11 +171,10 @@ class WeightSequence:
         return out
 
     @cached_property
-    def _log_M_increments(self) -> np.ndarray:
-        """log(M_{k+1}) - log(M_k): the envelope argmin's increments."""
-        out = np.diff(self.log_M)
-        out.flags.writeable = False
-        return out
+    def _log_M_sample(self):
+        """The envelope argmin's sample of log_M, built with it (_walk)."""
+        log_M = self.log_M
+        return _walk(log_M, lambda lo, hi: np.diff(log_M[lo:hi + 1]))[2]
 
 
 def make_sequence(kind: str = "gevrey", s: float = 2.0,
@@ -278,21 +289,50 @@ def _elementwise(x, name: str, fn):
     return out.item() if out.ndim == 0 else out
 
 
-def _argmin(seq: WeightSequence, log_a: np.ndarray, incs: np.ndarray,
-            c: np.ndarray, k0: int = 0, shift_ties: bool = True):
-    """Least argmin over k >= k0 of g(k) = log_a[k] - (k - k0)*c, per entry
-    of c, with incs = np.diff(log_a).  Returns (idx, hit); hit marks an
-    argmin on K_max with the terms still decreasing, where the infimum over
-    the whole sequence may lie beyond the table.
+def _first_at_least(log_a: np.ndarray, sample, target, k0: int, hi: int):
+    """k0 + np.searchsorted(np.diff(log_a)[k0:hi], target), bit for bit.
 
-    On a log-convex table g(k+1) - g(k) = incs[k] - c is nondecreasing, so
-    the least argmin is the first k with incs[k] >= c, a searchsorted.  At a
-    breakpoint float rounding can tip that equality either way; shift_ties
-    lowers the target by 1e-12*(1 + |c|) so the least index wins.
+    A range of at most _BLOCK increments, or any range of a table without
+    a sample, is diffed and searched whole.  Otherwise the sample puts each
+    target in a window of _STRIDE increments holding the first one >=
+    target, if any: on exactly sorted increments that index is unique, so
+    the binary search finds it too."""
+    if sample is None or hi - k0 <= _BLOCK:
+        return k0 + np.searchsorted(np.diff(log_a[k0:hi + 1]), target)
+    flat = np.ravel(target)
+    # each window starts on the last sampled increment below the target,
+    # or ends on the last increment; every increment before it is below
+    first = np.minimum(np.maximum(np.searchsorted(sample, flat) - 1, 0)
+                       * _STRIDE, log_a.size - 1 - _STRIDE)
+    windows = sliding_window_view(log_a, _STRIDE + 1)
+    rows = _BLOCK // _STRIDE            # a block of window entries at once
+    for i in range(0, flat.size, rows):
+        lr = np.diff(windows[first[i:i + rows]], axis=1)
+        # counting those not >= target sends a NaN past the end, as
+        # searchsorted does
+        first[i:i + rows] += _STRIDE - np.count_nonzero(
+            lr >= flat[i:i + rows, None], axis=1)
+    return np.clip(first, k0, hi).reshape(np.shape(target))
+
+
+def _argmin(seq: WeightSequence, log_a: np.ndarray, sample, c: np.ndarray,
+            k0: int = 0, shift_ties: bool = True, stop: int | None = None):
+    """Least argmin over k >= k0 of g(k) = log_a[k] - (k - k0)*c, per entry
+    of c, where sample is log_a's increments[::_STRIDE] or None (_walk).
+    Returns (idx, hit); hit marks an argmin on K_max with the terms still
+    decreasing, where the infimum over the whole sequence may lie beyond
+    the table.
+
+    On a log-convex table g(k+1) - g(k) = lr[k] - c is nondecreasing, so
+    the least argmin is the first k with lr[k] >= c, a searchsorted; stop
+    searches the increments below index stop alone.  At a breakpoint float
+    rounding can tip that equality either way; shift_ties lowers the
+    target by 1e-12*(1 + |c|) so the least index wins.
     """
     if seq.log_convex:
         target = c - 1e-12 * (1.0 + np.abs(c)) if shift_ties else c
-        idx = k0 + np.searchsorted(incs[k0:], target, side="left")
+        idx = _first_at_least(log_a, sample, target, k0,
+                              seq.K_max if stop is None else stop)
         return idx, idx == seq.K_max
     if seq.K_max > _BRUTE_MAX:
         raise ValueError(
@@ -304,7 +344,7 @@ def _argmin(seq: WeightSequence, log_a: np.ndarray, incs: np.ndarray,
         np.argmin(log_a[None, k0:] - ks[None, :] * flat[i:i + rows, None],
                   axis=1) for i in range(0, max(flat.size, 1), rows)]
     ).reshape(np.shape(c))
-    return idx, (idx == seq.K_max) & (incs[-1] < c)
+    return idx, (idx == seq.K_max) & (log_a[-1] - log_a[-2] < c)
 
 
 def _guard(seq: WeightSequence, t: np.ndarray, hit: np.ndarray) -> None:
@@ -324,8 +364,8 @@ def _bigN(seq: WeightSequence, t: np.ndarray, guard: bool,
     idx = np.zeros(t.shape, dtype=int)
     small = t < 0.0
     if np.any(small):
-        idx[small], hit = _argmin(seq, seq.log_m, seq.increments[:stop],
-                                  -t[small], k0=1)
+        idx[small], hit = _argmin(seq, seq.log_m, seq._sample, -t[small],
+                                  k0=1, stop=stop)
         if guard:
             _guard(seq, t[small], hit)
     return idx
@@ -336,7 +376,7 @@ def _log_assoc(seq: WeightSequence, variant: str, r) -> np.ndarray | float:
     def log_h(rr):
         t = np.log(rr)
         if variant == "h":
-            idx, hit = _argmin(seq, seq.log_m, seq.increments, -t)
+            idx, hit = _argmin(seq, seq.log_m, seq._sample, -t)
             _guard(seq, t, hit)
             return seq.log_m[idx] + idx * t
         if variant == "h1":
@@ -392,7 +432,7 @@ def _log_envelope(seq: WeightSequence, A, lam) -> tuple:
     log_A, log_M, log_lam = np.log(A)[..., None], seq.log_M, np.log(lam)
     # no tie shift: at lam/A = M_{k+1}/M_k either index attains E, and
     # moving to the lower one would change E in its last bits
-    idx, hit = _argmin(seq, log_M, seq._log_M_increments, log_lam - log_A,
+    idx, hit = _argmin(seq, log_M, seq._log_M_sample, log_lam - log_A,
                        shift_ties=False)
     return (idx + 1) * log_A + log_M[idx] - idx * log_lam, hit
 

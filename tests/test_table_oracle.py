@@ -8,18 +8,23 @@ check_regularity exactly on its threshold and one ulp to either side of
 it, where a one-ulp move of a threshold or of the slack changes the
 verdict.  Moment sums are compared at times where every node keeps every
 index and near +-delta, where only some nodes do.
+
+The certified argmin, which reads the increments it needs from the log
+table, matches np.searchsorted over the table's whole np.diff, index for
+index, on exactly sorted tables with many ties and on a table that is
+log-convex only within the slack.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import table_oracle as oracle
 from carleman.dynkin import ApproxSolution, make_kernel
 from carleman.jets import VectorFieldJet, formal_solution, jet_constant, \
     jet_from_dict
-from carleman.weights import _BLOCK, WeightSequence, check_regularity, \
-    make_sequence
+from carleman.weights import _BLOCK, _STRIDE, WeightSequence, _argmin, \
+    check_regularity, make_sequence
 
 
 def same(a, b) -> bool:
@@ -33,7 +38,13 @@ def assert_matches_oracle(seq, m=None):
     """Every table-derived value of seq against the oracle on its log_m;
     m, when given, is the oracle's eager m for the same inputs."""
     convex, failures = oracle.check_regularity(seq.log_m)
-    assert same(seq.increments, np.diff(seq.log_m))
+    lr = np.diff(seq.log_m)
+    assert same(seq.increments(), lr)
+    # the argmin's sample: every _STRIDE-th increment of a sorted table
+    if np.all(np.diff(lr) >= 0.0):
+        assert same(seq._sample, lr[::_STRIDE])
+    else:
+        assert seq._sample is None
     assert seq.log_convex is convex
     assert check_regularity(seq).failures == failures
     assert same(seq.c_bound, oracle.c_bound(seq.log_m))
@@ -253,6 +264,100 @@ def test_first_d_offender_past_the_first_block_matches_oracle(at):
     seq = WeightSequence("table", K, None, log_m)
     assert ("d", at) in oracle.check_regularity(seq.log_m)[1]
     assert_matches_oracle(seq)
+
+
+# ------------------------------------------------------------ sampled argmin
+
+def searched(log_a, c, k0, stop, shift_ties):
+    """(idx, hit) of the argmin as first written: a binary search over the
+    whole np.diff of the table."""
+    target = c - 1e-12 * (1.0 + np.abs(c)) if shift_ties else c
+    idx = k0 + np.searchsorted(np.diff(log_a)[k0:stop], target)
+    return idx, idx == log_a.size - 1
+
+
+def assert_argmin_matches(seq, c, k0, stop, shift_ties):
+    idx, hit = _argmin(seq, seq.log_m, seq._sample, c, k0=k0,
+                       shift_ties=shift_ties, stop=stop)
+    want_idx, want_hit = searched(seq.log_m, c, k0, stop, shift_ties)
+    assert same(idx, want_idx) and same(hit, want_hit)
+
+
+@st.composite
+def sorted_tables(draw):
+    """A log table over more than one block whose increments are exactly
+    nondecreasing: dyadic increments, summed and diffed without rounding
+    and full of ties, or sorted uniform ones."""
+    K = draw(st.one_of(st.integers(_BLOCK + 1, 3 * _BLOCK),
+                       st.sampled_from([2 * _BLOCK, 2 * _BLOCK + _STRIDE])),
+             label="K")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans(), label="dyadic"):
+        lr = np.sort(rng.integers(-2 ** 10, 2 ** 10, K)) / 2.0 ** 8
+    else:
+        lr = np.sort(rng.uniform(-0.01, 0.01, K))
+    log_a = np.concatenate([[0.0], np.cumsum(lr)])
+    return WeightSequence("table", K, None, log_a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seq=sorted_tables(), data=st.data())
+def test_sampled_argmin_matches_whole_search(seq, data):
+    lr = np.diff(seq.log_m)
+    assume(np.all(np.diff(lr) >= 0.0))
+    assert seq.log_convex and seq._sample is not None
+    K = seq.K_max
+    k0 = data.draw(st.sampled_from([0, 1]), label="k0")
+    # caps inside one coarse interval, on its edges, or many blocks away
+    stop = data.draw(st.one_of(
+        st.none(), st.integers(k0, K),
+        st.integers(1, K // _STRIDE).map(lambda j: j * _STRIDE),
+        st.integers(1, K // _STRIDE).map(lambda j: min(j * _STRIDE + 1, K))),
+        label="stop")
+    at = st.integers(0, K - 1).map(lambda k: float(lr[k]))
+    c = np.array(data.draw(st.lists(st.one_of(
+        at,                                             # on an increment
+        at.map(lambda x: float(np.nextafter(x, np.inf))),
+        st.just(float(lr[k0]) - 1.0),                   # below lr[k0]
+        st.just(float(lr[-1]) + 1.0),                   # above the last
+        st.floats(float(lr[0]), float(lr[-1]))), min_size=1, max_size=12),
+        label="c"))
+    for shift_ties in (True, False):
+        assert_argmin_matches(seq, c, k0, stop, shift_ties)
+    assert_argmin_matches(seq, c.reshape(-1, 1), k0, stop, True)
+
+
+def test_sampled_argmin_matches_over_many_targets():
+    # more targets than one chunk of windows holds: on increments, between
+    # them and past both ends
+    seq = make_sequence("gevrey", s=1.5, K_max=3 * _BLOCK + 5)
+    lr = np.diff(seq.log_m)
+    assert seq._sample is not None
+    rng = np.random.default_rng(5)
+    c = np.concatenate([lr[rng.integers(0, lr.size, 600)],
+                        rng.uniform(lr[0] - 1.0, lr[-1] + 1.0, 600),
+                        [np.inf, -np.inf]])
+    for k0, stop in ((0, None), (1, None), (1, 2 * _BLOCK + 3), (1, 12)):
+        for shift_ties in (True, False):
+            # inf - inf: the shifted target of c = inf is a NaN
+            with np.errstate(invalid="ignore"):
+                assert_argmin_matches(seq, c, k0, stop, shift_ties)
+
+
+def test_table_convex_only_within_the_slack_takes_the_whole_search():
+    # m_k = b^k: constant increments that rounding leaves unsorted by an
+    # ulp here and there, so the table has no sample and is diffed whole
+    K = 3 * _BLOCK + 7
+    log_m = np.arange(K + 1.0) * (np.log(2.0) / 2.0 ** 20)
+    seq = WeightSequence("table", K, None, log_m)
+    lr = np.diff(log_m)
+    assert seq.log_convex and seq._sample is None
+    assert np.any(np.diff(lr) < 0.0)
+    c = np.concatenate([lr[::997], np.nextafter(lr[::991], 0.0),
+                        [lr.min() - 1e-9, lr.max() + 1e-9]])
+    for k0, stop in ((0, None), (1, None), (1, 2 * _BLOCK + 3), (1, 12)):
+        for shift_ties in (True, False):
+            assert_argmin_matches(seq, c, k0, stop, shift_ties)
 
 
 # ---------------------------------------------------------------- moment sums

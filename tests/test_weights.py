@@ -69,9 +69,11 @@ def test_non_finite_table_value_is_rejected(bad):
 
 
 def test_tables_are_read_only(g2):
-    assert np.array_equal(g2.increments, np.diff(g2.log_m))
-    assert g2.increments is g2.increments       # stored, not recomputed
-    for arr in (g2.m, g2.log_m, g2.lfact, g2.increments):
+    # the increments are taken from log_m on every call and never kept
+    assert np.array_equal(g2.increments(), np.diff(g2.log_m))
+    assert np.array_equal(g2.increments(5, 9), np.diff(g2.log_m)[5:9])
+    assert g2.increments() is not g2.increments()
+    for arr in (g2.m, g2.log_m, g2.lfact):
         with pytest.raises(ValueError):
             arr[0] = 0.5
 
@@ -82,10 +84,11 @@ def test_m_is_built_once_on_first_use():
     assert seq.m is seq.m
 
 
-def test_table_build_keeps_two_arrays_and_checks_in_blocks():
-    # a 2^21-entry Gevrey table keeps log_m and its increments and no other
-    # whole-length array; its regularity check and c_bound go a block at
-    # a time, and log(k!) waits for its first reader
+def test_table_build_keeps_one_array_and_checks_in_blocks():
+    # a 2^21-entry Gevrey table keeps log_m and no other whole-length
+    # array, only a sample of every 64th increment; its regularity check
+    # and c_bound go a block at a time, and log(k!) waits for its first
+    # reader
     K = 2 ** 21
     tracemalloc.start()
     try:
@@ -99,9 +102,10 @@ def test_table_build_keeps_two_arrays_and_checks_in_blocks():
     finally:
         tracemalloc.stop()
     assert rep.passed and c == pytest.approx(2.0 ** 0.5, rel=1e-12)
-    assert build_peak <= 2 * 8 * (K + 1) + 2 ** 20, \
+    assert build_peak <= 8 * (K + 1) + 2 ** 20, \
         f"build peak {build_peak / 2 ** 20:.1f} MiB"
     assert check_peak < 2 ** 20, f"check peak {check_peak / 2 ** 20:.2f} MiB"
+    assert seq._sample.size == K // weights._STRIDE
     assert "lfact" not in seq.__dict__
     seq.log_M
     assert "lfact" in seq.__dict__
@@ -110,18 +114,37 @@ def test_table_build_keeps_two_arrays_and_checks_in_blocks():
     assert seq.lfact is seq.lfact
 
 
+def test_queries_on_a_large_table_hold_no_table_length_array():
+    # h, h1, capped N and the absorption fit take the increments they
+    # read from log_m: none of them holds an array of the table's length
+    K = 2 ** 21
+    seq = make_sequence("gevrey", 1.5, K)
+    r = np.geomspace(float(np.exp(-seq.increments(K - 1)[0])) * 1.02, 3.0, 50)
+    tracemalloc.start()
+    try:
+        assoc(seq, "h", r)
+        assoc(seq, "h1", r)
+        bigN_capped(seq, r, 12)
+        bigN_capped(seq, r, K)
+        absorption_fit(seq, 1, r[:40])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"query peak {peak / 2 ** 20:.2f} MiB"
+
+
 def test_envelope_log_table_is_built_once_on_first_use():
     seq = make_sequence("gevrey", s=2.0, K_max=64)
     assert "log_M" not in vars(seq)             # nothing built up front
     fbi_envelope(seq, [0.5, 1.0], np.geomspace(4.0, 64.0, 12))
-    log_M, incs = seq.log_M, seq._log_M_increments
+    log_M, sample = seq.log_M, seq._log_M_sample
     assert np.array_equal(log_M, seq.log_m + seq.lfact)
-    assert np.array_equal(incs, np.diff(seq.log_m + seq.lfact))
+    # the envelope keeps a sample of the increments of log_M, not them
+    assert np.array_equal(sample, np.diff(log_M)[::weights._STRIDE])
     envelope_certified(seq, 1.0, 64.0)
-    assert seq.log_M is log_M and seq._log_M_increments is incs
-    for arr in (log_M, incs):
-        with pytest.raises(ValueError):
-            arr[0] = 0.5
+    assert seq.log_M is log_M and seq._log_M_sample is sample
+    with pytest.raises(ValueError):
+        log_M[0] = 0.5
 
 
 def test_c_bound_gevrey2(g2):
@@ -169,7 +192,7 @@ def test_bigN_at_ratio_breakpoints(g2):
 def test_brute_force_agreement(g2, g15):
     rng = np.random.default_rng(11)
     for seq in (g2, g15):
-        r_lo = float(np.exp(-(seq.increments[-1])))  # smallest certified r
+        r_lo = float(np.exp(-(seq.increments()[-1])))  # smallest certified r
         for r in np.exp(rng.uniform(np.log(r_lo * 1.01), np.log(3.0), 200)):
             got_h = assoc(seq, "h", r)
             want_h = np.exp(brute_log_terms(seq, r, "h").min())
@@ -234,7 +257,7 @@ def test_nonconvex_table_brute_path():
 
 def test_identity_h_equals_r_h1(g2, g15):
     for seq in (g2, g15):
-        r_lo = float(np.exp(-seq.increments[-1])) * 1.02
+        r_lo = float(np.exp(-seq.increments()[-1])) * 1.02
         r = np.geomspace(r_lo, 1.0, 40)
         h = assoc(seq, "h", r)
         h1 = assoc(seq, "h1", r)
@@ -459,7 +482,7 @@ def test_bigN_capped_prefix_matches_full_search(seq, data):
     # free r from far below the certified range to above 1, plus r on and
     # next to the breakpoints exp(-lr[k]), where ties decide the index
     k = data.draw(st.integers(1, seq.K_max - 1), label="k")
-    near = float(np.exp(-seq.increments[k]))
+    near = float(np.exp(-seq.increments(k, k + 1)[0]))
     r = np.array(data.draw(st.lists(st.one_of(
         st.floats(1e-12, 4.0),
         st.sampled_from([near, np.nextafter(near, 0.0),
@@ -496,7 +519,7 @@ def test_bigN_capped_rejects_nonpositive_r(r):
 @given(seq=log_convex_tables(), u=st.floats(min_value=0.01, max_value=0.99))
 def test_bigN_matches_brute_on_random_tables(seq, u):
     # map u into the certified range (above the last breakpoint)
-    r_lo = min(1.0, float(np.exp(-seq.increments[-1]))) * 1.02
+    r_lo = min(1.0, float(np.exp(-seq.increments()[-1]))) * 1.02
     r = r_lo + (0.999 - r_lo) * u
     if r <= 0 or r >= 1:
         return
