@@ -25,8 +25,8 @@ of _BLOCK indices at a time: log k and its running sum, log(k!), give
 each block of log_m, and one walk over the increments records where
 condition b) first fails, the maximum of the ratio roots behind c_bound
 and condition c), and, if they are exactly sorted, every _STRIDE-th one
-as the sample the argmin searches first.  lfact, m and log_M (with its
-sample) are built on first use only.
+as the sample the argmin searches first.  m and log_M (with its sample)
+are built on first use only, log_M from the same blocks of log(k!).
 """
 
 from __future__ import annotations
@@ -100,17 +100,16 @@ class WeightSequence:
     """Materialized weight sequence m_k = M_k/k!, k = 0..K_max.
 
     kind is "gevrey" (m_k = (k!)^(s-1)) or "table" (M_k given explicitly).
-    Every table keeps one read-only array of its length, log_m, the working
-    representation; its increments are taken from it where they are read.
-    lfact[k] = log(k!), so that
-    log(M_k) = log_m[k] + lfact[k], m itself, which may overflow to inf for
-    large k, and log_M are built on first use.
+    log_m is the one input and the one read-only array of the table's
+    length that is kept: K_max is its last index, its increments are taken
+    from it where they are read, and m, which may overflow to inf for large
+    k, and log_M are built from it on first use.
     """
 
     kind: str
-    K_max: int
     s: float | None
     log_m: np.ndarray
+    K_max: int = field(init=False)
     log_convex: bool = field(init=False, default=False)
     # the least k with m_k^2 > m_{k-1} m_{k+1} beyond the slack, else None
     _nonconvex_at: int | None = field(init=False, repr=False)
@@ -121,6 +120,7 @@ class WeightSequence:
     def __post_init__(self):
         # read-only, so the sample taken from it cannot go stale
         self.log_m.flags.writeable = False
+        self.K_max = self.log_m.size - 1
         self._nonconvex_at, self._log_c_bound, self._sample = _walk(
             self.log_m, self.increments)
         self.log_convex = self._nonconvex_at is None
@@ -129,15 +129,6 @@ class WeightSequence:
         """lr[lo:hi], lr[k] = log(m_{k+1}) - log(m_k), nondecreasing iff
         log-convex; taken from log_m on every call, never kept."""
         return np.diff(self.log_m[lo:(self.K_max if hi is None else hi) + 1])
-
-    @cached_property
-    def lfact(self) -> np.ndarray:
-        """lfact[k] = log(k!); built on first use, read-only."""
-        out = np.empty(self.K_max + 1)
-        for lo, hi, block in _log_factorials(self.K_max):
-            out[lo:hi] = block
-        out.flags.writeable = False
-        return out
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -150,12 +141,6 @@ class WeightSequence:
         out.flags.writeable = False
         return out
 
-    def _ratio_roots(self):
-        """log (m_{k+1}/m_k)^{1/k} = lr[k]/k, k = 1..K_max-1, as blocks
-        (first k, roots)."""
-        for lo, hi in _spans(self.K_max, start=1):
-            yield lo, self.increments(lo, hi) / np.arange(lo, hi, dtype=float)
-
     @property
     def c_bound(self) -> float:
         """Empirical sup over the table of (m_{k+1}/m_k)^(1/k), k >= 1."""
@@ -164,9 +149,12 @@ class WeightSequence:
 
     @cached_property
     def log_M(self) -> np.ndarray:
-        """log(M_k) = log_m[k] + lfact[k]; built on first use, read-only,
-        so tables that never reach the envelope allocate nothing more."""
-        out = self.log_m + self.lfact
+        """log(M_k) = log_m[k] + log(k!); built on first use a block at a
+        time, read-only, so tables that never reach the envelope allocate
+        nothing more."""
+        out = np.empty(self.K_max + 1)
+        for lo, hi, lfact in _log_factorials(self.K_max):
+            np.add(self.log_m[lo:hi], lfact, out=out[lo:hi])
         out.flags.writeable = False
         return out
 
@@ -181,7 +169,8 @@ def make_sequence(kind: str = "gevrey", s: float = 2.0,
                   K_max: int | None = None, values=None) -> WeightSequence:
     """Materialize a weight sequence.
 
-    kind="gevrey": M_k = (k!)^s, requires s > 1; K_max is 64 by default.
+    kind="gevrey": M_k = (k!)^s, requires s > 1 and finite log m_k;
+    K_max is 64 by default.
     kind="table": values are the M_k themselves, need at least K_max+1
     positive entries, every entry finite; K_max is by default the last
     index of values.  Construction never rejects a sequence for failing
@@ -212,12 +201,16 @@ def make_sequence(kind: str = "gevrey", s: float = 2.0,
         raise ValueError(f"unknown sequence kind {kind!r}")
 
     log_m = np.empty(K_max + 1)
-    for lo, hi, lfact in _log_factorials(K_max):
-        if kind == "gevrey":
-            np.multiply(s - 1.0, lfact, out=log_m[lo:hi])
-        else:
-            np.subtract(np.log(vals[lo:hi]), lfact, out=log_m[lo:hi])
-    return WeightSequence(kind, K_max, s, log_m)
+    with np.errstate(over="ignore", invalid="ignore"):      # refused below
+        for lo, hi, lfact in _log_factorials(K_max):
+            if kind == "gevrey":
+                np.multiply(s - 1.0, lfact, out=log_m[lo:hi])
+            else:
+                np.subtract(np.log(vals[lo:hi]), lfact, out=log_m[lo:hi])
+    if not np.isfinite(log_m[K_max]):   # a Gevrey log_m is nondecreasing
+        k = np.flatnonzero(~np.isfinite(log_m))[0]
+        raise ValueError(f"Gevrey exponent {s:g}: log m_{k} is not finite")
+    return WeightSequence(kind, s, log_m)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +244,9 @@ def check_regularity(seq: WeightSequence) -> RegularityReport:
         failures.append(("b", seq._nonconvex_at))
 
     if seq._log_c_bound > np.log(64.0):
-        for lo, roots in seq._ratio_roots():
+        # log (m_{k+1}/m_k)^{1/k} = lr[k]/k, a block at a time
+        for lo, hi in _spans(K, start=1):
+            roots = seq.increments(lo, hi) / np.arange(lo, hi, dtype=float)
             bad = np.flatnonzero(roots > np.log(64.0))
             if bad.size:
                 failures.append(("c", lo + int(bad[0])))
@@ -280,7 +275,7 @@ def _elementwise(x, name: str, fn):
     axis of its result; scalar in, scalar (or one row per leading index)
     out."""
     xx = np.asarray(x, dtype=float)
-    if np.any(xx <= 0.0):
+    if not np.all(xx > 0.0):            # NaN too
         raise ValueError(f"{name} must be positive")
     out = fn(np.atleast_1d(xx))
     if xx.ndim:
@@ -427,7 +422,7 @@ def bigN_capped(seq: WeightSequence, r, cap: int):
 def _log_envelope(seq: WeightSequence, A, lam) -> tuple:
     """(log min over the table of A^{k+1} M_k lam^{-k}, hit), rows by A."""
     A = np.asarray(A, dtype=float)
-    if np.any(A <= 0.0):
+    if not np.all(A > 0.0):
         raise ValueError("A must be positive")
     log_A, log_M, log_lam = np.log(A)[..., None], seq.log_M, np.log(lam)
     # no tie shift: at lam/A = M_{k+1}/M_k either index attains E, and

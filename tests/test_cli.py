@@ -252,6 +252,21 @@ def test_jets_time_dependent_datum_of_wrong_arity_is_config_error(
     assert not out.exists()
 
 
+def test_weights_gevrey_table_that_overflows_is_config_error(tmp_path,
+                                                             capsys):
+    # log m_k = (s - 1) log k! is inf from k = 4 on, where the NaN second
+    # differences would pass conditions b) to d)
+    cfg = {"seq": {"kind": "gevrey", "s": 1e308, "K_max": 64}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(tmp_path, ["weights"], cfg)
+    assert not caught
+    assert rc == 2 and capsys.readouterr().err == (
+        "error: bad sequence spec: Gevrey exponent 1e+308: log m_4 is not "
+        "finite\n")
+    assert not out.exists()
+
+
 def test_weights_absorption_overflow_is_fit_failure(tmp_path, capsys):
     # n = 300 needs C ~ e^1418, past the largest float
     cfg = dict(WEIGHTS_CFG, absorption={"n": [300], "r": {

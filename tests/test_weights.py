@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from carleman import weights
 from carleman.errors import FitFailed, GuardExceeded
 from carleman.weights import (
+    WeightSequence,
     absorption_fit,
     assoc,
     bigN,
@@ -58,6 +59,27 @@ def test_construction_validation():
         make_sequence("nope")
 
 
+@pytest.mark.parametrize("s, K_max, k", [(1e308, 64, 4),
+                                         (1e303, 4 * weights._BLOCK, 20171),
+                                         (np.inf, 64, 0)])
+def test_gevrey_exponent_whose_table_overflows_is_rejected(s, K_max, k):
+    # log m_k = (s - 1) log k! passes the largest float first at k, past
+    # the first block in the second case; inf * log 0! is a NaN
+    with pytest.raises(ValueError, match=rf"log m_{k} is not finite$"):
+        make_sequence("gevrey", s=s, K_max=K_max)
+
+
+def test_K_max_is_read_from_log_m():
+    log_m = make_sequence("gevrey", s=2.0, K_max=64).log_m.copy()
+    seq = WeightSequence("table", None, log_m)
+    assert seq.K_max == log_m.size - 1 == 64
+    # the constructor takes log_m alone, so no K_max can disagree with it
+    with pytest.raises(TypeError):
+        WeightSequence("table", 64, None, log_m)
+    with pytest.raises(TypeError):
+        WeightSequence("table", None, log_m, K_max=40)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
 def test_non_finite_table_value_is_rejected(bad):
     values = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0, bad]
@@ -73,7 +95,7 @@ def test_tables_are_read_only(g2):
     assert np.array_equal(g2.increments(), np.diff(g2.log_m))
     assert np.array_equal(g2.increments(5, 9), np.diff(g2.log_m)[5:9])
     assert g2.increments() is not g2.increments()
-    for arr in (g2.m, g2.log_m, g2.lfact):
+    for arr in (g2.m, g2.log_m, g2.log_M):
         with pytest.raises(ValueError):
             arr[0] = 0.5
 
@@ -87,8 +109,7 @@ def test_m_is_built_once_on_first_use():
 def test_table_build_keeps_one_array_and_checks_in_blocks():
     # a 2^21-entry Gevrey table keeps log_m and no other whole-length
     # array, only a sample of every 64th increment; its regularity check
-    # and c_bound go a block at a time, and log(k!) waits for its first
-    # reader
+    # and c_bound go a block at a time
     K = 2 ** 21
     tracemalloc.start()
     try:
@@ -106,12 +127,22 @@ def test_table_build_keeps_one_array_and_checks_in_blocks():
         f"build peak {build_peak / 2 ** 20:.1f} MiB"
     assert check_peak < 2 ** 20, f"check peak {check_peak / 2 ** 20:.2f} MiB"
     assert seq._sample.size == K // weights._STRIDE
-    assert "lfact" not in seq.__dict__
-    seq.log_M
-    assert "lfact" in seq.__dict__
-    seq = make_sequence("gevrey", 1.5, 64)
-    assert "lfact" not in seq.__dict__
-    assert seq.lfact is seq.lfact
+
+
+def test_envelope_log_table_keeps_one_more_array():
+    # log_M is filled a block at a time from log_m and the blocks of
+    # log(k!): reading it keeps its own array and no log(k!) beside it
+    K = 2 ** 21
+    seq = make_sequence("gevrey", 1.5, K)
+    tracemalloc.start()
+    try:
+        seq.log_M
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * (K + 1) + 2 ** 20, \
+        f"log_M keeps {held / 2 ** 20:.1f} MiB"
+    assert not hasattr(seq, "lfact")
 
 
 def test_queries_on_a_large_table_hold_no_table_length_array():
@@ -138,7 +169,8 @@ def test_envelope_log_table_is_built_once_on_first_use():
     assert "log_M" not in vars(seq)             # nothing built up front
     fbi_envelope(seq, [0.5, 1.0], np.geomspace(4.0, 64.0, 12))
     log_M, sample = seq.log_M, seq._log_M_sample
-    assert np.array_equal(log_M, seq.log_m + seq.lfact)
+    lfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 65)))])
+    assert np.array_equal(log_M, seq.log_m + lfact)
     # the envelope keeps a sample of the increments of log_M, not them
     assert np.array_equal(sample, np.diff(log_M)[::weights._STRIDE])
     envelope_certified(seq, 1.0, 64.0)
@@ -513,6 +545,33 @@ def test_bigN_capped_rejects_nonpositive_r(r):
     for seq in (make_sequence("gevrey", s=2.0, K_max=64), _bumpy_table()):
         with pytest.raises(ValueError):
             bigN_capped(seq, r, 6)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda seq: assoc(seq, "h", NAN), "r", id="h"),
+    pytest.param(lambda seq: assoc(seq, "h1", NAN), "r", id="h1"),
+    pytest.param(lambda seq: assoc(seq, "h1", [0.5, NAN]), "r", id="h1-row"),
+    pytest.param(lambda seq: bigN(seq, NAN), "r", id="bigN"),
+    pytest.param(lambda seq: bigN_capped(seq, NAN, 12), "r", id="capped"),
+    pytest.param(lambda seq: fbi_envelope(seq, 1.0, NAN), "lambda",
+                 id="envelope-lambda"),
+    pytest.param(lambda seq: fbi_envelope(seq, NAN, 16.0), "A",
+                 id="envelope-A"),
+    pytest.param(lambda seq: fbi_envelope(seq, [1.0, NAN], 16.0), "A",
+                 id="envelope-levels"),
+    pytest.param(lambda seq: envelope_certified(seq, 1.0, NAN), "lambda",
+                 id="certified"),
+    pytest.param(lambda seq: absorption_fit(seq, 1, [0.5, NAN]), "r",
+                 id="absorption"),
+])
+def test_nan_argument_is_refused_as_not_positive(g2, call, name):
+    # a NaN fails every comparison, so it is refused with r <= 0, not
+    # sent on to the argmin to come back as 0, 1.0, False or a guard
+    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+        call(g2)
 
 
 @settings(max_examples=50, deadline=None)
