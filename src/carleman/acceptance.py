@@ -52,6 +52,7 @@ def criterion_1() -> tuple:
                    and np.all(bigN(seq, r) == 0))
     count_04 = int(bigN(seq, 0.4))
 
+    m = np.exp(seq.log_m(np.arange(seq.K_max + 1)))
     rng = np.random.default_rng(42)
     lemma = True
     for _ in range(1000):
@@ -61,7 +62,7 @@ def criterion_1() -> tuple:
             continue
         k = int(rng.integers(0, Nr + 1))
         n = int(rng.integers(0, k + 1))
-        if not seq.m[k] * rv ** k <= seq.m[n] * rv ** n:
+        if not m[k] * rv ** k <= m[n] * rv ** n:
             lemma = False
             break
 

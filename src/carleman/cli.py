@@ -453,7 +453,7 @@ def _cmd_weights(args) -> int:
     seq = _sequence(cfg["seq"])
     # by default r and absorption.r start at the least r the table
     # certifies, or at 0.01 and 1e-3
-    least = math.exp(-seq.increments(seq.K_max - 1)[0])
+    least = math.exp(-seq.increments(seq.K_max - 1, seq.K_max)[0])
     r = _grid1d(cfg.get("r", {"lo": max(0.01, least), "hi": 10.0, "n": 50,
                               "spacing": "log"}), "r")
     reg = check_regularity(seq)

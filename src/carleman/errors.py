@@ -6,9 +6,9 @@ class CarlemanError(Exception):
 
 
 class GuardExceeded(CarlemanError):
-    """An infimum over the materialized table hit the boundary index K_max
-    with terms still decreasing, so the reported value would not be the
-    true infimum.  The argument r is too small for the table size."""
+    """An infimum over k <= K_max hit the boundary index K_max with terms
+    still decreasing, so the reported value would not be the true
+    infimum.  The argument r is too small for K_max."""
 
 
 class ArityMismatch(CarlemanError):

@@ -406,14 +406,15 @@ def growth_fit(series: FormalSeries, seq: WeightSequence,
     xs = _box_grid(series.u[0], box)
     sups = [float(np.max(np.abs(jet_eval(u, x=xs)))) for u in series.u]
 
-    log_c_need = max([(np.log(s) - seq.log_m[k]) / (1.0 + k)
+    log_m = seq.log_m(np.arange(series.n_max + 1))
+    log_c_need = max([(np.log(s) - log_m[k]) / (1.0 + k)
                       for k, s in enumerate(sups) if s > 0.0], default=-np.inf)
     C_fit = snap_up(float(np.exp(log_c_need)))
     if C_fit > _FIT_CAP:
         raise FitFailed(f"growth fit needs C ~ {np.exp(log_c_need):.3g} > cap "
                         f"{_FIT_CAP:.3g}")
 
-    log_b_need = max([(np.log((n + 1) * sups[n + 1]) - seq.log_m[n]) / (n + 1.0)
+    log_b_need = max([(np.log((n + 1) * sups[n + 1]) - log_m[n]) / (n + 1.0)
                       for n in range(series.n_max) if sups[n + 1] > 0.0],
                      default=-np.inf)
     B_fit = snap_up(float(np.exp(log_b_need)))

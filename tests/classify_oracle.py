@@ -23,7 +23,7 @@ def _log_terms(seq: WeightSequence, A: float, lams) -> np.ndarray:
     """log A^{k+1} M_k lam^{-k} for k = 0..K_max, one row per lambda."""
     ks = np.arange(seq.K_max + 1)
     log_lam = np.log(np.atleast_1d(np.asarray(lams, dtype=float)))
-    return (ks + 1) * np.log(A) + seq.log_M - ks * log_lam[:, None]
+    return (ks + 1) * np.log(A) + seq.log_M(ks) - ks * log_lam[:, None]
 
 
 def partial_envelope(seq: WeightSequence, A: float, lams) -> np.ndarray:

@@ -111,7 +111,7 @@ def test_weights_guard_is_failure_not_usage(tmp_path):
 
 @pytest.mark.parametrize("cfg, lo", [
     # the default table certifies r from m_63/m_64, about 1/64, up
-    ({}, float(np.exp(-make_sequence("gevrey", s=2.0).increments()[-1]))),
+    ({}, float(np.exp(-make_sequence("gevrey", s=2.0).increments(63, 64)[0]))),
     ({"seq": WEIGHTS_CFG["seq"]}, 0.01),
 ], ids=["defaults", "long-table"])
 def test_weights_default_r_starts_where_the_table_certifies(tmp_path, capsys,
@@ -135,7 +135,7 @@ def test_weights_default_absorption_r_starts_where_the_table_certifies(
                                           "absorption": {"n": [1, 2, 3]}})
     assert rc == 0 and capsys.readouterr().err == ""
     fits = json.loads((out / "weights.json").read_text())["results"]
-    least = float(np.exp(-make_sequence("gevrey", s=s).increments()[-1]))
+    least = float(np.exp(-make_sequence("gevrey", s=s).increments(63, 64)[0]))
     assert least == pytest.approx(lo, rel=1e-12)
     explicit = {"lo": least, "hi": 1.0, "n": 40, "spacing": "log"}
     rc, again = run(tmp_path, ["weights"], {"seq": seq, "absorption": {

@@ -258,21 +258,23 @@ def test_growth_fit_identity_scale():
     seq = make_sequence("gevrey", s=2.0, K_max=32)
     D = 12
     field = unit_transport_field(D)
-    u = [jet_constant(seq.m[k], 1, 0, D) for k in range(9)]
+    m = np.exp(seq.log_m(np.arange(9)))
+    u = [jet_constant(m[k], 1, 0, D) for k in range(9)]
     ser = FormalSeries(field, u, 8)
     est = growth_fit(ser, seq, [(-1.0, 1.0)])
     assert est.C_fit == 1.0
     # (n+1) m_{n+1} = (n+1)(n+1)! <= B^{n+1} n!  ->  B >= (n+1)^{2/(n+1)},
     # maximal at n = 2 (3^{2/3} ~ 2.08), snapped up to 2^{5/4}
     assert est.B_fit == pytest.approx(2.0 ** 1.25)
-    assert est.sup[3] == pytest.approx(seq.m[3])
+    assert est.sup[3] == pytest.approx(m[3])
 
 
 def test_growth_fit_geometric_factor():
     seq = make_sequence("gevrey", s=2.0, K_max=32)
     D = 14
     field = unit_transport_field(D)
-    u = [jet_constant(3.0 ** k * seq.m[k], 1, 0, D) for k in range(13)]
+    m = np.exp(seq.log_m(np.arange(13)))
+    u = [jet_constant(3.0 ** k * m[k], 1, 0, D) for k in range(13)]
     ser = FormalSeries(field, u, 12)
     est = growth_fit(ser, seq, [(-1.0, 1.0)])
     # C_needed = 3^{12/13} ~ 2.757, snapped up on the quarter-power grid

@@ -1,30 +1,35 @@
-"""Weight tables, regularity, c_bound and kernel moment sums match their
-first versions in tests/table_oracle.py bit for bit.
+"""Weight sequences, regularity, c_bound and kernel moment sums against
+their first versions in tests/table_oracle.py.
 
-Tables are Gevrey tables, log-convex tables, locally non-convex ("bumpy")
-tables and tables that fail each of conditions a)-d), drawn with
-hypothesis.  Tables built straight from a log table put a comparison of
-check_regularity exactly on its threshold and one ulp to either side of
-it, where a one-ulp move of a threshold or of the slack changes the
-verdict.  Moment sums are compared at times where every node keeps every
-index and near +-delta, where only some nodes do.
+Table sequences match the oracle bit for bit.  They are log-convex tables,
+locally non-convex ("bumpy") tables and tables that fail each of
+conditions a)-d), drawn with hypothesis.  Tables built straight from a log
+table put a comparison of check_regularity exactly on its threshold and
+one ulp to either side of it, where a one-ulp move of a threshold or of
+the slack changes the verdict.  Moment sums are compared at times where
+every node keeps every index and near +-delta, where only some nodes do.
 
-The certified argmin, which reads the increments it needs from the log
-table, matches np.searchsorted over the table's whole np.diff, index for
-index, on exactly sorted tables with many ties and on a table that is
-log-convex only within the slack.
+A Gevrey sequence holds no table.  Its closed-form regularity report
+equals the oracle's on the cumsum table of the same sequence, and its
+c_bound, 2^(s-1), equals the oracle's to rounding.  Its certified argmin
+equals np.searchsorted over its float increments, index for index, and
+log m_k is within 4 ulp of mpmath's log Gamma(k + 1).
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import table_oracle as oracle
 from carleman.dynkin import ApproxSolution, make_kernel
 from carleman.jets import VectorFieldJet, formal_solution, jet_constant, \
     jet_from_dict
-from carleman.weights import _BLOCK, _STRIDE, WeightSequence, _argmin, \
-    check_regularity, make_sequence
+from carleman.weights import WeightSequence, _argmin, check_regularity, \
+    make_sequence
+
+EPS = 2.0 ** -52
 
 
 def same(a, b) -> bool:
@@ -34,23 +39,38 @@ def same(a, b) -> bool:
         a.tobytes() == b.tobytes()
 
 
+def table(log_m) -> WeightSequence:
+    """The table sequence with log m_k = log_m[k]."""
+    return WeightSequence("table", None, log_m.size - 1, log_m)
+
+
 def assert_matches_oracle(seq, m=None):
-    """Every table-derived value of seq against the oracle on its log_m;
+    """Every value of a table sequence against the oracle on its table;
     m, when given, is the oracle's eager m for the same inputs."""
-    convex, failures = oracle.check_regularity(seq.log_m)
-    lr = np.diff(seq.log_m)
-    assert same(seq.increments(), lr)
-    # the argmin's sample: every _STRIDE-th increment of a sorted table
-    if np.all(np.diff(lr) >= 0.0):
-        assert same(seq._sample, lr[::_STRIDE])
-    else:
-        assert seq._sample is None
+    K = seq.K_max
+    convex, failures = oracle.check_regularity(seq.table)
+    assert same(seq.increments(0, K), np.diff(seq.table))
     assert seq.log_convex is convex
     assert check_regularity(seq).failures == failures
-    assert same(seq.c_bound, oracle.c_bound(seq.log_m))
-    assert same(seq.log_M, seq.log_m + oracle.lfact(seq.K_max))
+    assert same(seq.c_bound, oracle.c_bound(seq.table))
+    ks = np.arange(K + 1)
+    assert same(seq.log_M(ks), seq.table + oracle.lfact(K))
     with np.errstate(over="ignore"):        # inf past the float range
-        assert same(seq.m, np.exp(seq.log_m) if m is None else m)
+        assert same(np.exp(seq.log_m(ks)),
+                    np.exp(seq.table) if m is None else m)
+
+
+def assert_gevrey_matches_oracle(s, K_max):
+    """The closed-form regularity report of a Gevrey sequence against the
+    oracle on its cumsum table, and c_bound against both it and 2^(s-1)
+    to rounding."""
+    seq = make_sequence("gevrey", s=s, K_max=K_max)
+    log_m = (s - 1.0) * oracle.lfact(K_max)
+    convex, failures = oracle.check_regularity(log_m)
+    assert seq.log_convex and convex
+    assert check_regularity(seq).failures == failures
+    assert seq.c_bound == pytest.approx(oracle.c_bound(log_m), rel=1e-14)
+    return seq, failures
 
 
 # ---------------------------------------------------------------- construction
@@ -59,16 +79,45 @@ def assert_matches_oracle(seq, m=None):
 @given(s=st.floats(1.0, 4.0, exclude_min=True),
        K_max=st.one_of(st.integers(8, 64), st.integers(65, 1 << 14)))
 def test_gevrey_tables_match_oracle(s, K_max):
-    seq = make_sequence("gevrey", s=s, K_max=K_max)
-    assert same(seq.log_m, (s - 1.0) * oracle.lfact(K_max))
-    assert_matches_oracle(seq, oracle.eager_m("gevrey", K_max, s=s))
+    assert_gevrey_matches_oracle(s, K_max)
 
 
 @pytest.mark.parametrize("s, K_max", [(1.5, 1 << 18), (2.0, 4096),
                                       (1.0 + 2.0 ** -20, 1 << 12)])
 def test_benchmark_sized_gevrey_tables_match_oracle(s, K_max):
-    assert_matches_oracle(make_sequence("gevrey", s=s, K_max=K_max),
-                          oracle.eager_m("gevrey", K_max, s=s))
+    assert_gevrey_matches_oracle(s, K_max)
+
+
+# s > 7 fails c) at k = 1, one ulp past 7 included; s near 1 fails d)
+# at small K_max and, at s = 1 + 2^-20, at every K_max
+GEVREY_GRID = [(s, K) for s in (1.0 + 2.0 ** -20, 1.05, 1.2, 1.5, 2.0, 3.0,
+                                7.0, float(np.nextafter(7.0, 8.0)), 7.5, 12.0)
+               for K in (8, 9, 17, 64, 1000, 4096)]
+
+
+@pytest.mark.parametrize("s, K_max", GEVREY_GRID)
+def test_gevrey_regularity_matches_oracle_on_a_grid(s, K_max):
+    mpmath = pytest.importorskip("mpmath")
+    seq, failures = assert_gevrey_matches_oracle(s, K_max)
+    # c_bound is 2^(s-1) to the last bit, where the oracle's
+    # exp((s - 1) log 2) may round the other way
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(2) ** (mpmath.mpf(s) - 1)
+        assert abs(seq.c_bound - exact) <= 0.5 * math.ulp(seq.c_bound)
+    tags = [tag for tag, _ in failures]
+    assert ("c" in tags) == (s > 7.0)
+    assert ("d" in tags) == (seq.log_m(K_max) / K_max < np.log(4.0))
+
+
+def test_gevrey_grid_reaches_both_failures():
+    reports = {(s, K): check_regularity(make_sequence("gevrey", s=s,
+                                                      K_max=K)).failures
+               for s, K in GEVREY_GRID}
+    assert reports[(7.0, 64)] == [] and reports[(7.5, 64)] == [("c", 1)]
+    assert reports[(float(np.nextafter(7.0, 8.0)), 8)] == [("c", 1)]
+    assert reports[(1.05, 8)] == [("d", 8)]
+    assert reports[(1.2, 1000)] == [("d", 1000)]
+    assert reports[(1.2, 4096)] == []
 
 
 @st.composite
@@ -98,7 +147,7 @@ def drawn_tables(draw):
 def test_drawn_tables_match_oracle(table):
     values, K = table
     seq = make_sequence("table", K_max=K, values=values)
-    assert same(seq.log_m, np.log(values[:K + 1]) - oracle.lfact(K))
+    assert same(seq.table, np.log(values[:K + 1]) - oracle.lfact(K))
     assert_matches_oracle(seq, oracle.eager_m("table", K, values=values))
 
 
@@ -176,7 +225,7 @@ EDGE_TABLES = [
 
 @pytest.mark.parametrize("log_m", EDGE_TABLES)
 def test_edge_tables_match_oracle(log_m):
-    assert_matches_oracle(WeightSequence("table", None, log_m))
+    assert_matches_oracle(table(log_m))
 
 
 def test_edge_tables_sit_on_their_thresholds():
@@ -191,27 +240,26 @@ def test_edge_tables_sit_on_their_thresholds():
     assert d == [[("d", 16)], [], []]
 
 
-# ------------------------------------------------------------ block boundaries
+# --------------------------------------------------------------- long tables
 
-# tables are built and checked a block of _BLOCK indices at a time
-BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+# sizes and first offenders on both sides of 2^14 and its multiples, where
+# tables were once built and checked in blocks
+LONG_SIZES = [16383, 16384, 16385, 32769]
 
 
-@pytest.mark.parametrize("K_max", BLOCK_SIZES)
+@pytest.mark.parametrize("K_max", LONG_SIZES)
 @pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -20])
 def test_gevrey_tables_across_blocks_match_oracle(s, K_max):
-    seq = make_sequence("gevrey", s=s, K_max=K_max)
-    assert same(seq.log_m, (s - 1.0) * oracle.lfact(K_max))
-    assert_matches_oracle(seq, oracle.eager_m("gevrey", K_max, s=s))
+    assert_gevrey_matches_oracle(s, K_max)
 
 
-@pytest.mark.parametrize("K_max", BLOCK_SIZES)
+@pytest.mark.parametrize("K_max", LONG_SIZES)
 def test_value_tables_across_blocks_match_oracle(K_max):
     # this many M_k fit the float range only in a table that is not
     # log-convex: these fail a) and b) at once and d) at K_max
     values = np.random.default_rng(K_max).lognormal(0.0, 2.0, K_max + 1)
     seq = make_sequence("table", K_max=K_max, values=values)
-    assert same(seq.log_m, np.log(values) - oracle.lfact(K_max))
+    assert same(seq.table, np.log(values) - oracle.lfact(K_max))
     assert_matches_oracle(seq, oracle.eager_m("table", K_max, values=values))
 
 
@@ -220,46 +268,43 @@ def _convex(K):
     return (np.arange(K + 1.0) / K) ** 2
 
 
-@pytest.mark.parametrize("at", [_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2,
-                                2 * _BLOCK + 1])
+@pytest.mark.parametrize("at", [16383, 16384, 16385, 16386, 32769])
 def test_first_bump_across_a_block_edge_matches_oracle(at):
     # the first second difference below -TOL is incs[at] - incs[at - 1]
-    K = 3 * _BLOCK
+    K = 49152
     log_m = _convex(K)
     log_m[at + 1:] -= 1e-9
-    seq = WeightSequence("table", None, log_m)
+    seq = table(log_m)
     assert seq._nonconvex_at == at and not seq.log_convex
-    assert ("b", at) in oracle.check_regularity(seq.log_m)[1]
+    assert ("b", at) in oracle.check_regularity(seq.table)[1]
     assert_matches_oracle(seq)
 
 
-@pytest.mark.parametrize("at", [_BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("at", [16384, 16385, 32771])
 def test_first_c_offender_past_the_first_block_matches_oracle(at):
     # lr[k]/k crosses log 64 first at k = at, and again further on
-    K = 3 * _BLOCK
+    K = 49152
     log_m = _convex(K)
     log_m[at + 1:] += 5.0 * at
     log_m[K - 1:] += 5.0 * (K - 2)
-    seq = WeightSequence("table", None, log_m)
-    assert ("c", at) in oracle.check_regularity(seq.log_m)[1]
+    seq = table(log_m)
+    assert ("c", at) in oracle.check_regularity(seq.table)[1]
     assert_matches_oracle(seq)
 
 
-# the top quartile of K = 4 _BLOCK + 8 starts at 3 _BLOCK + 6 and takes
-# one block and two indices
-@pytest.mark.parametrize("at", [3 * _BLOCK + 6, 4 * _BLOCK + 5,
-                                4 * _BLOCK + 6, 4 * _BLOCK + 7])
+# the top quartile of K = 65544 starts at 49158
+@pytest.mark.parametrize("at", [49158, 65541, 65542, 65543])
 def test_first_d_offender_past_the_first_block_matches_oracle(at):
     # m_k^{1/k} first falls between k = at and at + 1
-    K = 4 * _BLOCK + 8
+    K = 65544
     log_m = 2.0 * np.arange(K + 1.0)
     log_m[at + 1:] -= 1.0
-    seq = WeightSequence("table", None, log_m)
-    assert ("d", at) in oracle.check_regularity(seq.log_m)[1]
+    seq = table(log_m)
+    assert ("d", at) in oracle.check_regularity(seq.table)[1]
     assert_matches_oracle(seq)
 
 
-# ------------------------------------------------------------ sampled argmin
+# ------------------------------------------------------------ certified argmin
 
 def searched(log_a, c, k0, stop, shift_ties):
     """(idx, hit) of the argmin as first written: a binary search over the
@@ -269,88 +314,78 @@ def searched(log_a, c, k0, stop, shift_ties):
     return idx, idx == log_a.size - 1
 
 
-def assert_argmin_matches(seq, c, k0, stop, shift_ties):
-    idx, hit = _argmin(seq, seq.log_m, seq._sample, c, k0=k0,
-                       shift_ties=shift_ties, stop=stop)
-    want_idx, want_hit = searched(seq.log_m, c, k0, stop, shift_ties)
-    assert same(idx, want_idx) and same(hit, want_hit)
-
-
-@st.composite
-def sorted_tables(draw):
-    """A log table over more than one block whose increments are exactly
-    nondecreasing: dyadic increments, summed and diffed without rounding
-    and full of ties, or sorted uniform ones."""
-    K = draw(st.one_of(st.integers(_BLOCK + 1, 3 * _BLOCK),
-                       st.sampled_from([2 * _BLOCK, 2 * _BLOCK + _STRIDE])),
-             label="K")
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans(), label="dyadic"):
-        lr = np.sort(rng.integers(-2 ** 10, 2 ** 10, K)) / 2.0 ** 8
-    else:
-        lr = np.sort(rng.uniform(-0.01, 0.01, K))
-    log_a = np.concatenate([[0.0], np.cumsum(lr)])
-    return WeightSequence("table", None, log_a)
-
-
-@settings(max_examples=80, deadline=None)
-@given(seq=sorted_tables(), data=st.data())
-def test_sampled_argmin_matches_whole_search(seq, data):
-    lr = np.diff(seq.log_m)
-    assume(np.all(np.diff(lr) >= 0.0))
-    assert seq.log_convex and seq._sample is not None
-    K = seq.K_max
-    k0 = data.draw(st.sampled_from([0, 1]), label="k0")
-    # caps inside one coarse interval, on its edges, or many blocks away
-    stop = data.draw(st.one_of(
-        st.none(), st.integers(k0, K),
-        st.integers(1, K // _STRIDE).map(lambda j: j * _STRIDE),
-        st.integers(1, K // _STRIDE).map(lambda j: min(j * _STRIDE + 1, K))),
-        label="stop")
-    at = st.integers(0, K - 1).map(lambda k: float(lr[k]))
-    c = np.array(data.draw(st.lists(st.one_of(
-        at,                                             # on an increment
-        at.map(lambda x: float(np.nextafter(x, np.inf))),
-        st.just(float(lr[k0]) - 1.0),                   # below lr[k0]
-        st.just(float(lr[-1]) + 1.0),                   # above the last
-        st.floats(float(lr[0]), float(lr[-1]))), min_size=1, max_size=12),
-        label="c"))
-    for shift_ties in (True, False):
-        assert_argmin_matches(seq, c, k0, stop, shift_ties)
-    assert_argmin_matches(seq, c.reshape(-1, 1), k0, stop, True)
-
-
-def test_sampled_argmin_matches_over_many_targets():
-    # more targets than one chunk of windows holds: on increments, between
-    # them and past both ends
-    seq = make_sequence("gevrey", s=1.5, K_max=3 * _BLOCK + 5)
-    lr = np.diff(seq.log_m)
-    assert seq._sample is not None
-    rng = np.random.default_rng(5)
-    c = np.concatenate([lr[rng.integers(0, lr.size, 600)],
-                        rng.uniform(lr[0] - 1.0, lr[-1] + 1.0, 600),
-                        [np.inf, -np.inf]])
-    for k0, stop in ((0, None), (1, None), (1, 2 * _BLOCK + 3), (1, 12)):
-        for shift_ties in (True, False):
-            # inf - inf: the shifted target of c = inf is a NaN
-            with np.errstate(invalid="ignore"):
-                assert_argmin_matches(seq, c, k0, stop, shift_ties)
-
-
 def test_table_convex_only_within_the_slack_takes_the_whole_search():
     # m_k = b^k: constant increments that rounding leaves unsorted by an
-    # ulp here and there, so the table has no sample and is diffed whole
-    K = 3 * _BLOCK + 7
+    # ulp here and there, so the search runs on the rounded increments
+    K = 49159
     log_m = np.arange(K + 1.0) * (np.log(2.0) / 2.0 ** 20)
-    seq = WeightSequence("table", None, log_m)
+    seq = table(log_m)
     lr = np.diff(log_m)
-    assert seq.log_convex and seq._sample is None
+    assert seq.log_convex
     assert np.any(np.diff(lr) < 0.0)
     c = np.concatenate([lr[::997], np.nextafter(lr[::991], 0.0),
                         [lr.min() - 1e-9, lr.max() + 1e-9]])
-    for k0, stop in ((0, None), (1, None), (1, 2 * _BLOCK + 3), (1, 12)):
+    for k0, stop in ((0, None), (1, None), (1, 32771), (1, 12)):
         for shift_ties in (True, False):
-            assert_argmin_matches(seq, c, k0, stop, shift_ties)
+            idx, hit = _argmin(seq, c, k0=k0, shift_ties=shift_ties,
+                               stop=stop)
+            want_idx, want_hit = searched(log_m, c, k0, stop, shift_ties)
+            assert same(idx, want_idx) and same(hit, want_hit)
+
+
+def gevrey_searched(a, target, k0, hi):
+    """The first k >= k0 whose float increment a log(k + 1) reaches
+    target, by np.searchsorted over every increment below hi."""
+    return k0 + np.searchsorted(a * np.log(np.arange(k0, hi) + 1), target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.floats(1.05, 3.0),
+       K=st.one_of(st.integers(8, 4096), st.sampled_from([1 << 16, 1 << 21])),
+       data=st.data())
+def test_closed_form_argmin_matches_searchsorted(s, K, data):
+    seq = make_sequence("gevrey", s=s, K_max=K)
+    k0 = data.draw(st.sampled_from([0, 1]), label="k0")
+    # a cap inside the range, at K_max, or none (K_max)
+    stop = data.draw(st.one_of(st.none(), st.just(K), st.integers(k0, K)),
+                     label="stop")
+    hi = K if stop is None else stop
+    for of_M, a in ((False, s - 1.0), (True, s)):
+        def lr(k):
+            return float(a * np.log(np.arange(k, k + 1) + 1)[0])
+        at = st.integers(0, K - 1).map(lr)
+        c = np.array(data.draw(st.lists(st.one_of(
+            at,                                         # on an increment
+            at.map(lambda x: float(np.nextafter(x, -np.inf))),
+            at.map(lambda x: float(np.nextafter(x, np.inf))),
+            st.just(lr(k0) - 1.0),                      # below the first
+            st.just(lr(K - 1) + 1.0),                   # past the last
+            st.floats(lr(0), lr(K - 1))), min_size=1, max_size=12),
+            label="c"))
+        for shift_ties in (True, False):
+            target = c - 1e-12 * (1.0 + np.abs(c)) if shift_ties else c
+            want = gevrey_searched(a, target, k0, hi)
+            idx, hit = _argmin(seq, c, k0=k0, shift_ties=shift_ties,
+                               stop=stop, of_M=of_M)
+            assert same(idx, want) and same(hit, want == K)
+        idx, _ = _argmin(seq, c.reshape(-1, 1), k0=k0, stop=stop, of_M=of_M)
+        assert same(idx, gevrey_searched(
+            a, c - 1e-12 * (1.0 + np.abs(c)), k0, hi).reshape(-1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 2_500_000), s=st.floats(1.05, 3.0))
+@example(k=2, s=2.0).via("lgamma(3) is 2 ulp below log 2")
+@example(k=1386, s=1.5).via("the old cumsum drifted by -5.5e-12 here")
+@example(k=249_999, s=1.5).via("and by +2.3e-9 here")
+def test_log_m_matches_mpmath_loggamma(k, s):
+    mpmath = pytest.importorskip("mpmath")
+    seq = make_sequence("gevrey", s=s, K_max=2_500_000)
+    with mpmath.workdps(40):
+        exact = mpmath.loggamma(k + 1)
+        for got, want in ((seq.log_m(k), (mpmath.mpf(s) - 1) * exact),
+                          (seq.log_M(k), mpmath.mpf(s) * exact)):
+            assert abs(got - want) <= 4 * EPS * abs(want)
 
 
 # ---------------------------------------------------------------- moment sums

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,15 @@ from carleman.weights import (
 
 def brute_log_terms(seq, r, variant):
     ks = np.arange(seq.K_max + 1)
+    log_m = seq.log_m(ks)
     if variant == "h":
-        return seq.log_m + ks * np.log(r)
-    return seq.log_m[1:] + (ks[1:] - 1) * np.log(r)
+        return log_m + ks * np.log(r)
+    return log_m[1:] + (ks[1:] - 1) * np.log(r)
+
+
+def least_r(seq) -> float:
+    """m_{K-1}/m_K, the least r whose argmin K_max certifies."""
+    return float(np.exp(-seq.increments(seq.K_max - 1, seq.K_max)[0]))
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +46,16 @@ def g15():
 
 # ---------------------------------------------------------------- construction
 
-def test_gevrey2_m_table_exact(g2):
-    assert g2.m[0] == 1.0
-    assert g2.m[1] == 1.0
-    assert g2.m[2] == 2.0
-    assert np.array_equal(g2.m[:8], [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0])
+def test_gevrey2_log_m_is_log_factorial(g2):
+    # m_k = k!: m_0 = m_1 = 1 exactly, the increments are log(k + 1) to
+    # the bit, and log m_k is math.lgamma(k + 1)
+    assert g2.log_m(0) == 0.0 and g2.log_m(1) == 0.0
+    assert np.array_equal(g2.increments(0, 7), np.log(np.arange(1.0, 8.0)))
+    assert np.array_equal(g2.log_m(np.arange(8)),
+                          [math.lgamma(k + 1.0) for k in range(8)])
+    assert np.allclose(np.exp(g2.log_m(np.arange(8))),
+                       [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0],
+                       rtol=1e-14, atol=0.0)
 
 
 def test_construction_validation():
@@ -60,24 +72,32 @@ def test_construction_validation():
 
 
 @pytest.mark.parametrize("s, K_max, k", [(1e308, 64, 4),
-                                         (1e303, 4 * weights._BLOCK, 20171),
+                                         (1e303, 65536, 20171),
                                          (np.inf, 64, 0)])
 def test_gevrey_exponent_whose_table_overflows_is_rejected(s, K_max, k):
-    # log m_k = (s - 1) log k! passes the largest float first at k, past
-    # the first block in the second case; inf * log 0! is a NaN
+    # log m_k = (s - 1) log k! passes the largest float first at k, far
+    # below K_max in the second case; inf * log 0! is a NaN
     with pytest.raises(ValueError, match=rf"log m_{k} is not finite$"):
         make_sequence("gevrey", s=s, K_max=K_max)
 
 
-def test_K_max_is_read_from_log_m():
-    log_m = make_sequence("gevrey", s=2.0, K_max=64).log_m.copy()
-    seq = WeightSequence("table", None, log_m)
-    assert seq.K_max == log_m.size - 1 == 64
-    # the constructor takes log_m alone, so no K_max can disagree with it
-    with pytest.raises(TypeError):
-        WeightSequence("table", 64, None, log_m)
-    with pytest.raises(TypeError):
-        WeightSequence("table", None, log_m, K_max=40)
+def test_table_length_must_match_K_max():
+    log_m = np.log(np.arange(1.0, 66.0))
+    assert WeightSequence("table", None, 64, log_m).K_max == 64
+    # a table one entry short or long of K_max + 1 is refused
+    for K in (40, 63, 65):
+        with pytest.raises(ValueError, match=f"needs {K + 1} entries, got 65"):
+            WeightSequence("table", None, K, log_m)
+
+
+def test_gevrey_sequence_holds_no_array():
+    # a Gevrey sequence keeps s and K_max and reads the rest in closed form
+    seq = make_sequence("gevrey", s=1.5, K_max=2 ** 40)
+    assert seq.table is None and seq.K_max == 2 ** 40
+    assert [type(v) for v in vars(seq).values()
+            if isinstance(v, np.ndarray)] == []
+    assert seq.log_m(2 ** 40) == pytest.approx(
+        0.5 * math.lgamma(2.0 ** 40 + 1.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
@@ -90,91 +110,78 @@ def test_non_finite_table_value_is_rejected(bad):
         make_sequence("table", K_max=8, values=values[:8] + [40320.0, bad])
 
 
-def test_tables_are_read_only(g2):
-    # the increments are taken from log_m on every call and never kept
-    assert np.array_equal(g2.increments(), np.diff(g2.log_m))
-    assert np.array_equal(g2.increments(5, 9), np.diff(g2.log_m)[5:9])
-    assert g2.increments() is not g2.increments()
-    for arr in (g2.m, g2.log_m, g2.log_M):
+def test_tables_are_read_only():
+    # a table's increments are taken from it on every call and never kept
+    seq = _bumpy_table()
+    assert np.array_equal(seq.increments(5, 9), np.diff(seq.table)[5:9])
+    assert seq.increments(0, 16) is not seq.increments(0, 16)
+    seq.log_M(0)
+    for arr in (seq.table, seq._log_M):
         with pytest.raises(ValueError):
             arr[0] = 0.5
 
 
-def test_m_is_built_once_on_first_use():
-    seq = make_sequence("gevrey", s=2.0, K_max=64)
-    assert "m" not in vars(seq)                 # nothing built up front
-    assert seq.m is seq.m
-
-
 def test_table_build_keeps_one_array_and_checks_in_blocks():
-    # a 2^21-entry Gevrey table keeps log_m and no other whole-length
-    # array, only a sample of every 64th increment; its regularity check
-    # and c_bound go a block at a time
+    # a Gevrey sequence is built and checked in closed form: at
+    # K_max = 2^21 neither holds an array of that length, even for a moment
+    tracemalloc.start()
+    try:
+        seq = make_sequence("gevrey", 1.5, 2 ** 21)
+        rep = check_regularity(seq)
+        c = seq.c_bound
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and c == 2.0 ** 0.5
+    assert peak < 2 ** 20, f"build and check peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_envelope_log_table_keeps_one_more_array():
+    # a table's log M_k is built on first use: reading it keeps its own
+    # array and no log(k!) beside it
+    K = 2 ** 16
+    values = np.random.default_rng(K).lognormal(0.0, 2.0, K + 1)
+    seq = make_sequence("table", values=values)
+    tracemalloc.start()
+    try:
+        seq.log_M(0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * (K + 1) + 2 ** 12, \
+        f"log_M keeps {held / 2 ** 20:.2f} MiB"
+
+
+def test_queries_on_a_large_table_hold_no_table_length_array():
+    # a Gevrey sequence at K_max = 2^21 holds no array of that length from
+    # its build through every query: together they peak under 1 MiB
     K = 2 ** 21
     tracemalloc.start()
     try:
         seq = make_sequence("gevrey", 1.5, K)
-        build_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        rep = check_regularity(seq)
-        c = seq.c_bound
-        check_peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert rep.passed and c == pytest.approx(2.0 ** 0.5, rel=1e-12)
-    assert build_peak <= 8 * (K + 1) + 2 ** 20, \
-        f"build peak {build_peak / 2 ** 20:.1f} MiB"
-    assert check_peak < 2 ** 20, f"check peak {check_peak / 2 ** 20:.2f} MiB"
-    assert seq._sample.size == K // weights._STRIDE
-
-
-def test_envelope_log_table_keeps_one_more_array():
-    # log_M is filled a block at a time from log_m and the blocks of
-    # log(k!): reading it keeps its own array and no log(k!) beside it
-    K = 2 ** 21
-    seq = make_sequence("gevrey", 1.5, K)
-    tracemalloc.start()
-    try:
-        seq.log_M
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held <= 8 * (K + 1) + 2 ** 20, \
-        f"log_M keeps {held / 2 ** 20:.1f} MiB"
-    assert not hasattr(seq, "lfact")
-
-
-def test_queries_on_a_large_table_hold_no_table_length_array():
-    # h, h1, capped N and the absorption fit take the increments they
-    # read from log_m: none of them holds an array of the table's length
-    K = 2 ** 21
-    seq = make_sequence("gevrey", 1.5, K)
-    r = np.geomspace(float(np.exp(-seq.increments(K - 1)[0])) * 1.02, 3.0, 50)
-    tracemalloc.start()
-    try:
+        assert check_regularity(seq).passed
+        r = np.geomspace(least_r(seq) * 1.02, 3.0, 50)
         assoc(seq, "h", r)
         assoc(seq, "h1", r)
         bigN_capped(seq, r, 12)
         bigN_capped(seq, r, K)
         absorption_fit(seq, 1, r[:40])
+        fbi_envelope(seq, [0.5, 1.0, 2.0], np.geomspace(4.0, 1e4, 20))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20, f"query peak {peak / 2 ** 20:.2f} MiB"
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_envelope_log_table_is_built_once_on_first_use():
-    seq = make_sequence("gevrey", s=2.0, K_max=64)
-    assert "log_M" not in vars(seq)             # nothing built up front
-    fbi_envelope(seq, [0.5, 1.0], np.geomspace(4.0, 64.0, 12))
-    log_M, sample = seq.log_M, seq._log_M_sample
     lfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 65)))])
-    assert np.array_equal(log_M, seq.log_m + lfact)
-    # the envelope keeps a sample of the increments of log_M, not them
-    assert np.array_equal(sample, np.diff(log_M)[::weights._STRIDE])
+    seq = make_sequence("table", values=np.exp(2.0 * lfact))   # (k!)^2
+    assert "_log_M" not in vars(seq)            # nothing built up front
+    fbi_envelope(seq, [0.5, 1.0], np.geomspace(4.0, 64.0, 12))
+    log_M = seq._log_M
+    assert np.array_equal(log_M, seq.table + lfact)
     envelope_certified(seq, 1.0, 64.0)
-    assert seq.log_M is log_M and seq._log_M_sample is sample
+    assert seq._log_M is log_M
     with pytest.raises(ValueError):
         log_M[0] = 0.5
 
@@ -217,14 +224,14 @@ def test_bigN_gevrey2_intervals(g2):
 def test_bigN_at_ratio_breakpoints(g2):
     # N(m_n/m_{n+1}) = n, the subsequence property, ties to the least index
     for n in range(1, 11):
-        r = g2.m[n] / g2.m[n + 1]
+        r = float(np.exp(g2.log_m(n) - g2.log_m(n + 1)))
         assert bigN(g2, r) == n
 
 
 def test_brute_force_agreement(g2, g15):
     rng = np.random.default_rng(11)
     for seq in (g2, g15):
-        r_lo = float(np.exp(-(seq.increments()[-1])))  # smallest certified r
+        r_lo = least_r(seq)                     # smallest certified r
         for r in np.exp(rng.uniform(np.log(r_lo * 1.01), np.log(3.0), 200)):
             got_h = assoc(seq, "h", r)
             want_h = np.exp(brute_log_terms(seq, r, "h").min())
@@ -289,7 +296,7 @@ def test_nonconvex_table_brute_path():
 
 def test_identity_h_equals_r_h1(g2, g15):
     for seq in (g2, g15):
-        r_lo = float(np.exp(-seq.increments()[-1])) * 1.02
+        r_lo = least_r(seq) * 1.02
         r = np.geomspace(r_lo, 1.0, 40)
         h = assoc(seq, "h", r)
         h1 = assoc(seq, "h1", r)
@@ -321,6 +328,7 @@ def test_guard_small_r():
 
 def test_lemma_mk_rk(g2):
     # m_k r^k <= m_n r^n for n <= k <= N(r)
+    m = np.exp(g2.log_m(np.arange(g2.K_max + 1)))
     rng = np.random.default_rng(42)
     for _ in range(1000):
         r = float(np.exp(rng.uniform(np.log(1.0 / 64), 0.0)))
@@ -329,7 +337,7 @@ def test_lemma_mk_rk(g2):
             continue
         k = int(rng.integers(0, N + 1))
         n = int(rng.integers(0, k + 1))
-        assert g2.m[k] * r ** k <= g2.m[n] * r ** n
+        assert m[k] * r ** k <= m[n] * r ** n
 
 
 # ---------------------------------------------------------------- regularity
@@ -384,7 +392,7 @@ def test_envelope_spec_values(g2):
 def test_envelope_brute(g2):
     rng = np.random.default_rng(5)
     ks = np.arange(g2.K_max + 1)
-    M = np.exp(g2.log_M)
+    M = np.exp(g2.log_M(ks))
     for _ in range(50):
         A = float(np.exp(rng.uniform(-2, 2)))
         # keep the minimizer ~ sqrt(lam/A) inside the table
@@ -452,7 +460,8 @@ def test_absorption_fit_overflow_is_fit_failure():
 def test_round_trip_json(g2):
     back = make_sequence(**json.loads('{"kind": "gevrey", "s": 2.0}'))
     assert back.kind == "gevrey" and back.s == 2.0 and back.K_max == 64
-    assert np.array_equal(back.log_m, g2.log_m)
+    ks = np.arange(65)
+    assert np.array_equal(back.log_m(ks), g2.log_m(ks))
 
     K = 12
     lfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, K + 1)))])
@@ -461,7 +470,7 @@ def test_round_trip_json(g2):
     d = {"kind": "table", "values": [float(v) for v in values]}
     back = make_sequence(**json.loads(json.dumps(d)))
     assert back.kind == "table" and back.K_max == K
-    assert np.allclose(back.log_m, tab.log_m, rtol=1e-12)
+    assert np.allclose(back.table, tab.table, rtol=1e-12)
 
 
 # ------------------------------------------------------- property-based check
@@ -547,42 +556,44 @@ def test_bigN_capped_rejects_nonpositive_r(r):
             bigN_capped(seq, r, 6)
 
 
-NAN = float("nan")
+# each call with a bad value x in one argument, and that argument's name
+REFUSING_CALLS = {
+    "h": (lambda seq, x: assoc(seq, "h", x), "r"),
+    "h1": (lambda seq, x: assoc(seq, "h1", x), "r"),
+    "h1-row": (lambda seq, x: assoc(seq, "h1", [0.5, x]), "r"),
+    "bigN": (lambda seq, x: bigN(seq, x), "r"),
+    "capped": (lambda seq, x: bigN_capped(seq, x, 12), "r"),
+    "envelope-lambda": (lambda seq, x: fbi_envelope(seq, 1.0, x), "lambda"),
+    "envelope-A": (lambda seq, x: fbi_envelope(seq, x, 16.0), "A"),
+    "envelope-levels": (lambda seq, x: fbi_envelope(seq, [1.0, x], 16.0),
+                        "A"),
+    "certified": (lambda seq, x: envelope_certified(seq, 1.0, x), "lambda"),
+    "absorption": (lambda seq, x: absorption_fit(seq, 1, [0.5, x]), "r"),
+}
 
 
-@pytest.mark.parametrize("call, name", [
-    pytest.param(lambda seq: assoc(seq, "h", NAN), "r", id="h"),
-    pytest.param(lambda seq: assoc(seq, "h1", NAN), "r", id="h1"),
-    pytest.param(lambda seq: assoc(seq, "h1", [0.5, NAN]), "r", id="h1-row"),
-    pytest.param(lambda seq: bigN(seq, NAN), "r", id="bigN"),
-    pytest.param(lambda seq: bigN_capped(seq, NAN, 12), "r", id="capped"),
-    pytest.param(lambda seq: fbi_envelope(seq, 1.0, NAN), "lambda",
-                 id="envelope-lambda"),
-    pytest.param(lambda seq: fbi_envelope(seq, NAN, 16.0), "A",
-                 id="envelope-A"),
-    pytest.param(lambda seq: fbi_envelope(seq, [1.0, NAN], 16.0), "A",
-                 id="envelope-levels"),
-    pytest.param(lambda seq: envelope_certified(seq, 1.0, NAN), "lambda",
-                 id="certified"),
-    pytest.param(lambda seq: absorption_fit(seq, 1, [0.5, NAN]), "r",
-                 id="absorption"),
-])
-def test_nan_argument_is_refused_as_not_positive(g2, call, name):
-    # a NaN fails every comparison, so it is refused with r <= 0, not
-    # sent on to the argmin to come back as 0, 1.0, False or a guard
-    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
-        call(g2)
+@pytest.mark.parametrize("call, name, bad", [
+    pytest.param(call, name, bad, id=key + suffix)
+    for suffix, bad in (("", float("nan")), ("+inf", float("inf")))
+    for key, (call, name) in REFUSING_CALLS.items()])
+def test_nan_argument_is_refused_as_not_positive(g2, call, name, bad):
+    # a NaN fails every comparison and an inf has no argmin short of
+    # infinity, so both are refused with r <= 0, not sent on to the argmin
+    # to come back as 0, 1.0, NaN, False or a guard
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                       "finite$"):
+        call(g2, bad)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seq=log_convex_tables(), u=st.floats(min_value=0.01, max_value=0.99))
 def test_bigN_matches_brute_on_random_tables(seq, u):
     # map u into the certified range (above the last breakpoint)
-    r_lo = min(1.0, float(np.exp(-seq.increments()[-1]))) * 1.02
+    r_lo = min(1.0, least_r(seq)) * 1.02
     r = r_lo + (0.999 - r_lo) * u
     if r <= 0 or r >= 1:
         return
-    terms = seq.log_m[1:] + (np.arange(1, seq.K_max + 1) - 1) * np.log(r)
+    terms = seq.table[1:] + (np.arange(1, seq.K_max + 1) - 1) * np.log(r)
     want = 1 + int(np.argmin(terms))
     got = bigN(seq, r)
     # both must attain the same minimum value (ties may differ in index)
@@ -649,8 +660,32 @@ def oracle_rs(mp, seq, log_m):
     return rs + breaks + [floor * (1 + 1e-9), floor * (1 - 1e-9)], breaks
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+def assert_breakpoint_matches_mpmath(mp):
+    """Gevrey 1.5 at K_max = 2^21 and r = 2e-3, where r^-2 = 250000 puts r
+    on a breakpoint: the least argmin in exact arithmetic is 249999.  The
+    oracle scans the indices around it alone: the terms fall into that
+    window and rise out of it, and log m_k is convex, so the least argmin
+    over the window is the least over the sequence."""
+    seq = make_sequence("gevrey", s=1.5, K_max=2 ** 21)
+    r, ks = 2e-3, range(249_990, 250_010)
+    t = mp.log(mp.mpf(r))
+    log_m = [mp.mpf(0.5) * mp.loggamma(k + 1) for k in ks]
+    for shift, variant in ((0, "h"), (1, "h1")):
+        terms = [lm + (k - shift) * t for k, lm in zip(ks, log_m)]
+        assert terms[0] > terms[1] and terms[-1] > terms[-2]
+        n, low, _ = mp_argmin(terms)
+        assert ks[n] == 249_999
+        assert assoc(seq, variant, r) == pytest.approx(float(mp.exp(low)),
+                                                       rel=ORACLE_RTOL)
+    assert bigN(seq, r) == 249_999
+    assert bigN_capped(seq, r, seq.K_max) == 249_999
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES) + ["breakpoint"])
 def test_h_h1_N_match_mpmath(mp, name):
+    if name == "breakpoint":
+        assert_breakpoint_matches_mpmath(mp)
+        return
     seq = make_sequence(**ORACLE_TABLES[name])
     log_M = mp_log_M(mp, ORACLE_TABLES[name])
     log_m = [lM - mp.loggamma(k + 1) for k, lM in enumerate(log_M)]
