@@ -18,10 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-# roots_legendre imports scipy.linalg on its first call: load it with this
-# module, so the first make_kernel pays for no import
-import scipy.linalg  # noqa: F401
-from scipy.special import roots_legendre
 
 from .errors import (ArityMismatch, FitFailed, GuardExceeded,
                      QuadratureTooCoarse)
@@ -32,6 +28,58 @@ from .weights import WeightSequence, _FIT_CAP, assoc, bigN_capped, snap_up
 
 # ---------------------------------------------------------------------------
 # the disk kernel
+
+# The 64-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
+# weights, each float as scipy.special.roots_legendre(64) returns it.  That
+# rule is symmetrized, so its negative half is the exact mirror image.
+_GL64_NODES = (
+    0.024350292663424374, 0.07299312178779904, 0.12146281929612057,
+    0.16964442042399283, 0.21742364374000703, 0.2646871622087674,
+    0.3113228719902109, 0.3572201583376682, 0.4022701579639916,
+    0.44636601725346414, 0.489403145707053, 0.5312794640198946,
+    0.5718956462026339, 0.6111553551723933, 0.6489654712546573,
+    0.6852363130542332, 0.7198818501716109, 0.7528199072605319,
+    0.7839723589433414, 0.8132653151227975, 0.8406292962525803,
+    0.8659993981540928, 0.889315445995114, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538,
+    0.973326827789911, 0.983336253884626, 0.9910133714767442,
+    0.9963401167719552, 0.9993050417357721,
+)
+_GL64_WEIGHTS = (
+    0.04869095700913963, 0.04857546744150339, 0.048344762234802906,
+    0.04799938859645825, 0.047540165714830315, 0.046968182816209854,
+    0.046284796581314465, 0.04549162792741793, 0.04459055816375637,
+    0.04358372452932331, 0.04247351512365328, 0.041262563242623396,
+    0.03995374113272041, 0.038550153178615335, 0.03705512854024002,
+    0.03547221325688267, 0.03380516183714145, 0.03205792835485138,
+    0.03023465707240202, 0.028339672614259487, 0.026377469715054197,
+    0.024352702568710975, 0.022270173808383264, 0.020134823153530858,
+    0.017951715775696795, 0.01572603047602452, 0.013463047896718951,
+    0.011168139460130634, 0.0088467598263635, 0.006504457968979944,
+    0.00414703326056217, 0.0017832807216983117,
+)
+
+
+def _mirrored(half, sign: float) -> np.ndarray:
+    """The read-only array sign * half[::-1] followed by half."""
+    half = np.array(half)
+    out = np.concatenate((sign * half[::-1], half))
+    out.flags.writeable = False
+    return out
+
+
+_GL_NODES = _mirrored(_GL64_NODES, -1.0)
+_GL_WEIGHTS = _mirrored(_GL64_WEIGHTS, 1.0)
+
+
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1]:
+    the read-only table at n = 64, scipy's roots_legendre otherwise."""
+    if n == _GL_NODES.size:
+        return _GL_NODES, _GL_WEIGHTS
+    from scipy.special import roots_legendre
+    return roots_legendre(n)
+
 
 def _bump_profile(s):
     """exp(-1/(1-s)) for s < 1, else 0; s = |w|^2/eps^2."""
@@ -60,7 +108,8 @@ _E2_1 = 0.14849550677592205
 def make_kernel(epsilon: float = 0.5, n_r: int = 64,
                 n_theta: int = 64) -> DiskKernel:
     """Gauss-Legendre (radius) x trapezoid (angle) nodes on |w| <= epsilon
-    with the normalized bump weight.
+    with the normalized bump weight.  The default n_r = 64 reads the
+    tabulated rule and loads no scipy module.
 
     The bump is normalized in closed form: with u = 1/(1 - (r/eps)^2),
     int_0^eps e^{-1/(1-(r/eps)^2)} r dr = eps^2 E_2(1) / 2.
@@ -71,7 +120,7 @@ def make_kernel(epsilon: float = 0.5, n_r: int = 64,
     """
     if not 0.0 < epsilon < 1.0 or n_theta < 1:
         raise ValueError("epsilon must lie in (0, 1) and n_theta be positive")
-    xg, wg = roots_legendre(n_r)
+    xg, wg = _gauss_legendre(n_r)
     rr = 0.5 * epsilon * (xg + 1.0)
     wr = 0.5 * epsilon * wg
 

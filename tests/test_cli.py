@@ -308,6 +308,20 @@ def test_extend_flatness_report(tmp_path):
             assert ratio == pytest.approx(sup / (res["A"] * h), rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the x stencil of step 1e-4 reads about 1.4e-8 where "
+    "the series has ended and L U is roundoff"))
+def test_extend_reads_no_flatness_where_the_series_ends(tmp_path):
+    # the datum is a polynomial of degree 6, so its series ends at u_6 and
+    # L U is roundoff wherever no node truncates it: the 8 rows t <= 0.031
+    rc, out = run(tmp_path, ["extend"], EXTEND_CFG)
+    assert rc == 0
+    _, rows = read_csv(out / "extend.csv")
+    early = [float(sup) for t, sup, _, _ in rows if float(t) <= 0.031]
+    assert len(early) == 8
+    assert max(early) <= 1e-15
+
+
 def test_extend_t_grid_beyond_delta_is_config_error(tmp_path, capsys):
     # criterion-4 datum sum (-c)^j x^(2j) at c = 2: the growth fit gives
     # delta ~ 1.5e-4, below the default t floor of 1e-3

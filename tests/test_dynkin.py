@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from carleman import dynkin
 from carleman.dynkin import (ApproxSolution, almost_analytic_extend,
@@ -102,6 +103,45 @@ def test_default_kernel_equals_the_quad_normalized_kernel(kernel,
     old = make_kernel(epsilon=0.5, n_r=64, n_theta=64)
     assert np.array_equal(kernel.nodes, old.nodes)
     assert np.array_equal(kernel.weights, old.weights)
+
+
+def test_tabulated_rule_is_scipys_rule_bit_for_bit(kernel, monkeypatch):
+    nodes, weights = dynkin._gauss_legendre(64)
+    want_nodes, want_weights = roots_legendre(64)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    for n in (1, 32, 128):
+        got = dynkin._gauss_legendre(n)
+        assert [a.tobytes() for a in got] == \
+            [a.tobytes() for a in roots_legendre(n)]
+
+    monkeypatch.setattr(dynkin, "_gauss_legendre", roots_legendre)
+    scipys = make_kernel(epsilon=0.5, n_r=64, n_theta=64)
+    assert kernel.nodes.tobytes() == scipys.nodes.tobytes()
+    assert kernel.weights.tobytes() == scipys.weights.tobytes()
+    for table in (nodes, weights):
+        assert not np.shares_memory(table, kernel.nodes)
+        assert not np.shares_memory(table, kernel.weights)
+
+
+def test_tabulated_rule_matches_a_40_digit_rule():
+    # nodes are the roots of P_64, weights 2 (1 - x^2) / (64 P_63(x))^2;
+    # scipy's weights are up to 8664 ulp off, so the weight bound is loose
+    nodes, weights = dynkin._gauss_legendre(64)
+    assert np.array_equal(nodes[:32], -nodes[:31:-1])
+    assert np.array_equal(weights[:32], weights[:31:-1])
+    with mpmath.workdps(40):
+        for x, w in zip(nodes[32:], weights[32:]):
+            root = mpmath.findroot(lambda y: mpmath.legendre(64, y),
+                                   mpmath.mpf(float(x)))
+            exact_w = 2 * (1 - root ** 2) / (
+                64 ** 2 * mpmath.legendre(63, root) ** 2)
+            assert abs(mpmath.mpf(float(x)) - root) <= 1.45e-16
+            assert abs(mpmath.mpf(float(w)) - exact_w) <= 1.06e-12 * exact_w
+    for k in range(127):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(weights * nodes ** k) - exact) <= 5e-15
 
 
 # ---------------------------------------------------------------------------
