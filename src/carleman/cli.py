@@ -559,9 +559,8 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _scan_payload(scan, seq, a_threshold: float, floor_rel: float):
-    from .weights import fbi_envelope
-    env = np.maximum(fbi_envelope(seq, a_threshold, scan.lambdas), floor_rel)
+def _scan_payload(scan, floor_rel: float):
+    env = np.maximum(scan.envelope, floor_rel)
     failed = set(scan.failed_indices)
     rows = [(j, *[float(c) for c in om], float(lam), float(f), float(e),
              j not in failed)
@@ -594,8 +593,7 @@ def _cmd_fbi(args) -> int:
         raise _bad("x0", f"a list of {gf.dim} numbers", raw["x0"])
     scan = wavefront_scan(gf, x0, seq, scfg)
 
-    table, summary = _scan_payload(scan, seq, scfg.a_threshold,
-                                   scfg.floor_rel)
+    table, summary = _scan_payload(scan, scfg.floor_rel)
     write_payload(args, raw, summary, table)
     return 0
 
@@ -603,6 +601,8 @@ def _cmd_fbi(args) -> int:
 def _cmd_wf_experiment(args) -> int:
     from .fixtures import WAVE_SOLUTIONS
     from .pde import RhsModel, wf_inclusion_experiment
+    if args.fixture and args.config is not None:
+        raise ConfigError("--fixture and --config exclude each other")
     raw, cfg = _load_config(args, args.fixture and {
         "solution": {"fixture": args.fixture}})
     solution = WAVE_SOLUTIONS[cfg["solution"]["fixture"]]
@@ -619,8 +619,7 @@ def _cmd_wf_experiment(args) -> int:
     except (ArityMismatch, ValueError) as e:
         raise ConfigError(f"bad wf-experiment config: {e}")
 
-    table, summary = _scan_payload(rep.scan, seq, scfg.a_threshold,
-                                   scfg.floor_rel)
+    table, summary = _scan_payload(rep.scan, scfg.floor_rel)
     ok = bool(rep.included.all())
     results = {"pass": ok, "n": rep.n,
                "a0": [[float(v.real), float(v.imag)] for v in rep.a0],
@@ -636,14 +635,12 @@ def _cmd_wf_experiment(args) -> int:
 
 def _cmd_acceptance(args) -> int:
     from . import acceptance
-    if args.all:
-        numbers = sorted(acceptance.CRITERIA)
-    elif args.config is not None:
-        numbers = _load_config(args)[1]["criteria"]
-        if not numbers:
-            raise ConfigError("acceptance config selects no criteria")
-    else:
-        raise ConfigError("acceptance needs --all or --config")
+    if args.all == (args.config is not None):
+        raise ConfigError("acceptance needs one of --all and --config")
+    numbers = sorted(acceptance.CRITERIA) if args.all \
+        else _load_config(args)[1]["criteria"]
+    if not numbers:
+        raise ConfigError("acceptance config selects no criteria")
     try:
         results = acceptance.run_all(numbers)
     except ValueError as e:

@@ -381,16 +381,13 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
     return DecayReport(bool(ok.any()), A_fit)
 
 
-def decay_margin(lambdas, samples, seq: WeightSequence, A: float,
-                 lambda_min: float) -> float:
-    """max over the tail of log|F| - log E(A, lambda): positive means the
-    samples poke above the envelope at level A."""
-    lams = np.asarray(lambdas, dtype=float)
-    mags = np.abs(np.asarray(samples))
-    tail = _tail(lams, lambda_min)
-    env = fbi_envelope(seq, A, lams[tail])
+def decay_margin(samples, envelope, tail) -> np.ndarray:
+    """Per row of |F| samples, the max over the tail mask of log|F| -
+    log E, E the envelope at those lambdas: positive where the row pokes
+    above it."""
     with np.errstate(divide="ignore"):
-        return float(np.max(np.log(mags[tail]) - np.log(env)))
+        return np.max(np.log(samples[:, tail]) - np.log(envelope[tail]),
+                      axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +395,31 @@ def decay_margin(lambdas, samples, seq: WeightSequence, A: float,
 
 @dataclass
 class ScanConfig:
+    """Settings of a wave front scan: lambdas as a float array, lambda_min
+    by default the start of the top third of their log range.  ValueError,
+    one message per setting, for a scan that classifies nothing."""
     n_directions: int = 64
     lambdas: np.ndarray = field(
         default_factory=lambda: np.geomspace(4.0, 64.0, 12))
     a_threshold: float = 1.0
     floor_rel: float = 1e-11
-    lambda_min: float | None = None      # default: top third of the log range
+    lambda_min: float | None = None
 
     def __post_init__(self):
-        """ValueError for a scan that classifies nothing."""
-        lams = np.asarray(self.lambdas, dtype=float)
-        top = self.lambda_min is None or np.any(_tail(lams, self.lambda_min))
-        if self.n_directions < 1 or not self.a_threshold > 0.0 or \
-                not (lams.size and np.all(lams > 0.0)) or not top:
-            raise ValueError("a scan needs n_directions >= 1, a_threshold > "
-                             "0, lambdas > 0 and one at or above lambda_min")
+        self.lambdas = lams = np.asarray(self.lambdas, dtype=float)
+        if self.n_directions < 1:
+            raise ValueError(f"n_directions {self.n_directions} is below 1")
+        if not self.a_threshold > 0.0:
+            raise ValueError(f"a_threshold {self.a_threshold:g} is not > 0")
+        if not (lams.size and np.all(lams > 0.0)):
+            raise ValueError("lambdas must be one or more values > 0")
+        if self.lambda_min is None:
+            llo, lhi = np.log(lams.min()), np.log(lams.max())
+            self.lambda_min = np.exp(llo + (2.0 / 3.0) * (lhi - llo))
+        self.lambda_min = float(self.lambda_min)
+        if not np.any(_tail(lams, self.lambda_min)):
+            raise ValueError(f"no lambda at or above lambda_min = "
+                             f"{self.lambda_min:g}")
 
 
 @dataclass
@@ -425,6 +432,7 @@ class ScanReport:
     failed_indices: list         # every direction whose fit exceeds threshold
     singular_indices: list       # per contiguous band, the peak direction
     lambda_min: float
+    envelope: np.ndarray         # E(a_threshold, lambda) at each lambda
 
 
 def _circle_directions(n: int) -> np.ndarray:
@@ -468,17 +476,19 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
     """Classify FBI decay over a fan of directions at one base point.
 
     Samples are normalized by their global max so the classification sees
-    relative decay, and the fit only weighs the top third of the lambda
-    range (in log), where the envelope has begun to separate regular from
-    singular directions; the angular response of the transform at the top
-    lambda is about 1/sqrt(lambda) wide, so a failed band spans several
-    neighbors and the per-band envelope-excess peak names the direction.
-    A two-dimensional fan in which every direction fails has no regular
-    direction to set a band against and raises NoRegularDirection.  A
-    transform that vanishes in every direction raises CarlemanError.
+    relative decay, and the fit only weighs the tail lambda >= lambda_min,
+    where the envelope has begun to separate regular from singular
+    directions; the angular response of the transform at the top lambda is
+    about 1/sqrt(lambda) wide, so a failed band spans several neighbors and
+    its peak excess over the threshold envelope E(a_threshold, lambda),
+    computed once per scan (GuardExceeded where the table does not certify
+    it), names the direction.  A two-dimensional fan in which every
+    direction fails has no regular direction to set a band against and
+    raises NoRegularDirection.  A transform that vanishes in every
+    direction raises CarlemanError.
     """
     cfg = config or ScanConfig()
-    lams = np.asarray(cfg.lambdas, dtype=float)
+    lams = cfg.lambdas
     if gf.dim == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif gf.dim == 2:
@@ -493,13 +503,7 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
                             "classify")
     samples = raw / norm
 
-    if cfg.lambda_min is None:
-        llo, lhi = np.log(lams.min()), np.log(lams.max())
-        lambda_min = float(np.exp(llo + (2.0 / 3.0) * (lhi - llo)))
-    else:
-        lambda_min = float(cfg.lambda_min)
-
-    reports = [decay_classify(lams, row, seq, lambda_min=lambda_min,
+    reports = [decay_classify(lams, row, seq, lambda_min=cfg.lambda_min,
                               floor_rel=cfg.floor_rel, scale=1.0)
                for row in samples]
     failed = [j for j, rep in enumerate(reports)
@@ -510,18 +514,14 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
             f"all {len(failed)} directions fail at a_threshold = "
             f"{cfg.a_threshold:g}, so the scan has no verdict")
 
-    singular = []
-    if gf.dim == 1:
-        # two opposite covectors, no angular smearing to peel apart
-        singular = list(failed)
-    else:
-        for band in _failed_bands(failed, dirs.shape[0]):
-            margins = [decay_margin(lams, samples[j], seq, cfg.a_threshold,
-                                    lambda_min) for j in band]
-            singular.append(band[int(np.argmax(margins))])
-
-    return ScanReport(dirs, lams, samples, norm, reports, failed,
-                      sorted(singular), lambda_min)
+    envelope = fbi_envelope(seq, cfg.a_threshold, lams)
+    margins = decay_margin(samples, envelope, _tail(lams, cfg.lambda_min))
+    # two opposite covectors in 1-D, no angular smearing to peel apart
+    singular = list(failed) if gf.dim == 1 else sorted(
+        band[int(np.argmax(margins[band]))]
+        for band in _failed_bands(failed, dirs.shape[0]))
+    return ScanReport(dirs, lams, samples, norm, reports, failed, singular,
+                      cfg.lambda_min, envelope)
 
 
 # ---------------------------------------------------------------------------

@@ -331,12 +331,12 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
     a0 = np.array([a[0, 0] for a in linearize(model, stencil)])
     cs = char_set(a0)
 
-    lams = (config or ScanConfig()).lambdas
-    top, half = float(np.max(lams)), 0.5 * float(np.max(hi - lo))
+    top = float(np.max((config or ScanConfig()).lambdas))
+    half = 0.5 * float(np.max(hi - lo))
     if n is None:
         n = min(guard_n(top, half, 0.5), GRID_N)
-    for lam in lams:                                # before the grid build
-        _check_steps((hi - lo) / (n - 1.0), 0.5 * (hi - lo), lam)
+    # before the grid build; the allowed step falls as lambda grows
+    _check_steps((hi - lo) / (n - 1.0), 0.5 * (hi - lo), top)
     m = max(math.ceil(n / _RESCAN), guard_n(top, half))
     scan = _certified_scan(u, (x0, t0), radius, n, m if m < n else n + 1,
                            seq, config)

@@ -1,5 +1,6 @@
-"""Per-level decay classification and the whole-array cutoff: the oracles
-for carleman.fbi.decay_classify and carleman.fixtures.smooth_step.
+"""Per-level decay classification, band peaks and the whole-array cutoff:
+the oracles for carleman.fbi.decay_classify, the singular directions of
+carleman.fbi.wavefront_scan and carleman.fixtures.smooth_step.
 
 decay_classify is the toolkit's first classification, kept as a plain
 function: it takes the minimum over the table of A^{k+1} M_k lam^{-k} once
@@ -7,8 +8,10 @@ per grid level A, from the smallest up, and stops at the first A whose
 minimum covers the tail.  It certifies nothing: where the minimizer sits on
 K_max with the terms still decreasing, that minimum only bounds the
 envelope from above.  certified tells those places apart from the terms.
-smooth_step is the toolkit's first cutoff: both exponentials over the whole
-array, clamped away from zero, then both ends overwritten.
+band_peaks reads each band of failed directions one direction at a time,
+against that same minimum at the threshold level.  smooth_step is the
+toolkit's first cutoff: both exponentials over the whole array, clamped
+away from zero, then both ends overwritten.
 """
 
 from __future__ import annotations
@@ -64,6 +67,38 @@ def decay_classify(lambdas, samples, seq: WeightSequence,
         if np.all(mt <= np.maximum(env, floor)):
             return DecayReport(True, float(A))
     return DecayReport(False, np.inf)
+
+
+def band_margins(samples, failed, seq: WeightSequence, A: float, lambdas,
+                 lambda_min: float) -> list:
+    """Per circular band of failed directions, in the order of its first
+    index, {direction: max over the tail lambda >= lambda_min of log|F| -
+    log partial_envelope(seq, A, lambda)}; samples holds one row of |F|
+    per direction."""
+    lams = np.asarray(lambdas, dtype=float)
+    tail = _tail(lams, lambda_min)
+    env = partial_envelope(seq, A, lams[tail])
+    n, fail = len(samples), set(failed)
+    # a band starts where its left neighbor passes; with none passing, the
+    # whole circle is one band from 0
+    starts = [j for j in sorted(fail) if (j - 1) % n not in fail] \
+        or sorted(fail)[:1]
+    bands = []
+    for j in starts:
+        band = [j]
+        while (band[-1] + 1) % n in fail and (band[-1] + 1) % n != j:
+            band.append((band[-1] + 1) % n)
+        with np.errstate(divide="ignore"):
+            bands.append({k: float(np.max(np.log(samples[k][tail])
+                                          - np.log(env))) for k in band})
+    return bands
+
+
+def band_peaks(samples, failed, seq: WeightSequence, A: float, lambdas,
+               lambda_min: float) -> list:
+    """The direction of largest margin in each band, sorted."""
+    return sorted(max(b, key=b.get) for b in band_margins(
+        samples, failed, seq, A, lambdas, lambda_min))
 
 
 def smooth_step(s):

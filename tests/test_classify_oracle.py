@@ -1,5 +1,6 @@
-"""decay_classify, fbi_envelope over an array of levels and smooth_step
-against the per-level loop and the whole-array cutoff in classify_oracle."""
+"""decay_classify, fbi_envelope over an array of levels, the band peaks of
+wavefront_scan and smooth_step against the per-level loop, the
+per-direction margins and the whole-array cutoff in classify_oracle."""
 
 import dataclasses
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import classify_oracle
 from carleman.errors import GuardExceeded
 from carleman.fbi import _A_GRID, _tail, decay_classify, wavefront_scan
-from carleman.fixtures import conormal_grid, holomorphic_grid, smooth_step
+from carleman.fixtures import (WAVE_SOLUTIONS, conormal_grid,
+                               holomorphic_grid, smooth_step, windowed_grid)
 from carleman.weights import envelope_certified, fbi_envelope, make_sequence
 
 _LAMS = np.geomspace(4.0, 64.0, 12)
@@ -195,6 +197,37 @@ def test_envelope_rows_equal_scalar_level_calls(name):
 def test_envelope_levels_must_be_positive():
     with pytest.raises(ValueError, match="A must be positive"):
         fbi_envelope(SEQS["gevrey-2"], np.array([1.0, 0.0]), 8.0)
+
+
+# ---------------------------------------------------------------------------
+# band peaks
+
+# windowed grids at the n wf-experiment derives, 368: the conormal kink at
+# two bases on its singular line, its mirror image and the kink plus an
+# entire term
+@pytest.mark.parametrize("u, base, want", [
+    pytest.param(WAVE_SOLUTIONS["conormal"].u, (-0.25, -0.25), [24, 56],
+                 id="conormal-low"),
+    pytest.param(WAVE_SOLUTIONS["conormal"].u, (0.25, 0.25), [24, 56],
+                 id="conormal-high"),
+    pytest.param(lambda x, t: np.abs(x + t) ** 3, (0.0, 0.0), [8, 40],
+                 id="mirror"),
+    pytest.param(lambda x, t: np.abs(x - t) ** 3 + 0.1 * np.exp(x - t),
+                 (0.0, 0.0), [24, 56], id="kink-plus-exp"),
+])
+def test_band_peaks_match_oracle(u, base, want):
+    seq = SEQS["gevrey-2"]
+    scan = wavefront_scan(windowed_grid(u, 368, base), base, seq)
+    args = (scan.samples, scan.failed_indices, seq, 1.0, _LAMS,
+            scan.lambda_min)
+    bands = classify_oracle.band_margins(*args)
+    assert len(bands) == 2 and all(len(b) > 1 for b in bands)
+    for band in bands:
+        # far above a last-bit difference between fbi_envelope and the
+        # oracle's minimum, so that cannot move the peak
+        second, first = sorted(band.values())[-2:]
+        assert first - second > 1e-9
+    assert scan.singular_indices == classify_oracle.band_peaks(*args) == want
 
 
 # ---------------------------------------------------------------------------

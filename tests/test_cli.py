@@ -18,7 +18,7 @@ from carleman import cli
 from carleman.fbi import GridFunction
 from carleman.fixtures import sign_grid
 from carleman.jets import jet_from_dict, jet_max_diff, jet_to_dict, jet_variable
-from carleman.weights import assoc, make_sequence
+from carleman.weights import assoc, fbi_envelope, make_sequence
 
 GEVREY2 = {"kind": "gevrey", "s": 2.0, "K_max": 64}
 
@@ -672,6 +672,18 @@ def test_acceptance_needs_selection(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["wf-experiment", "--fixture", "holomorphic"],
+    ["acceptance", "--all"],
+], ids=["wf-fixture", "acceptance-all"])
+def test_config_beside_its_alternative_flag_is_config_error(tmp_path, capsys,
+                                                            args):
+    # the config is never read, so even an unknown key would go unseen
+    rc, out = run(tmp_path, args, {"no_such_key": 1})
+    assert rc == 2 and one_line_error(capsys)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # driver plumbing
 
@@ -765,6 +777,34 @@ def _sign_scan(**scan):
 
 # shorter than EXTEND_CFG's series of n_max = 10 terms
 _SHORT_SEQ = {"kind": "gevrey", "s": 2.0, "K_max": 8}
+
+
+@pytest.mark.parametrize("command, cfg, name", [
+    pytest.param("fbi", _sign_scan(), "fbi", id="fbi-sign"),
+    pytest.param("fbi", _sign_scan(a_threshold=0.25, floor_rel=1e-5), "fbi",
+                 id="fbi-sign-floor"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, seq=GEVREY2),
+                 "wf-experiment", id="wf"),
+])
+def test_scan_payload_columns(tmp_path, command, cfg, name):
+    # envelope is max(E(a_threshold, lambda), floor_rel) bit for bit, and
+    # passed says whether the row's direction passed
+    rc, out = run(tmp_path, [command], cfg)
+    assert rc == 0
+    res = json.loads((out / f"{name}.json").read_text())["results"]
+    failed = res.get("scan", res)["failed_indices"]
+    header, rows = read_csv(out / f"{name}.csv")
+    col = {h: [row[i] for row in rows] for i, h in enumerate(header)}
+    lams = np.array([float(v) for v in col["lambda"]])
+    scan = cfg.get("scan", {})
+    want = np.maximum(fbi_envelope(make_sequence(**GEVREY2),
+                                   scan.get("a_threshold", 1.0), lams),
+                      scan.get("floor_rel", 1e-11))
+    assert np.array_equal(lams[:12], np.geomspace(4.0, 64.0, 12))
+    assert [float(v) for v in col["envelope"]] == want.tolist()
+    assert col["passed"] == ["false" if int(j) in failed else "true"
+                             for j in col["direction_index"]]
+    assert failed
 
 
 @pytest.mark.parametrize("command, cfg", [

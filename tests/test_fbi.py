@@ -9,8 +9,8 @@ import pytest
 
 import scan_oracle
 from carleman import fbi
-from carleman.errors import NoCone, NonFiniteSamples, NoRegularDirection, \
-    Undersampled
+from carleman.errors import GuardExceeded, NoCone, NonFiniteSamples, \
+    NoRegularDirection, Undersampled
 from carleman.fbi import (GridFunction, ScanConfig, _check_sampling,
                           _circle_directions, decay_classify,
                           fbi_direction_scan, phase_bound_check,
@@ -603,6 +603,38 @@ def test_2d_scan_without_a_regular_direction_raises(grids_384, g2):
     with pytest.raises(NoRegularDirection, match="all 64 directions fail"):
         wavefront_scan(grids_384["conormal"], [0.0, 0.0], g2,
                        ScanConfig(a_threshold=1e-3))
+
+
+def test_scan_below_the_certified_threshold_envelope_raises(g2):
+    # the table certifies levels from 2^-6 at lambda = 64, and every scan
+    # reads E(a_threshold, lambda), so a 1-D scan that bands nothing
+    # raises too
+    with pytest.raises(GuardExceeded, match="^envelope minimizer hit "
+                                            "K_max=64 at lambda="):
+        wavefront_scan(gaussian_grid(n=4096), 0.0, g2,
+                       ScanConfig(a_threshold=1e-3))
+
+
+def test_scan_config_resolves_the_tail():
+    cfg = ScanConfig(lambdas=[64.0, 4.0, 16.0])
+    assert cfg.lambdas.dtype == float
+    assert cfg.lambda_min == float(np.exp(np.log(4.0) + (2.0 / 3.0) * (
+        np.log(64.0) - np.log(4.0))))
+    assert ScanConfig(lambda_min=16).lambda_min == 16.0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_directions": 0}, "n_directions 0 is below 1"),
+    ({"a_threshold": 0.0}, "a_threshold 0 is not > 0"),
+    ({"a_threshold": float("nan")}, "a_threshold nan is not > 0"),
+    ({"lambdas": []}, "lambdas must be one or more values > 0"),
+    ({"lambdas": [0.0, 8.0]}, "lambdas must be one or more values > 0"),
+    ({"lambda_min": 100.0}, "no lambda at or above lambda_min = 100"),
+])
+def test_scan_config_names_what_it_refuses(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        ScanConfig(**kwargs)
+    assert str(exc.value) == message
 
 
 def test_sign_scan_fails_both_sides(g2):
