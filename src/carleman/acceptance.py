@@ -18,11 +18,11 @@ from . import fixtures
 from .dynkin import ApproxSolution, make_kernel, measure_flatness, \
     kernel_apply_poly
 from .fbi import decay_classify, fbi_direction_scan, phase_bound_check
-from .jets import VectorFieldJet, formal_solution, growth_fit, jet_add, \
-    jet_constant, jet_eval, jet_max_diff, jet_mul, jet_scale, jet_variable, \
-    residual_check
-from .pde import RhsModel, chain_identity_check, hamiltonian_apply, \
-    hamiltonian_lift, renormalize, wf_inclusion_experiment
+from .jets import VectorFieldJet, apply_coeffs, formal_solution, \
+    growth_fit, jet_add, jet_constant, jet_eval, jet_max_diff, jet_mul, \
+    jet_scale, jet_variable, residual_check
+from .pde import RhsModel, chain_identity_check, hamiltonian_lift, \
+    renormalize, wf_inclusion_experiment
 from .weights import absorption_fit, assoc, bigN, fbi_envelope, \
     make_sequence
 
@@ -205,7 +205,6 @@ def criterion_7() -> tuple:
     covectors of the linearized transport field; a holomorphic solution
     scans clean."""
     seq = make_sequence("gevrey", s=2.0, K_max=64)
-    step = 2.0 * np.pi / 64.0
 
     conormal = fixtures.WAVE_SOLUTIONS["conormal"]
     rep = wf_inclusion_experiment(RhsModel(conormal.rhs), conormal.u, seq)
@@ -216,9 +215,8 @@ def criterion_7() -> tuple:
     for j, cov in zip(rep.scan.singular_indices, rep.covectors):
         om = rep.scan.directions[j]
         best = max(float(om @ tgt) for tgt in targets)
-        near = near and best >= np.cos(step) - 1e-12
-    in_char = bool(len(rep.distances) == 2 and np.all(rep.distances
-                                                      <= step + 1e-12))
+        near = near and best >= np.cos(rep.step) - 1e-12
+    in_char = bool(len(rep.included) == 2 and rep.included.all())
 
     holo = fixtures.WAVE_SOLUTIONS["holomorphic"]
     hrep = wf_inclusion_experiment(RhsModel(holo.rhs), holo.u, seq)
@@ -287,8 +285,7 @@ def criterion_10() -> tuple:
 
     lifted = True
     for name, phi in phis.items():
-        val = complex(jet_eval(hamiltonian_apply(H, phi), x=0.3,
-                               zeta=[0.2, 0.4]))
+        val = complex(jet_eval(apply_coeffs(H, phi), x=0.3, zeta=[0.2, 0.4]))
         lifted = lifted and abs(val - expect[name]) <= 1e-12
 
     worst = 0.0

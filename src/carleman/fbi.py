@@ -191,8 +191,10 @@ def _check_steps(steps, half, lam: float):
 
 
 def _check_sampling(gf: GridFunction, x, lams):
-    """Oscillation and truncation guards at each |xi| in lams, in order;
-    NonFiniteSamples when a sample is NaN or infinite."""
+    """Oscillation guard at the largest |xi| in lams and truncation guard
+    at the smallest, the oscillation guard first: the allowed step falls
+    and the edge damping weakens as |xi| grows, so each is checked where
+    it is tightest.  NonFiniteSamples when a sample is NaN or infinite."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != gf.dim:
         raise ValueError(f"x has {x.size} components for a {gf.dim}-d grid")
@@ -210,14 +212,12 @@ def _check_sampling(gf: GridFunction, x, lams):
     if edge > 0.0:
         scale = max(scale, *(float(np.max(np.abs(v))) for v in blocks))
     dist = float(np.min(np.minimum(x - gf.lo, gf.hi - x)))
-    for lam in lams:
-        _check_steps(steps, half, lam)
-        with np.errstate(under="ignore"):
-            damping = np.exp(-lam * dist * dist)
-        if edge * damping > _BOUNDARY_TOL * scale:
-            raise Undersampled(
-                "integrand is not negligible at the box edge; enlarge the "
-                "box or add a cutoff")
+    _check_steps(steps, half, np.max(lams, initial=0.0))
+    with np.errstate(under="ignore"):
+        damping = np.exp(-np.min(lams, initial=np.inf) * dist * dist)
+    if edge * damping > _BOUNDARY_TOL * scale:
+        raise Undersampled("integrand is not negligible at the box edge; "
+                           "enlarge the box or add a cutoff")
     return x
 
 
@@ -411,6 +411,10 @@ class ScanConfig:
             raise ValueError(f"n_directions {self.n_directions} is below 1")
         if not self.a_threshold > 0.0:
             raise ValueError(f"a_threshold {self.a_threshold:g} is not > 0")
+        if not math.isfinite(self.a_threshold):
+            raise ValueError(f"a_threshold {self.a_threshold:g} is not finite")
+        if not 0.0 <= self.floor_rel < 1.0:
+            raise ValueError(f"floor_rel {self.floor_rel:g} is outside [0, 1)")
         if not (lams.size and np.all(lams > 0.0)):
             raise ValueError("lambdas must be one or more values > 0")
         if self.lambda_min is None:
@@ -507,7 +511,7 @@ def wavefront_scan(gf: GridFunction, x, seq: WeightSequence,
                               floor_rel=cfg.floor_rel, scale=1.0)
                for row in samples]
     failed = [j for j, rep in enumerate(reports)
-              if not rep.passed or rep.A_fit > cfg.a_threshold]
+              if rep.A_fit > cfg.a_threshold]
 
     if gf.dim == 2 and len(failed) == dirs.shape[0]:
         raise NoRegularDirection(

@@ -314,7 +314,7 @@ class FormalSeries:
     residuals: list = field(default=None, init=False, repr=False)
 
 
-def _apply_coeffs(L: VectorFieldJet, p: Jet) -> Jet:
+def apply_coeffs(L: VectorFieldJet, p: Jet) -> Jet:
     """sum_i a_i dp/dx_i + sum_j b_j dp/dzeta_j (no time derivative)."""
     out = jet_constant(0.0, p.n_x, p.n_zeta, p.degree, p.base_x, p.base_zeta)
     for i, ai in enumerate(L.a):
@@ -340,7 +340,7 @@ def formal_solution(L: VectorFieldJet, f: Jet, n_max: int) -> FormalSeries:
     u = [f]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_max + 1):
-            u.append(jet_scale(_apply_coeffs(L, u[-1]), -1.0 / k))
+            u.append(jet_scale(apply_coeffs(L, u[-1]), -1.0 / k))
             if not np.isfinite(u[-1].data).all():
                 raise ValueError(f"u_{k} overflows the float range")
     return FormalSeries(L, u, n_max)
@@ -368,7 +368,7 @@ def _residual_table(series: FormalSeries) -> list:
     applied to each u_k once and shared by every n: the t^k coefficient of
     L(T^n u) is the same jet for every n > k."""
     u = series.u
-    lu = [_apply_coeffs(series.field, uk) for uk in u[:-1]]
+    lu = [apply_coeffs(series.field, uk) for uk in u[:-1]]
     cancel = [float(np.max(np.abs(jet_add(lu[k], jet_scale(u[k + 1], k + 1)).data),
                            initial=0.0)) for k in range(len(lu) - 1)]
     return [max(cancel[:n] + [jet_max_diff(lu[n], jet_scale(u[n + 1], -(n + 1.0)))])

@@ -23,7 +23,7 @@ from .errors import ArityMismatch, SingularJacobian, TrustBoxExceeded, \
 from .fbi import GRID_N, ScanConfig, ScanReport, _check_steps, \
     guard_n, wavefront_scan
 from .fixtures import windowed_grid
-from .jets import Jet, VectorFieldJet, _apply_coeffs, jet_add, jet_diff, \
+from .jets import Jet, VectorFieldJet, apply_coeffs, jet_add, jet_diff, \
     jet_eval, jet_mul, jet_scale, jet_variable
 from .weights import WeightSequence
 
@@ -36,6 +36,13 @@ def _central(u, dx: float, dt: float):
     on the interior of the grid."""
     return ((u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * dx),
             (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * dt))
+
+
+def _along(jet: Jet, x, u, ux) -> np.ndarray:
+    """jet at (x; zeta_0 = u, zeta_1 = du/dx), broadcast to the shape of u."""
+    return np.broadcast_to(np.asarray(
+        jet_eval(jet, x=x + 0.0 * u.real, zeta=[u, ux]), dtype=complex),
+        u.shape)
 
 
 @dataclass(eq=False)
@@ -85,41 +92,33 @@ class SolutionSamples:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    def interior(self):
-        """x grid, u, du/dx, du/dt on the interior points."""
+    def interior(self, model: RhsModel):
+        """x as a column, u, du/dx and du/dt on the interior points, after
+        checking that the model has the samples' one spatial variable and
+        that u and du/dx stay within its trusted radius."""
+        if model.n_x != 1:
+            raise ArityMismatch(f"the samples have one spatial variable, "
+                                f"the model {model.n_x}")
         ux, ut = _central(self.u, self.dx, self.dt)
-        return self.x[1:-1], self.u[1:-1, 1:-1], ux, ut
-
-    def trusted_interior(self, model: RhsModel):
-        """interior() with x broadcast to the interior grid, after checking
-        that u and du/dx stay within the model's trusted radius."""
-        xi, ui, ux, ut = self.interior()
+        ui = self.u[1:-1, 1:-1]
         reach = max(float(np.max(np.abs(ui))), float(np.max(np.abs(ux))))
         if reach > model.trust_radius:
             raise TrustBoxExceeded(
                 f"samples reach |zeta| ~ {reach:.3g} beyond the trusted "
                 f"radius {model.trust_radius:.3g}")
-        return xi[:, None] + 0.0 * ui.real, ui, ux, ut
+        return self.x[1:-1, None], ui, ux, ut
 
     def residual(self, model: RhsModel) -> float:
         """max |du/dt - f(x, u, du/dx)| over the interior."""
-        xg, ui, ux, ut = self.trusted_interior(model)
-        fv = jet_eval(model.jet, x=xg, zeta=[ui, ux])
-        fv = np.broadcast_to(np.asarray(fv, dtype=complex), ut.shape)
-        return float(np.max(np.abs(ut - fv)))
+        xi, ui, ux, ut = self.interior(model)
+        return float(np.max(np.abs(ut - _along(model.jet, xi, ui, ux))))
 
 
-def linearize(model: RhsModel, samples: SolutionSamples):
-    """Transport coefficient grids a_j = f_zeta_j(x, u, du/dx) on the
-    interior of the sample grid; the linearized operator is
-    d/dt - sum_j a_j d/dx_j."""
-    xg, ui, ux, _ = samples.trusted_interior(model)
-    grids = []
-    for j in range(model.n_x):
-        dj = jet_diff(model.jet, model.jet.n_x + 1 + j)
-        val = np.asarray(jet_eval(dj, x=xg, zeta=[ui, ux]), dtype=complex)
-        grids.append(np.broadcast_to(val, ui.shape).copy())
-    return grids
+def linearize(model: RhsModel, samples: SolutionSamples) -> np.ndarray:
+    """Transport coefficient grid a = f_zeta_1(x, u, du/dx) on the interior
+    of the sample grid; the linearized operator is d/dt - a d/dx."""
+    xi, ui, ux, _ = samples.interior(model)
+    return _along(jet_diff(model.jet, 2), xi, ui, ux).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +175,6 @@ def hamiltonian_lift(model: RhsModel) -> VectorFieldJet:
                   for j, zj in enumerate(z)])
 
 
-def hamiltonian_apply(H: VectorFieldJet, phi: Jet) -> Jet:
-    """H applied to a time-independent observable, as a jet."""
-    return _apply_coeffs(H, phi)
-
-
 @dataclass
 class ChainIdentityReport:
     errors: list                 # max interior |L^w(phi o w) - (H phi) o w|
@@ -202,25 +196,20 @@ def chain_identity_check(model: RhsModel, u_fn, phi: Jet, ux_fn,
     """
     if model.n_x != 1:
         raise ArityMismatch("the identity check covers one spatial variable")
-    hphi = hamiltonian_apply(hamiltonian_lift(model), phi)
+    hphi = apply_coeffs(hamiltonian_lift(model), phi)
     fz = jet_diff(model.jet, 2)
 
     errors = []
     for h in (0.02, 0.01):
         hx = anisotropy * h
-        x = np.arange(-0.5, 0.5 + 0.5 * hx, hx)
-        t = np.arange(-0.2, 0.2 + 0.5 * h, h)
-        xg = x[:, None] + 0.0 * t[None, :]
-        u = np.asarray(u_fn(x[:, None], t[None, :]), dtype=complex)
-        ux = np.asarray(ux_fn(x[:, None], t[None, :]), dtype=complex)
-
-        def on_w(jet):
-            val = np.asarray(jet_eval(jet, x=xg, zeta=[u, ux]), dtype=complex)
-            return np.broadcast_to(val, xg.shape)
-
-        dphi_x, dphi_t = _central(on_w(phi), hx, h)
-        lhs = dphi_t - on_w(fz)[1:-1, 1:-1] * dphi_x
-        rhs = on_w(hphi)[1:-1, 1:-1]
+        x = np.arange(-0.5, 0.5 + 0.5 * hx, hx)[:, None]
+        t = np.arange(-0.2, 0.2 + 0.5 * h, h)[None, :]
+        u = np.broadcast_to(np.asarray(u_fn(x, t), dtype=complex),
+                            (x.size, t.size))
+        ux = np.asarray(ux_fn(x, t), dtype=complex)
+        dphi_x, dphi_t = _central(_along(phi, x, u, ux), hx, h)
+        lhs = dphi_t - _along(fz, x, u, ux)[1:-1, 1:-1] * dphi_x
+        rhs = _along(hphi, x, u, ux)[1:-1, 1:-1]
         errors.append(float(np.max(np.abs(lhs - rhs))))
     ratios = [e0 / e1 for e0, e1 in zip(errors, errors[1:]) if e1 > 0.0]
     return ChainIdentityReport(errors, ratios)
@@ -315,8 +304,6 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
     (omega_2, omega_1).  Inclusion holds when the distance to Char does
     not exceed the angular step of the fan.
     """
-    if model.n_x != 1:
-        raise ArityMismatch("the experiment covers one spatial variable")
     x0, t0 = float(base[0]), float(base[1])
     lo, hi = np.array([x0, t0]) - radius, np.array([x0, t0]) + radius
     if not np.all(lo < hi):
@@ -328,7 +315,7 @@ def wf_inclusion_experiment(model: RhsModel, u, seq: WeightSequence,
                          f"of step {h:g}")
     stencil = SolutionSamples.from_function(u, x0 - h, x0 + h, 3,
                                             t0 - h, t0 + h, 3)
-    a0 = np.array([a[0, 0] for a in linearize(model, stencil)])
+    a0 = linearize(model, stencil)[0, :1]
     cs = char_set(a0)
 
     top = float(np.max((config or ScanConfig()).lambdas))

@@ -9,7 +9,7 @@ L to every u_k afresh.
 
 from __future__ import annotations
 
-from carleman.jets import FormalSeries, VectorFieldJet, _apply_coeffs, \
+from carleman.jets import FormalSeries, VectorFieldJet, apply_coeffs, \
     jet_add, jet_scale
 
 
@@ -21,6 +21,6 @@ def truncate(series: FormalSeries, n: int) -> list:
 
 def apply_field(L: VectorFieldJet, p: list) -> list:
     """Exact d/dt p + (coefficient part) p, degree by degree in t."""
-    out = [_apply_coeffs(L, c) for c in p]
+    out = [apply_coeffs(L, c) for c in p]
     return [jet_add(q, jet_scale(c, k + 1)) for k, (q, c)
             in enumerate(zip(out, p[1:]))] + out[-1:]

@@ -889,6 +889,10 @@ def test_non_object_section_is_config_error(tmp_path, capsys, command, cfg):
                  id="fbi.scan.a_threshold-0"),
     pytest.param("wf-experiment", dict(_WF_SMALL, scan={"a_threshold": -1.0}),
                  id="wf.scan.a_threshold-negative"),
+    # samples normalized to a max of 1 fail nothing under a floor of 1
+    pytest.param("fbi", _sign_scan(floor_rel=1.0), id="fbi.scan.floor_rel-1"),
+    pytest.param("wf-experiment", dict(_WF_SMALL, scan={"floor_rel": -1e-3}),
+                 id="wf.scan.floor_rel-negative"),
     pytest.param("weights", dict(WEIGHTS_CFG, r={"lo": -1.0, "hi": 4.0,
                                                  "n": 5, "spacing": "log"}),
                  id="weights.r-log-negative"),

@@ -511,16 +511,20 @@ def _uncut_grid(n):
 
 
 @pytest.mark.parametrize("gf, lams, message", [
+    # the step is checked at the largest lambda, the edge at the smallest
     (conormal_grid(128), np.geomspace(4.0, 64.0, 12),
-     "axis 0 step 0.0157 exceeds 0.0138 needed at |xi| = 49.7"),
-    # a coarse grid without a cutoff trips both guards; the first lambda
-    # of the scan decides which one names the fault
-    (_uncut_grid(64), np.geomspace(4.0, 64.0, 12),
+     "axis 0 step 0.0157 exceeds 0.0109 needed at |xi| = 64"),
+    (_uncut_grid(256), np.geomspace(4.0, 64.0, 12),
      "integrand is not negligible at the box edge; enlarge the box or add "
      "a cutoff"),
+    # a coarse grid without a cutoff trips both guards; the oscillation
+    # guard names the fault, whether the lambda where the edge guard is
+    # tightest comes first or the one where the step guard is
+    (_uncut_grid(64), np.geomspace(4.0, 64.0, 12),
+     "axis 0 step 0.0317 exceeds 0.0109 needed at |xi| = 64"),
     (_uncut_grid(64), np.geomspace(64.0, 4.0, 12),
      "axis 0 step 0.0317 exceeds 0.0109 needed at |xi| = 64"),
-], ids=["step", "edge-first", "step-first"])
+], ids=["step", "edge", "edge-first", "step-first"])
 def test_direction_scan_2d_guards(gf, lams, message):
     with pytest.raises(Undersampled) as exc:
         fbi_direction_scan(gf, (0.1, 0.1), _circle_directions(8), lams)
@@ -630,6 +634,9 @@ def test_scan_config_resolves_the_tail():
     ({"lambdas": []}, "lambdas must be one or more values > 0"),
     ({"lambdas": [0.0, 8.0]}, "lambdas must be one or more values > 0"),
     ({"lambda_min": 100.0}, "no lambda at or above lambda_min = 100"),
+    ({"a_threshold": float("inf")}, "a_threshold inf is not finite"),
+    *[({"floor_rel": v}, f"floor_rel {v:g} is outside [0, 1)")
+      for v in (1.0, 2.5, float("inf"), -1e-3, float("nan"))],
 ])
 def test_scan_config_names_what_it_refuses(kwargs, message):
     with pytest.raises(ValueError) as exc:

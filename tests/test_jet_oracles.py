@@ -237,8 +237,8 @@ def test_residual_table_matches_per_n_residuals(shape, monkeypatch):
     series = formal_solution(VectorFieldJet(a=coeffs[:n_x], b=coeffs[n_x:]),
                              f, n_max)
     calls = []
-    apply_coeffs = jets._apply_coeffs
-    monkeypatch.setattr(jets, "_apply_coeffs",
+    apply_coeffs = jets.apply_coeffs
+    monkeypatch.setattr(jets, "apply_coeffs",
                         lambda L, p: calls.append(p) or apply_coeffs(L, p))
     got = [residual_check(series, n) for n in range(n_max)]
     # L is applied to each u_k once, whatever the number of n

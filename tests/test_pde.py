@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import null_space
 
 from carleman.errors import ArityMismatch, SingularJacobian, TrustBoxExceeded
-from carleman.jets import jet_diff, jet_eval, jet_mul, jet_scale, \
-    jet_variable
+from carleman.jets import apply_coeffs, jet_diff, jet_eval, jet_mul, \
+    jet_scale, jet_variable
 from carleman.pde import (RhsModel, SolutionSamples, chain_identity_check,
-                          char_set, hamiltonian_apply, hamiltonian_lift,
-                          linearize, renormalize, wf_inclusion_experiment)
+                          char_set, hamiltonian_lift, linearize, renormalize,
+                          wf_inclusion_experiment)
 from carleman.weights import make_sequence
 
 ROOT2 = np.sqrt(2.0)
@@ -90,10 +90,10 @@ def test_trust_radius_guard():
 def test_linearize_dilation_coefficient():
     s = SolutionSamples.from_function(lambda x, t: x * np.exp(-t),
                                      -0.5, 0.5, 101, -0.2, 0.2, 41)
-    a, = linearize(dilation_model(), s)
-    xi, ui, ux, _ = s.interior()
+    a = linearize(dilation_model(), s)
+    xi, ui, _, _ = s.interior(dilation_model())
     assert a.shape == ui.shape
-    assert np.max(np.abs(a - (-xi[:, None]))) < 1e-12
+    assert np.max(np.abs(a - (-xi))) < 1e-12
 
 
 def test_linearize_state_dependent_coefficient():
@@ -101,9 +101,23 @@ def test_linearize_state_dependent_coefficient():
     model = RhsModel(jet_mul(_z0(), _z1()))
     s = SolutionSamples.from_function(lambda x, t: np.sin(x + t),
                                      -0.5, 0.5, 81, -0.2, 0.2, 33)
-    a, = linearize(model, s)
-    _, ui, _, _ = s.interior()
+    a = linearize(model, s)
+    _, ui, _, _ = s.interior(model)
     assert np.max(np.abs(a - ui)) < 1e-12
+
+
+@pytest.mark.parametrize("n_x", [3, 4, 5])
+def test_samples_refuse_a_model_of_two_space_variables(n_x):
+    # the one interior names the mismatch before any jet is evaluated, so
+    # the message does not depend on the number of grid points
+    model = RhsModel(jet_variable(3, 2, 3, 8))
+    s = SolutionSamples.from_function(lambda x, t: x + t,
+                                     -0.5, 0.5, n_x, -0.2, 0.2, 5)
+    for read in (s.interior, s.residual, lambda m: linearize(m, s)):
+        with pytest.raises(ArityMismatch, match="^the samples have one "
+                                                "spatial variable, the "
+                                                "model 2$"):
+            read(model)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +200,7 @@ def test_lift_observables_transport():
     H = hamiltonian_lift(transport_model())
     vals = []
     for phi in (_z0(), _z1(), _x()):
-        out = hamiltonian_apply(H, phi)
+        out = apply_coeffs(H, phi)
         vals.append(complex(jet_eval(out, x=0.3, zeta=[0.2, 0.4])))
     assert vals[0] == pytest.approx(0.0)
     assert vals[1] == pytest.approx(0.0)
@@ -249,7 +263,7 @@ def test_renormalize_matches_linearization():
     s = SolutionSamples.from_function(lambda x, t: x * np.exp(-t),
                                      -0.3, 0.3, 601, -0.05, 0.05, 101)
     b = renormalize(s.u, s.dx, s.dt)
-    a, = linearize(dilation_model(), s)
+    a = linearize(dilation_model(), s)
     assert np.max(np.abs(b - (-a))) < 1e-7
 
 

@@ -19,6 +19,11 @@ to a definition by its name alone (a class by its own name).
 cli._fixture_grid's getattr(fixtures, ...) call stands for a call of each
 fixtures.<name>_grid of cli._FIXTURE_GRIDS.
 
+No public function or public method of a public class is a pass-through:
+a body that, after its docstring, only returns a call whose arguments are
+the function's own parameters in order.  Such a name is a second name for
+one implementation; callers use the callee.
+
 Every annotated field of a public dataclass is read somewhere in src/,
 tests/ or perfbench/, as an attribute or through a getattr with a constant
 name; again a read is matched to a field by its name alone.  An attribute
@@ -260,3 +265,36 @@ def test_every_dataclass_field_is_read():
     unread = {f"{m}.{n}.{f}" for m, n, node in _public_dataclasses(defs)
               for f, _, _ in _fields(node) if f not in read}
     assert unread == set()
+
+
+def _forwards(fn) -> bool:
+    """Whether fn's body, after its docstring, is only `return g(<its
+    parameters, in order>)`."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or \
+            not isinstance(body[0].value, ast.Call):
+        return False
+    call, a = body[0].value, fn.args
+    if a.vararg or a.kwonlyargs or a.kwarg or call.keywords:
+        return False
+    return [v.id if isinstance(v, ast.Name) else None for v in call.args] \
+        == [p.arg for p in a.posonlyargs + a.args]
+
+
+def test_no_public_function_is_a_pass_through():
+    defs, _ = _package()
+    found = set()
+    for m, d in defs.items():
+        for n, node in d.items():
+            if n.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                fns = {n: node}
+            elif isinstance(node, ast.ClassDef):
+                fns = {f"{n}.{f.name}": f for f in node.body
+                       if isinstance(f, ast.FunctionDef)
+                       and not f.name.startswith("_")}
+            else:
+                continue
+            found |= {f"{m}.{q}" for q, fn in fns.items() if _forwards(fn)}
+    assert found == set()
